@@ -28,6 +28,7 @@ from .constructions import (
     witness_construction,
 )
 from .hidden_variables import HVSystem, invariance_demo, solve
+from .operators import _check_dim
 from .phases import RationalPhase
 
 __all__ = ["main"]
@@ -113,8 +114,7 @@ def _cmd_invariance_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_circle(args: argparse.Namespace) -> int:
-    if args.d < 2:
-        raise ValueError(f"dimension must be at least 2, got {args.d}")
+    _check_dim(args.d)
     points = [str(RationalPhase(nu, args.d)) for nu in range(args.d)]
     _emit({"d": args.d, "points": points}, None)
     return 0

@@ -41,7 +41,15 @@ from .hidden_variables import (
     solve,
     system_from_operators,
 )
-from .operators import DEFAULT_DENSE_CAP, ProductOperator
+from .operators import (
+    DEFAULT_DENSE_CAP,
+    ProductOperator,
+    _check_cell,
+    _check_dim,
+    _json_int,
+    _json_object,
+    _with_angles,
+)
 from .phases import RationalPhase, ZERO_PHASE
 from .states import dense_state, eigenvalue_exponent, make_ghz
 
@@ -144,37 +152,33 @@ class Construction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Construction":
-        d = int(data["d"])
+        data = _json_object(data, "construction")
+        d = _json_int(data["d"], "d")
+        n = _json_int(data["n"], "n")
 
         def item(entry: dict) -> OperatorItem:
-            op = ProductOperator(
-                d, tuple(RationalPhase.parse(a) for a in entry["angles"])
-            )
-            return op, RationalPhase.parse(entry["exponent"])
+            entry = _json_object(entry, "operator")
+            angles = tuple(RationalPhase.parse(a) for a in entry["angles"])
+            if len(angles) != n:
+                raise ValueError(f"operator has {len(angles)} factors but n = {n}")
+            return ProductOperator(d, angles), RationalPhase.parse(entry["exponent"])
 
-        meta = data.get("meta", {})
-        chain = meta.get("chain")
+        meta = _json_object(data.get("meta", {}), "meta")
+        f, chain = meta.get("f"), meta.get("chain")
+        if f is not None:
+            f = _json_int(f, "meta.f")
+        if chain is not None:
+            chain = tuple(_json_int(k, "meta.chain") for k in chain)
         return cls(
             d=d,
-            n=int(data["n"]),
-            method=int(data["method"]),
+            n=n,
+            method=_json_int(data["method"], "method"),
             phi_o=RationalPhase.parse(data["phi_o"]),
             operators=tuple(item(entry) for entry in data["operators"]),
             target=item(data["target"]),
-            f=meta.get("f"),
-            chain=tuple(chain) if chain is not None else None,
+            f=f,
+            chain=chain,
         )
-
-
-def _all_shift(d: int, n: int) -> ProductOperator:
-    return ProductOperator(d, (ZERO_PHASE,) * n)
-
-
-def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
-    angles = [ZERO_PHASE] * n
-    for pos, a in placed.items():
-        angles[pos] = a
-    return ProductOperator(d, tuple(angles))
 
 
 def _divisors(d: int) -> list[int]:
@@ -201,15 +205,12 @@ def method1_operator_set(
     for start in range(n):
         placed = {(start + t) % n: phi_o for t in range(f)}
         blocks.append((_with_angles(d, n, placed), nu))
-    supporting = [(_all_shift(d, n), ZERO_PHASE)] + blocks[:-1]
+    supporting = [(_with_angles(d, n, {}), ZERO_PHASE)] + blocks[:-1]
     return supporting, blocks[-1]
 
 
 def _validate_method1(d: int, n: int, f: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if n < 3:
-        raise ValueError("GHZ contradictions need at least three qudits")
+    _check_cell(d, n)
     if f <= 1 or d % f != 0:
         raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
     if n <= f:
@@ -222,10 +223,7 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
     order and the first that works is used.
     """
     if f is None:
-        if d < 2:
-            raise ValueError(f"dimension must be at least 2, got {d}")
-        if n < 3:
-            raise ValueError("GHZ contradictions need at least three qudits")
+        _check_cell(d, n)
         for cand in _divisors(d):
             if cand < n and n % cand:
                 f = cand
@@ -274,7 +272,7 @@ def _conjugate_pair_items(d: int, n: int, phi_o: RationalPhase) -> list[Operator
     """
     y = phi_o
     yt = -phi_o
-    items: list[OperatorItem] = [(_all_shift(d, n), ZERO_PHASE)]
+    items: list[OperatorItem] = [(_with_angles(d, n, {}), ZERO_PHASE)]
     for k in range(n - 1):  # rotated factor on qudit k+1, conjugate on qudit N
         items.append((_with_angles(d, n, {k: y, n - 1: yt}), ZERO_PHASE))
     items.append((_with_angles(d, n, {n - 2: yt, n - 1: y}), ZERO_PHASE))
@@ -287,13 +285,7 @@ def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorIt
     set at phi_o = 1/(N*d) plus the fully rotated product at eigenphase
     1/d as the target.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if n < 3:
-        raise ValueError(
-            "need at least three qudits (two admit a hidden-variable model, "
-            "and the conjugate pairing needs a third position)"
-        )
+    _check_cell(d, n)
     phi_o = RationalPhase(1, n * d)
     supporting = _conjugate_pair_items(d, n, phi_o)
     target = (ProductOperator(d, (phi_o,) * n), RationalPhase(1, d))
@@ -427,8 +419,7 @@ def method3(d: int, n: int) -> Construction:
     assigns eigenvalue omega, while the forced variations predict
     omega^(d*delta) = 1.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     if not 3 <= n < d:
         raise ValueError(f"the ladder construction needs 3 <= N < d, got N={n}, d={d}")
     m = d - n + 1
@@ -496,10 +487,7 @@ def classify(d: int, n: int) -> RegimeCell:
     (the smallest such f is recorded).  Regime 2: otherwise, when
     gcd(N, d) > 1.  Regime 3: the rest, which always satisfies N < d.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if n < 3:
-        raise ValueError("GHZ contradictions need at least three qudits")
+    _check_cell(d, n)
     for f in _divisors(d):
         if f < n and n % f:
             return RegimeCell(d, n, 1, 1, f)
@@ -531,10 +519,7 @@ def classify_plane(d_max: int, n_max: int, verify: bool = False) -> list[RegimeC
     certified (exact quantum checks + UNSAT verdict); any failure raises
     CertificationError.
     """
-    if d_max < 2:
-        raise ValueError("d-max must be at least 2")
-    if n_max < 3:
-        raise ValueError("n-max must be at least 3")
+    _check_cell(d_max, n_max)
     cells = [
         classify(d, n) for d in range(2, d_max + 1) for n in range(3, n_max + 1)
     ]
@@ -694,7 +679,7 @@ def verify_construction(
         brute = brute_force_solve(system, cap=brute_cap)
         if brute.status != verdict.status or brute.witness != verdict.witness:
             raise CertificationError(
-                "echelon solver and exhaustive enumeration disagree"
+                "Howell-basis solver and exhaustive enumeration disagree"
             )
 
     return Certificate(

@@ -4,23 +4,23 @@ A local (or noncontextual) model gives every one-qudit observable X(phi)
 a definite value omega^x with x in Z_d, independently of which product it
 is measured in.  Each product observable with a known eigenphase nu/d then
 imposes one linear congruence: the per-qudit exponents sum to nu mod d.
-Whether such a system has a solution is a question of exact integer
-linear algebra: A·x = b (mod d) is solvable iff the integer system
-[A | d·I]·z = b is, and the latter is decided by reducing the stacked
-matrix to column echelon form over Z with gcd steps.  d may be composite
-(4, 6, 8, 9, 10, 12 all matter here), so Z_d is only a ring and field
-Gaussian elimination is not available; the integer normal-form route is
-exact for every modulus.
-
-The same machinery answers "which linear functionals of the hidden
-variables are forced?": a functional is constant across all solutions iff
-it lies in the row space of A modulo d, which is one more solvability
-check (of the transposed system).
+d may be composite (4, 6, 8, 9, 10, 12 all matter here), so Z_d is only a
+ring and field Gaussian elimination is not available.  Instead each
+system is factored once, into a Howell basis of its augmented rows
+[A | b] mod d (J. A. Howell, "Spans in the module (Z_m)^s", 1986;
+computed as in Storjohann & Mulders, "Fast algorithms for linear algebra
+modulo N", 1998), with every entry kept in [0, d).  All queries read
+that one basis: the system is unsolvable iff a row pivots in the
+right-hand-side column; back-substitution gives the lexicographically
+least witness; and a linear functional of the hidden variables is forced
+(constant across all solutions) iff it lies in the row space of A mod d,
+i.e. iff the basis reduces it to zero on the variable columns.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +28,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .operators import CapExceededError, ProductOperator
+from .operators import (
+    CapExceededError,
+    ProductOperator,
+    _check_cell,
+    _check_dim,
+    _json_int,
+    _json_object,
+    _with_angles,
+)
 from .phases import RationalPhase, ZERO_PHASE, as_turns
 from .states import eigenvalue_exponent, make_ghz
 
@@ -69,7 +77,9 @@ class FactorLabel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorLabel":
-        return cls(int(data["qudit"]), RationalPhase.parse(data["angle"]))
+        data = _json_object(data, "variable")
+        qudit = _json_int(data["qudit"], "qudit")
+        return cls(qudit, RationalPhase.parse(data["angle"]))
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,46 @@ class HVSystem:
     @cached_property
     def _index(self) -> dict[FactorLabel, int]:
         return {label: i for i, label in enumerate(self.variables)}
+
+    @cached_property
+    def _howell(self) -> list[Optional[list[int]]]:
+        """Howell basis of the rows [A | b] mod d, indexed by pivot column.
+
+        Variable j sits in column n-1-j and the right-hand side in column
+        n.  Entry c is the row whose first nonzero entry, a divisor of d,
+        is in column c, or None.  Each pivot row p with pivot h leaves
+        (d/h)*p for the later columns, so the rows from any column c on
+        span every consequence of the system that is zero before c: in
+        particular the exact projection of the solution set onto every
+        prefix x_0..x_j of the variables.
+        """
+        d, n = self.d, len(self.variables)
+        rows, rhs = self.dense_rows()
+        pending = [row[::-1] + [r] for row, r in zip(rows, rhs)]
+        basis: list[Optional[list[int]]] = []
+        for c in range(n + 1):
+            live = [row for row in pending if row[c]]
+            pending = [row for row in pending if not row[c]]
+            if not live:
+                basis.append(None)
+                continue
+            pivot = live[0]
+            for row in live[1:]:
+                a, b = pivot[c], row[c]
+                g, s, t = _xgcd(a, b)
+                pivot, row = (
+                    [(s * x + t * y) % d for x, y in zip(pivot, row)],
+                    [((a // g) * y - (b // g) * x) % d for x, y in zip(pivot, row)],
+                )
+                if any(row):
+                    pending.append(row)
+            unit = _normalizing_unit(pivot[c], d)
+            pivot = [unit * x % d for x in pivot]
+            annihilated = [(d // pivot[c]) * x % d for x in pivot]
+            if any(annihilated):
+                pending.append(annihilated)
+            basis.append(pivot)
+        return basis
 
     def var_index(self, label: FactorLabel) -> Optional[int]:
         return self._index.get(label)
@@ -117,18 +167,19 @@ class HVSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HVSystem":
-        d = int(data["d"])
-        if d < 2:
-            raise ValueError("modulus must be at least 2")
+        data = _json_object(data, "system")
+        d = _json_int(data["d"], "d")
+        _check_dim(d)
         variables = tuple(FactorLabel.from_json_dict(v) for v in data["vars"])
         constraints = []
         for con in data["constraints"]:
+            con = _json_object(con, "constraint")
             coeffs = []
             for idx, coeff in con["coeffs"]:
-                if not 0 <= int(idx) < len(variables):
+                if not 0 <= _json_int(idx, "variable index") < len(variables):
                     raise ValueError(f"variable index {idx} out of range")
-                coeffs.append((int(idx), int(coeff)))
-            constraints.append(Constraint(tuple(coeffs), int(con["rhs"])))
+                coeffs.append((idx, _json_int(coeff, "coefficient")))
+            constraints.append(Constraint(tuple(coeffs), _json_int(con["rhs"], "rhs")))
         return cls(d, variables, tuple(constraints))
 
 
@@ -155,8 +206,7 @@ def system_from_operators(
     Variables are deduplicated by exact label identity and kept in first
     encounter order, so equal inputs build byte-identical systems.
     """
-    if d < 2:
-        raise ValueError("modulus must be at least 2")
+    _check_dim(d)
     variables: dict[FactorLabel, int] = {}
     constraints = []
     width = None
@@ -179,68 +229,30 @@ def system_from_operators(
     return HVSystem(d, tuple(variables), tuple(constraints))
 
 
-def _solvable(rows: Sequence[Sequence[int]], rhs: Sequence[int], d: int) -> bool:
-    """Decide whether A·x = b (mod d) has a solution.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
-    Works over the integers on the stacked matrix [A | d·I]: column
-    operations (gcd steps) are unimodular, so they preserve the column
-    lattice, and b lies in that lattice iff forward substitution through
-    the echelon form succeeds with exact divisibility.
-    """
-    m = len(rows)
-    if m == 0:
-        return True
-    width = len(rows[0])
-    cols = [[row[j] % d for row in rows] for j in range(width)]
-    for i in range(m):
-        unit = [0] * m
-        unit[i] = d
-        cols.append(unit)
-    b = [v % d for v in rhs]
 
-    pivots: list[int] = []  # row index of pivot column t
-    p = 0
-    for i in range(m):
-        while True:
-            nz = [j for j in range(p, len(cols)) if cols[j][i] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(cols[j][i]))
-            base = cols[j0]
-            head = base[i]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = cols[j][i] // head
-                if q:
-                    col = cols[j]
-                    for r in range(i, m):
-                        col[r] -= q * base[r]
-        nz = [j for j in range(p, len(cols)) if cols[j][i] != 0]
-        if nz:
-            cols[p], cols[nz[0]] = cols[nz[0]], cols[p]
-            pivots.append(i)
-            p += 1
-
-    solved: list[int] = []
-    t = 0
-    for i in range(m):
-        resid = b[i] - sum(cols[s][i] * solved[s] for s in range(t))
-        if t < len(pivots) and pivots[t] == i:
-            head = cols[t][i]
-            if resid % head:
-                return False
-            solved.append(resid // head)
-            t += 1
-        elif resid != 0:
-            return False
-    return True
+def _normalizing_unit(a: int, d: int) -> int:
+    """A unit u of Z_d with u*a = gcd(a, d) (mod d), for 0 < a < d."""
+    g = math.gcd(a, d)
+    step = d // g
+    u = pow(a // g, -1, step)
+    while math.gcd(u, d) != 1:  # some lift of u mod d/g is a unit mod d
+        u += step
+    return u
 
 
 def satisfiable(system: HVSystem) -> bool:
-    """Fast SAT/UNSAT decision without witness extraction."""
-    rows, rhs = system.dense_rows()
-    return _solvable(rows, rhs, system.d)
+    """SAT/UNSAT decision: no Howell basis row pivots in the rhs column."""
+    return system._howell[-1] is None
 
 
 def _satisfies(system: HVSystem, witness: Sequence[int]) -> bool:
@@ -254,27 +266,23 @@ def _satisfies(system: HVSystem, witness: Sequence[int]) -> bool:
 def solve(system: HVSystem) -> HVVerdict:
     """Decide the system; on SAT return the lexicographically least witness.
 
-    The witness is pinned one variable at a time: the smallest value in
-    Z_d that keeps the remaining system solvable is substituted and the
-    leading column eliminated.  That makes verdicts and witnesses
+    Back-substitution through the Howell basis, first variable first: the
+    row pivoting on x_j reads h*x_j = r (mod d) once x_0..x_(j-1) are in,
+    so the least choice is r/h, and 0 for a variable with no pivot row.
+    Every such choice extends to a full solution, so the witness is
     reproducible byte for byte.
     """
-    d = system.d
-    rows, rhs = system.dense_rows()
-    if not _solvable(rows, rhs, d):
+    if not satisfiable(system):
         return HVVerdict("UNSAT", None)
-    witness: list[int] = []
-    for _ in range(len(system.variables)):
-        tails = [row[1:] for row in rows]
-        for v in range(d):
-            cand = [(rhs[i] - rows[i][0] * v) % d for i in range(len(rows))]
-            if _solvable(tails, cand, d):
-                witness.append(v)
-                rows, rhs = tails, cand
-                break
-        else:  # pragma: no cover - contradicts the SAT decision above
-            raise RuntimeError("satisfiable system lost its solution space")
-    verdict = HVVerdict("SAT", tuple(witness))
+    d, n = system.d, len(system.variables)
+    basis = system._howell
+    x = [0] * n  # by basis column; variable j is column n-1-j
+    for c in reversed(range(n)):
+        row = basis[c]
+        if row is not None:
+            resid = (row[n] - sum(row[k] * x[k] for k in range(c + 1, n))) % d
+            x[c] = resid // row[c]
+    verdict = HVVerdict("SAT", tuple(reversed(x)))
     assert _satisfies(system, verdict.witness)
     return verdict
 
@@ -282,7 +290,7 @@ def solve(system: HVSystem) -> HVVerdict:
 def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdict:
     """Independent oracle: exhaust Z_d^n in lexicographic order.
 
-    Shares no code with the echelon solver; agreement of the two is a
+    Shares no code with the Howell-basis solver; agreement of the two is a
     standing cross-check.  Raises CapExceededError when d^n > cap.
     """
     d = system.d
@@ -337,37 +345,32 @@ def _functional_vector(
     return vec
 
 
-def _in_row_space(system: HVSystem, vec: Sequence[int]) -> bool:
-    # vec is orthogonal to the homogeneous solution lattice iff it is a
-    # Z_d-combination of constraint rows, i.e. A^T·y = vec (mod d) solvable.
-    rows, _ = system.dense_rows()
-    transposed = [[row[j] for row in rows] for j in range(len(system.variables))]
-    return _solvable(transposed, vec, system.d)
-
-
 def forced_value(
-    system: HVSystem,
-    functional: Mapping[FactorLabel, int],
-    _witness: Optional[Sequence[int]] = None,
+    system: HVSystem, functional: Mapping[FactorLabel, int]
 ) -> Optional[int]:
     """Value of sum(coeff * x[label]) mod d if equal across ALL solutions.
 
     Exact criterion: the functional is constant on the solution coset iff
-    it lies in the row space of the constraint matrix modulo d; the value
-    is then read off any one witness.  Returns None when not forced.
-    Raises ValueError on an unsatisfiable system (nothing to compare).
+    it lies in the row space of the constraint matrix modulo d.  Reducing
+    (functional | 0) by the Howell basis leaves (0 | -value) exactly
+    then, and a nonzero variable entry otherwise.  Returns None when not
+    forced.  Raises ValueError on an unsatisfiable system (nothing to
+    compare).
     """
     vec = _functional_vector(system, functional)
     if vec is None:
         return None
-    if _witness is None:
-        verdict = solve(system)
-        if not verdict.is_sat:
-            raise ValueError("system is unsatisfiable; no solutions to compare")
-        _witness = verdict.witness
-    if not _in_row_space(system, vec):
-        return None
-    return sum(c * w for c, w in zip(vec, _witness)) % system.d
+    if not satisfiable(system):
+        raise ValueError("system is unsatisfiable; no solutions to compare")
+    d, n = system.d, len(vec)
+    v = vec[::-1] + [0]
+    for c, row in enumerate(system._howell[:n]):
+        if v[c] and row is not None:
+            q = v[c] // row[c]
+            v = [(a - q * b) % d for a, b in zip(v, row)]
+        if v[c]:
+            return None
+    return -v[n] % d
 
 
 @dataclass(frozen=True)
@@ -381,18 +384,13 @@ def implied_differences(
     pairs: Iterable[tuple[FactorLabel, FactorLabel]],
 ) -> list[ImpliedDifference]:
     """For each pair (u, v): the forced value of x_u - x_v, if constant."""
-    verdict = solve(system)
-    if not verdict.is_sat:
+    if not satisfiable(system):
         raise ValueError("differences are vacuous: system is unsatisfiable")
     results = []
     for u, v in pairs:
         functional: dict[FactorLabel, int] = {u: 1}
         functional[v] = functional.get(v, 0) - 1
-        results.append(
-            ImpliedDifference(
-                (u, v), forced_value(system, functional, _witness=verdict.witness)
-            )
-        )
+        results.append(ImpliedDifference((u, v), forced_value(system, functional)))
     return results
 
 
@@ -475,25 +473,11 @@ def invariance_demo(
     can only pin these relations at the sampled angles; nothing here
     claims the continuum statement for every phi.
     """
-    if n < 3:
-        raise ValueError("need at least three qudits")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_cell(d, n)
     phi = RationalPhase.from_fraction(as_turns(angle))
-
-    def shifted_product(assignment: Mapping[int, RationalPhase]) -> ProductOperator:
-        angles = [ZERO_PHASE] * n
-        for pos, a in assignment.items():
-            angles[pos] = a
-        return ProductOperator(d, tuple(angles))
-
-    items: list[tuple[ProductOperator, RationalPhase]] = [
-        (shifted_product({}), ZERO_PHASE)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                items.append((shifted_product({i: phi, j: -phi}), ZERO_PHASE))
+    pairs = list(itertools.permutations(range(n), 2))
+    items = [(_with_angles(d, n, {}), ZERO_PHASE)]
+    items += [(_with_angles(d, n, {i: phi, j: -phi}), ZERO_PHASE) for i, j in pairs]
 
     lam_phi: Optional[RationalPhase] = None
     if partition is not None:
@@ -501,44 +485,34 @@ def invariance_demo(
         if n1 < 1 or n2 <= n1 or n1 + n2 != n:
             raise ValueError("partition must split all qudits with n2 > n1 >= 1")
         lam_phi = RationalPhase.from_fraction(as_turns(angle) * Fraction(n1, n2))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    items.append(
-                        (shifted_product({i: lam_phi, j: -lam_phi}), ZERO_PHASE)
-                    )
+        items += [
+            (_with_angles(d, n, {i: lam_phi, j: -lam_phi}), ZERO_PHASE)
+            for i, j in pairs
+        ]
         group = {i: phi for i in range(n1)}
         group.update({i: -lam_phi for i in range(n1, n)})
-        items.append((shifted_product(group), ZERO_PHASE))
+        items.append((_with_angles(d, n, group), ZERO_PHASE))
 
     state = make_ghz(d, n, 0)
     for op, claimed in items:
         assert eigenvalue_exponent(state, op) == claimed
 
     system = system_from_operators(d, items)
-    verdict = solve(system)
-    assert verdict.is_sat  # homogeneous system; all-zero always works
-    witness = verdict.witness
 
     def variation(i: int, a: RationalPhase) -> dict[FactorLabel, int]:
         # dX_i(a) = x(i, a) - x(i, 0); collapses to the zero functional at a = 0
         return _combine({FactorLabel(i + 1, a): 1}, {FactorLabel(i + 1, ZERO_PHASE): -1})
 
     def probe(description: str, functional: Mapping[FactorLabel, int]) -> Relation:
-        return Relation(
-            description, forced_value(system, functional, _witness=witness)
-        )
+        return Relation(description, forced_value(system, functional))
 
-    relations = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                relations.append(
-                    probe(
-                        f"dX_{i + 1}({phi}) + dX_{j + 1}({-phi})",
-                        _combine(variation(i, phi), variation(j, -phi)),
-                    )
-                )
+    relations = [
+        probe(
+            f"dX_{i + 1}({phi}) + dX_{j + 1}({-phi})",
+            _combine(variation(i, phi), variation(j, -phi)),
+        )
+        for i, j in pairs
+    ]
     for i in range(1, n):
         relations.append(
             probe(

@@ -41,6 +41,28 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
 
+def _check_cell(d: int, n: int) -> None:
+    """Reject a (d, N) cell outside d >= 2, N >= 3."""
+    _check_dim(d)
+    if n < 3:
+        raise ValueError(f"GHZ contradictions need at least three qudits, got N = {n}")
+
+
+def _json_object(data: object, what: str) -> dict:
+    """Validate one parsed JSON value as an object."""
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise ValueError(f"expected a JSON object for {what}, got {kind}")
+    return data
+
+
+def _json_int(value: object, what: str) -> int:
+    """Validate one parsed JSON value as an integer (not a float or bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MonomialOp:
     """d x d operator mapping |n> to exp(2*pi*i*phases[n]) |n+shift mod d>."""
@@ -192,3 +214,11 @@ class ProductOperator:
             int(data["d"]),
             tuple(RationalPhase.parse(a) for a in data["angles"]),
         )
+
+
+def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
+    """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
+    angles = [ZERO_PHASE] * n
+    for pos, a in placed.items():
+        angles[pos] = a
+    return ProductOperator(d, tuple(angles))

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .operators import DEFAULT_DENSE_CAP, CapExceededError, ProductOperator
+from .operators import DEFAULT_DENSE_CAP, CapExceededError, ProductOperator, _check_dim
 from .phases import RationalPhase, as_turns
 
 __all__ = [
@@ -43,8 +43,7 @@ class GhzState:
     phi: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+        _check_dim(self.d)
         if self.n < 1:
             raise ValueError("need at least one qudit")
         period = 1 if self.d % 2 else 2

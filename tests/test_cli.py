@@ -101,6 +101,54 @@ def test_verify_parse_failure(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_verify_rejects_non_object_meta(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    for meta in (None, [1, 2]):
+        data = method1(3, 4, 3).to_json_dict()
+        data["meta"] = meta
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert "expected a JSON object for meta" in err
+
+
+def test_readers_reject_non_object_top_level(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"d": 3}]))
+    for command in ("verify", "hv-solve"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and "expected a JSON object" in err
+
+
+def test_readers_reject_non_integer_fields(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    system = {
+        "d": 3,
+        "vars": [{"qudit": 1, "angle": "0/1"}],
+        "constraints": [{"coeffs": [[0, 1]], "rhs": 1}],
+    }
+    bad_systems = [{**system, "d": 3.5}, {**system, "d": True}]
+    bad_systems.append({**system, "constraints": [{"coeffs": [[0, 1.0]], "rhs": 1}]})
+    bad_systems.append({**system, "vars": [{"qudit": 1.5, "angle": "0/1"}]})
+    for data in bad_systems:
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "hv-solve", str(path))
+        assert code == 2 and out == "" and "must be an integer" in err
+    construction = method1(3, 4, 3).to_json_dict()
+    for key, value in (("n", 4.0), ("method", True), ("d", 3.0)):
+        path.write_text(json.dumps({**construction, key: value}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == "" and "must be an integer" in err
+
+
+def test_verify_checks_n_against_operator_widths(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**method1(3, 4, 3).to_json_dict(), "n": 5}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "operator has 4 factors but n = 5" in err
+
+
 def test_classify_csv_grid(capsys):
     code, out, _ = run(
         capsys, "classify", "--d-max", "12", "--n-max", "20", "--format", "csv"

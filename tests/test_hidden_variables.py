@@ -1,5 +1,6 @@
 """Congruence systems over Z_d: solver, oracle agreement, forced relations."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from ghzcert import (
     RationalPhase,
     ZERO_PHASE,
     brute_force_solve,
+    classify,
     forced_value,
     implied_differences,
     invariance_demo,
@@ -21,6 +23,7 @@ from ghzcert import (
     satisfiable,
     solve,
     system_from_operators,
+    witness_construction,
 )
 
 
@@ -33,6 +36,14 @@ def raw_system(d, rows, rhs):
         for row, r in zip(rows, rhs)
     )
     return HVSystem(d, labels, constraints)
+
+
+def random_sat_system(rng, d, nvars, nrows):
+    """A random system with a planted solution."""
+    rows = [[rng.randrange(d) for _ in range(nvars)] for _ in range(nrows)]
+    planted = [rng.randrange(d) for _ in range(nvars)]
+    rhs = [sum(c * x for c, x in zip(row, planted)) % d for row in rows]
+    return raw_system(d, rows, rhs)
 
 
 def method1_system(d, n, f):
@@ -105,17 +116,69 @@ def test_brute_force_cap():
 def test_solver_agrees_with_brute_force_on_random_systems():
     rng = random.Random(67)
     for _ in range(200):
-        d = rng.randint(2, 5)
-        nvars = rng.randint(1, 5)
+        d = rng.randint(2, 12)
+        nvars = min(rng.randint(1, 6), 5 if d > 10 else 6)  # d**nvars <= 10**6
         nrows = rng.randint(1, 4)
-        rows = [[rng.randrange(d) for _ in range(nvars)] for _ in range(nrows)]
-        rhs = [rng.randrange(d) for _ in range(nrows)]
-        system = raw_system(d, rows, rhs)
+        if rng.random() < 0.5:
+            system = random_sat_system(rng, d, nvars, nrows)
+        else:
+            rows = [[rng.randrange(d) for _ in range(nvars)] for _ in range(nrows)]
+            rhs = [rng.randrange(d) for _ in range(nrows)]
+            system = raw_system(d, rows, rhs)
         fast = solve(system)
         slow = brute_force_solve(system, cap=10**6)
         assert fast.status == slow.status
         if fast.is_sat:
             assert fast.witness == slow.witness  # both lexicographically least
+
+
+def test_forced_value_matches_exhaustive_enumeration():
+    # forced exactly when every solution gives the functional the same value
+    rng = random.Random(79)
+    for _ in range(150):
+        d = rng.choice([4, 6, 8, 9, 10, 12])
+        nvars = rng.randint(1, 4)
+        system = random_sat_system(rng, d, nvars, rng.randint(1, 3))
+        rows, rhs = system.dense_rows()
+        solutions = [
+            x
+            for x in itertools.product(range(d), repeat=nvars)
+            if all(
+                sum(c * v for c, v in zip(row, x)) % d == r
+                for row, r in zip(rows, rhs)
+            )
+        ]
+        for _ in range(4):
+            coeffs = [rng.randrange(d) for _ in range(nvars)]
+            if rng.random() < 0.5:  # a combination of rows is always forced
+                k = rng.randrange(len(rows))
+                coeffs = [(c * rng.randrange(1, d)) % d for c in rows[k]]
+            values = {sum(c * v for c, v in zip(coeffs, x)) % d for x in solutions}
+            expected = values.pop() if len(values) == 1 else None
+            functional = dict(zip(system.variables, coeffs))
+            assert forced_value(system, functional) == expected
+
+
+def test_howell_basis_entries_stay_in_range():
+    rng = random.Random(83)
+    systems = [
+        raw_system(
+            d,
+            [[rng.randrange(-3 * d, 3 * d) for _ in range(7)] for _ in range(6)],
+            [rng.randrange(d) for _ in range(6)],
+        )
+        for d in (4, 12, 30, 36, 60, 64)
+    ]
+    for d, n in [(12, 20), (30, 50), (24, 7)]:
+        cell = witness_construction(classify(d, n))
+        systems.append(system_from_operators(d, cell.all_items()))
+    for system in systems:
+        d = system.d
+        for c, row in enumerate(system._howell):
+            if row is not None:
+                assert all(0 <= v < d for v in row)
+                assert all(v == 0 for v in row[:c])
+                assert row[c] > 0 and d % row[c] == 0
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():
