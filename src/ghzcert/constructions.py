@@ -37,7 +37,8 @@ from .hidden_variables import (
     DEFAULT_BRUTE_CAP,
     brute_force_solve,
     HVVerdict,
-    satisfiable,
+    _howell_basis,
+    _label_columns,
     solve,
     system_from_operators,
 )
@@ -46,6 +47,7 @@ from .operators import (
     ProductOperator,
     _check_cell,
     _check_dim,
+    _exponent_rows,
     _json_int,
     _json_object,
     _with_angles,
@@ -580,19 +582,27 @@ def check_genuine_dimension(d: int, angles: Iterable[RationalPhase]) -> bool:
     of 1/d (then the bases coincide up to relabeling).  When no pair of
     used angles does, no factor pair can be simultaneously
     block-diagonalized and the contradiction needs all d dimensions.
+    Over the common denominator D, distinct angles have distinct
+    exponents e in [0, D), and a - b is a multiple of 1/d iff
+    e_a = e_b (mod D/d); so the test is that the residues stay distinct.
     """
-    angle_list = list(angles)
-    for i, a in enumerate(angle_list):
-        for b in angle_list[i + 1 :]:
-            if a != b and (a - b).is_multiple_of_unit(d):
-                return False
-    return True
+    _check_dim(d)
+    common, (exponents,) = _exponent_rows(d, [set(angles)])
+    return len({e % (common // d) for e in exponents}) == len(exponents)
 
 
 def _genuinely_d_dimensional(c: Construction) -> bool:
     # Per qudit: bases on different qudits are never measured against each
     # other, so only same-qudit angle pairs can spoil dimensionality.
     return all(check_genuine_dimension(c.d, used) for used in c.per_qudit_angles())
+
+
+def _family_exponents(c: Construction) -> tuple[int, list[list[int]]]:
+    """The family's angles (target last) as exponent rows over D."""
+    items = c.all_items()
+    if any((op.d, op.n) != (c.d, c.n) for op, _ in items):
+        raise ValueError("operator and state have different shapes")
+    return _exponent_rows(c.d, (op.angles for op, _ in items))
 
 
 def check_irreducible(c: Construction) -> tuple[bool, ...]:
@@ -602,22 +612,34 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     operators that remain exact eigenoperators of the (N-1)-qudit state;
     the flag is True (removal spoils the proof, as irreducibility
     demands) iff the reduced congruence system is satisfiable or empty.
+    On the exponent rows over D, a reduced row has total t = total - e_k:
+    it is kept iff t % (D/d) == 0, with right-hand side (t mod D)/(D/d),
+    and its congruence is the full row's with qudit k's column dropped.
     """
     if c.n < 2:
         raise ValueError("cannot reduce below one qudit")
-    reduced_state = make_ghz(c.d, c.n - 1, 0)
+    common, rows = _family_exponents(c)
+    step = common // c.d
+    variables, columns = _label_columns(op.angles for op, _ in c.all_items())
+    nv = len(variables)
+    full = []  # Howell column order: variable j in column nv-1-j, rhs last
+    for col in columns:
+        row = [0] * (nv + 1)
+        for j in col:
+            row[nv - 1 - j] = 1
+        full.append(row)
+    totals = [sum(exps) for exps in rows]
     flags = []
     for k in range(c.n):
-        reduced_items = []
-        for op, _ in c.all_items():
-            rop = ProductOperator(c.d, op.angles[:k] + op.angles[k + 1 :])
-            lam = eigenvalue_exponent(reduced_state, rop)
-            if lam is not None:
-                reduced_items.append((rop, lam))
-        if not reduced_items:
-            flags.append(True)
-            continue
-        flags.append(satisfiable(system_from_operators(c.d, reduced_items)))
+        reduced = []
+        for row, exps, total, col in zip(full, rows, totals, columns):
+            t = total - exps[k]
+            if t % step == 0:
+                r = row.copy()
+                r[nv - 1 - col[k]] = 0
+                r[nv] = t % common // step
+                reduced.append(r)
+        flags.append(_howell_basis(c.d, nv, reduced)[-1] is None)
     return tuple(flags)
 
 
@@ -656,19 +678,25 @@ def verify_construction(
 ) -> Certificate:
     """Certify a construction end to end.
 
-    quantum_ok recomputes every claimed eigenphase exactly (no tolerance);
-    the verdict solves the congruence system over all operators including
+    quantum_ok recomputes every claimed eigenphase exactly (no tolerance):
+    with each operator's angles as integer exponents over D, its
+    collective angle is total/D, and it equals the claimed num/den iff
+    (total mod D)*den == num*D.  The claim is a multiple of 1/d (the
+    system build rejects any other), so equality also puts total/D on
+    the 1/d grid, which makes it an eigenphase of the unrotated state.
+    The verdict solves the congruence system over all operators including
     the target; with oracle=True the eigenphases are re-checked against
     dense tensors (when d^N fits the cap) and the verdict against
     exhaustive enumeration (when d^#vars fits the brute cap).  Failures
     of the construction are recorded in the certificate; oracle
     disagreements with the exact engine raise instead.
     """
-    state = make_ghz(c.d, c.n, 0)
-    quantum_ok = all(
-        eigenvalue_exponent(state, op) == claimed for op, claimed in c.all_items()
-    )
+    common, rows = _family_exponents(c)
     system = system_from_operators(c.d, c.all_items())
+    quantum_ok = all(
+        sum(row) % common * claimed.den == claimed.num * common
+        for row, (_, claimed) in zip(rows, c.all_items())
+    )
     verdict = solve(system)
 
     oracle_checked = False

@@ -102,43 +102,10 @@ class HVSystem:
 
     @cached_property
     def _howell(self) -> list[Optional[list[int]]]:
-        """Howell basis of the rows [A | b] mod d, indexed by pivot column.
-
-        Variable j sits in column n-1-j and the right-hand side in column
-        n.  Entry c is the row whose first nonzero entry, a divisor of d,
-        is in column c, or None.  Each pivot row p with pivot h leaves
-        (d/h)*p for the later columns, so the rows from any column c on
-        span every consequence of the system that is zero before c: in
-        particular the exact projection of the solution set onto every
-        prefix x_0..x_j of the variables.
-        """
-        d, n = self.d, len(self.variables)
+        """Howell basis of the rows [A | b] mod d (see ``_howell_basis``)."""
         rows, rhs = self.dense_rows()
-        pending = [row[::-1] + [r] for row, r in zip(rows, rhs)]
-        basis: list[Optional[list[int]]] = []
-        for c in range(n + 1):
-            live = [row for row in pending if row[c]]
-            pending = [row for row in pending if not row[c]]
-            if not live:
-                basis.append(None)
-                continue
-            pivot = live[0]
-            for row in live[1:]:
-                a, b = pivot[c], row[c]
-                g, s, t = _xgcd(a, b)
-                pivot, row = (
-                    [(s * x + t * y) % d for x, y in zip(pivot, row)],
-                    [((a // g) * y - (b // g) * x) % d for x, y in zip(pivot, row)],
-                )
-                if any(row):
-                    pending.append(row)
-            unit = _normalizing_unit(pivot[c], d)
-            pivot = [unit * x % d for x in pivot]
-            annihilated = [(d // pivot[c]) * x % d for x in pivot]
-            if any(annihilated):
-                pending.append(annihilated)
-            basis.append(pivot)
-        return basis
+        augmented = [row[::-1] + [r] for row, r in zip(rows, rhs)]
+        return _howell_basis(self.d, len(self.variables), augmented)
 
     def var_index(self, label: FactorLabel) -> Optional[int]:
         return self._index.get(label)
@@ -207,26 +174,77 @@ def system_from_operators(
     encounter order, so equal inputs build byte-identical systems.
     """
     _check_dim(d)
-    variables: dict[FactorLabel, int] = {}
-    constraints = []
-    width = None
+    items = list(items)
+    rhs = []
     for op, exponent in items:
         if op.d != d:
             raise ValueError("operator dimension disagrees with the modulus")
-        if width is None:
-            width = op.n
-        elif op.n != width:
+        if op.n != items[0][0].n:
             raise ValueError("operators act on differing qudit counts")
-        scaled = exponent.as_fraction() * d
-        if scaled.denominator != 1:
+        if d % exponent.den:
             raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
-        coeffs = []
-        for k, angle in enumerate(op.angles, start=1):
-            label = FactorLabel(k, angle)
-            idx = variables.setdefault(label, len(variables))
-            coeffs.append((idx, 1))
-        constraints.append(Constraint(tuple(coeffs), int(scaled) % d))
-    return HVSystem(d, tuple(variables), tuple(constraints))
+        rhs.append(exponent.num * (d // exponent.den) % d)
+    variables, columns = _label_columns(op.angles for op, _ in items)
+    constraints = tuple(
+        Constraint(tuple((j, 1) for j in row), r) for row, r in zip(columns, rhs)
+    )
+    return HVSystem(d, variables, constraints)
+
+
+def _label_columns(
+    angle_rows: Iterable[Sequence[RationalPhase]],
+) -> tuple[tuple[FactorLabel, ...], list[list[int]]]:
+    """The hidden variables of a family of operator rows, and where each sits.
+
+    Variables are the distinct labels (qudit, angle) in first-encounter
+    order; entry [i][k] is the index of row i's variable on qudit k+1.
+    """
+    index: dict[tuple[int, RationalPhase], int] = {}
+    columns = [
+        [index.setdefault((k, a), len(index)) for k, a in enumerate(row, start=1)]
+        for row in angle_rows
+    ]
+    return tuple(FactorLabel(k, a) for k, a in index), columns
+
+
+def _howell_basis(d: int, n: int, rows: list[list[int]]) -> list[Optional[list[int]]]:
+    """Howell basis mod d of augmented rows over n variables, by pivot column.
+
+    Each row holds the variables in reverse order (variable j in column
+    n-1-j) and the right-hand side last, in column n, with every
+    entry in [0, d).  Entry c is the row whose first nonzero entry, a
+    divisor of d, is in column c, or None.  Each pivot row p with pivot h
+    leaves (d/h)*p for the later columns, so the rows from any column c
+    on span every consequence of the system that is zero before c: in
+    particular the exact projection of the solution set onto every prefix
+    x_0..x_j of the variables.  The system is unsolvable iff entry n is
+    not None.
+    """
+    pending = rows
+    basis: list[Optional[list[int]]] = []
+    for c in range(n + 1):
+        live = [row for row in pending if row[c]]
+        pending = [row for row in pending if not row[c]]
+        if not live:
+            basis.append(None)
+            continue
+        pivot = live[0]
+        for row in live[1:]:
+            a, b = pivot[c], row[c]
+            g, s, t = _xgcd(a, b)
+            pivot, row = (
+                [(s * x + t * y) % d for x, y in zip(pivot, row)],
+                [((a // g) * y - (b // g) * x) % d for x, y in zip(pivot, row)],
+            )
+            if any(row):
+                pending.append(row)
+        unit = _normalizing_unit(pivot[c], d)
+        pivot = [unit * x % d for x in pivot]
+        annihilated = [(d // pivot[c]) * x % d for x in pivot]
+        if any(annihilated):
+            pending.append(annihilated)
+        basis.append(pivot)
+    return basis
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -290,8 +308,11 @@ def solve(system: HVSystem) -> HVVerdict:
 def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdict:
     """Independent oracle: exhaust Z_d^n in lexicographic order.
 
-    Shares no code with the Howell-basis solver; agreement of the two is a
-    standing cross-check.  Raises CapExceededError when d^n > cap.
+    Every constraint is evaluated on the whole grid Z_d^n at once, one
+    axis per variable, so the C-order flat index of a grid point is its
+    rank in lexicographic order and the first hit is the least witness.
+    Shares no code with the Howell-basis solver; agreement of the two is
+    a standing cross-check.  Raises CapExceededError when d^n > cap.
     """
     d = system.d
     nv = len(system.variables)
@@ -299,30 +320,18 @@ def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdi
     if total > cap:
         raise CapExceededError(f"{total} assignments exceed the cap {cap}")
     rows, rhs = system.dense_rows()
-    if total <= 50_000:
-        for assignment in itertools.product(range(d), repeat=nv):
-            if all(
-                sum(c * assignment[j] for j, c in enumerate(row)) % d == r
-                for row, r in zip(rows, rhs)
-            ):
-                return HVVerdict("SAT", assignment)
-        return HVVerdict("UNSAT", None)
-    # Vectorized sweep: index digits in base d are the assignment, most
-    # significant digit first, so index order is lexicographic order.
-    idx = np.arange(total, dtype=np.int64)
-    ok = np.ones(total, dtype=bool)
+    digits = np.arange(d, dtype=np.int64)
+    ok = np.ones((d,) * nv, dtype=bool)
     for row, r in zip(rows, rhs):
-        acc = np.zeros(total, dtype=np.int64)
-        for k, c in enumerate(row):
-            if c % d:
-                acc += (c % d) * ((idx // d ** (nv - 1 - k)) % d)
-        ok &= (acc % d) == (r % d)
+        acc = np.zeros((), dtype=np.int64)
+        for c in row:  # a zero coefficient adds a broadcast axis, not d^k work
+            acc = np.add.outer(acc, c * digits) % d if c else acc[..., np.newaxis]
+        ok &= acc == r
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return HVVerdict("UNSAT", None)
-    first = int(hits[0])
-    witness = tuple(int(first // d ** (nv - 1 - k)) % d for k in range(nv))
-    return HVVerdict("SAT", witness)
+    witness = np.unravel_index(int(hits[0]), ok.shape)
+    return HVVerdict("SAT", tuple(int(x) for x in witness))
 
 
 def _functional_vector(

@@ -10,9 +10,11 @@ exist only as a bridge to numeric cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,10 +177,14 @@ class ProductOperator:
 
     @property
     def collective_angle(self) -> RationalPhase:
-        total = ZERO_PHASE
-        for a in self.angles:
-            total = total + a
-        return total
+        """Sum of the factor angles, mod one turn.
+
+        Over D = lcm(factor denominators) each angle num/den is the
+        integer num*(D/den), so the sum is one integer sum over D.
+        """
+        common = math.lcm(*(a.den for a in self.angles))
+        total = sum(a.num * (common // a.den) for a in self.angles)
+        return RationalPhase(total, common)
 
     def factor(self, k: int) -> MonomialOp:
         return make_rotated_x(self.d, self.angles[k])
@@ -210,8 +216,9 @@ class ProductOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProductOperator":
+        data = _json_object(data, "operator")
         return cls(
-            int(data["d"]),
+            _json_int(data["d"], "d"),
             tuple(RationalPhase.parse(a) for a in data["angles"]),
         )
 
@@ -222,3 +229,19 @@ def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOpe
     for pos, a in placed.items():
         angles[pos] = a
     return ProductOperator(d, tuple(angles))
+
+
+def _exponent_rows(
+    d: int, angle_rows: Iterable[Sequence[RationalPhase]]
+) -> tuple[int, list[list[int]]]:
+    """A family's angles as integer exponents over one common denominator.
+
+    Returns D = lcm(d, every angle denominator) and, per row, each angle
+    num/den as e = num*(D/den) in [0, D).  A row's collective angle is
+    then sum(e)/D, which is a multiple of 1/d iff sum(e) % (D/d) == 0.
+    """
+    rows = [tuple(row) for row in angle_rows]
+    dens = {a.den for row in rows for a in row}
+    common = math.lcm(d, *dens)
+    scale = {den: common // den for den in dens}
+    return common, [[a.num * scale[a.den] for a in row] for row in rows]

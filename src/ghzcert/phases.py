@@ -39,11 +39,15 @@ class RationalPhase:
     den: int = 1
 
     def __post_init__(self) -> None:
-        if self.den == 0:
+        num, den = self.num, self.den
+        if den == 0:
             raise ValueError("denominator must be nonzero")
-        reduced = Fraction(self.num, self.den) % 1
-        object.__setattr__(self, "num", reduced.numerator)
-        object.__setattr__(self, "den", reduced.denominator)
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        g = math.gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "RationalPhase":
@@ -100,7 +104,7 @@ class RationalPhase:
         """
         if d < 2:
             raise ValueError("d must be at least 2")
-        return (self.as_fraction() * d).denominator == 1
+        return d % self.den == 0  # num/den is reduced
 
     def to_complex(self) -> complex:
         """Machine-precision exp(2*pi*i*num/den); for oracle comparisons only."""

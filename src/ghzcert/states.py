@@ -20,7 +20,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .operators import DEFAULT_DENSE_CAP, CapExceededError, ProductOperator, _check_dim
+from .operators import (
+    DEFAULT_DENSE_CAP,
+    CapExceededError,
+    ProductOperator,
+    _check_dim,
+    _json_int,
+    _json_object,
+)
 from .phases import RationalPhase, as_turns
 
 __all__ = [
@@ -72,7 +79,11 @@ class GhzState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GhzState":
-        return cls(int(data["d"]), int(data["n"]), Fraction(data["phi"]))
+        data = _json_object(data, "state")
+        phi = data["phi"]
+        if not isinstance(phi, str):
+            raise ValueError(f"phi must be an exact fraction string, got {phi!r}")
+        return cls(_json_int(data["d"], "d"), _json_int(data["n"], "n"), Fraction(phi))
 
 
 def make_ghz(d: int, n: int, phi: RationalPhase | Fraction | int = 0) -> GhzState:

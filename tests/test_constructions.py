@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzcert import (
     Construction,
@@ -411,6 +412,92 @@ def test_check_genuine_dimension_examples():
 def test_check_irreducible_examples():
     assert check_irreducible(method2(3, 3)) == (True, True, True)
     assert check_irreducible(method1(3, 4, 3)) == (True, True, True, True)
+
+
+def reference_irreducible(c):
+    """The per-qudit probe done literally: reduced operators, eigenphases
+    on the (N-1)-qudit state, and the reduced system's verdict."""
+    reduced_state = make_ghz(c.d, c.n - 1, 0)
+    flags = []
+    for k in range(c.n):
+        reduced_items = []
+        for op, _ in c.all_items():
+            rop = ProductOperator(c.d, op.angles[:k] + op.angles[k + 1 :])
+            lam = eigenvalue_exponent(reduced_state, rop)
+            if lam is not None:
+                reduced_items.append((rop, lam))
+        flags.append(
+            not reduced_items or satisfiable(system_from_operators(c.d, reduced_items))
+        )
+    return tuple(flags)
+
+
+def with_extra_qudit(c, position, angles):
+    """c with one more qudit at ``position``, carrying angles[i] on item i."""
+
+    def widen(item, angle):
+        op, exponent = item
+        wide = op.angles[:position] + (angle,) + op.angles[position:]
+        return ProductOperator(c.d, wide), exponent
+
+    items = [widen(item, a) for item, a in zip(c.all_items(), angles)]
+    return Construction(
+        c.d, c.n + 1, c.method, c.phi_o, tuple(items[:-1]), items[-1], c.f, c.chain
+    )
+
+
+def test_check_irreducible_flags_an_idle_qudit():
+    # a qudit at angle 0 on every operator can be deleted without losing
+    # the contradiction, so its flag is False
+    for c, expected in [
+        (method1(3, 4, 3), (True,) * 4 + (False,)),
+        (method2(4, 6), (True,) * 6 + (False,)),
+    ]:
+        padded = with_extra_qudit(c, c.n, [ZERO_PHASE] * c.operator_count())
+        assert check_irreducible(padded) == expected
+        assert reference_irreducible(padded) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_irreducible_matches_reference_on_mixed_denominators(data):
+    # an extra qudit that copies qudit `source` on some operators and has
+    # angles over mixed denominators on the rest: deleting it gives back
+    # the UNSAT base family, and deleting any other qudit leaves rows
+    # whose reduced angle may fall off the 1/d grid; deleting `source`
+    # keeps the contradiction when every operator was copied
+    base = data.draw(
+        st.sampled_from(
+            [method1(2, 3, 2), method1(3, 4, 3), method2(4, 6), method3(5, 3)]
+        )
+    )
+    d = base.d
+    dens = st.sampled_from([1, 2, d, 2 * d, 3 * d, d * d, 5])
+    source = data.draw(st.integers(0, base.n - 1))
+    copied = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    angles = [
+        op.angles[source]
+        if data.draw(st.floats(0, 1)) < copied
+        else data.draw(st.builds(RationalPhase, st.integers(-60, 60), dens))
+        for op, _ in base.all_items()
+    ]
+    position = data.draw(st.integers(0, base.n))
+    c = with_extra_qudit(base, position, angles)
+    flags = check_irreducible(c)
+    assert flags == reference_irreducible(c)
+    assert flags[position] is False
+
+
+def test_method3_large_dimension():
+    # the staircase chain grows with d: at most d - N chain operators on
+    # top of the N + 2 conjugate-pair items and the target
+    for d, n in [(211, 3), (211, 5)]:
+        c = method3(d, n)
+        assert c.operator_count() <= d + 3
+        cert = verify_construction(c, oracle=False)
+        assert cert.certified
+        assert cert.genuinely_d_dimensional
+        assert all(cert.irreducible)
 
 
 def test_single_operator_construction_is_vacuous():

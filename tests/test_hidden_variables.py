@@ -10,6 +10,7 @@ from ghzcert import (
     Constraint,
     FactorLabel,
     HVSystem,
+    HVVerdict,
     ProductOperator,
     RationalPhase,
     ZERO_PHASE,
@@ -182,11 +183,65 @@ def test_howell_basis_entries_stay_in_range():
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():
-    # force the numpy branch (total > 50000) and compare to the loop branch
+    # a 65536-point sweep whose least witness sets only the last variable
     system = raw_system(2, [[1] * 16], [1])  # 65536 assignments
     fast = brute_force_solve(system, cap=2**20)
     assert fast.status == "SAT"
     assert fast.witness == (0,) * 15 + (1,)
+
+
+def test_brute_force_matches_itertools_enumeration():
+    # reference: the first assignment of itertools.product (lexicographic)
+    rng = random.Random(97)
+    for trial in range(250):
+        d = rng.randint(2, 7)
+        nvars = 0 if trial < 5 else rng.randint(1, 5)
+        nrows = rng.randint(1, 4)
+        rows = [[rng.randrange(-d, 2 * d) for _ in range(nvars)] for _ in range(nrows)]
+        rhs = [rng.randrange(d) for _ in range(nrows)]
+        system = raw_system(d, rows, rhs)
+        if trial % 3 == 0 and nvars:  # 2*x1 = 1 (mod 2k) has no solution
+            d += d % 2
+            system = raw_system(d, rows + [[2] + [0] * (nvars - 1)], rhs + [1])
+        dense, dense_rhs = system.dense_rows()
+        expected = next(
+            (
+                x
+                for x in itertools.product(range(d), repeat=nvars)
+                if all(
+                    sum(c * v for c, v in zip(row, x)) % d == r
+                    for row, r in zip(dense, dense_rhs)
+                )
+            ),
+            None,
+        )
+        verdict = brute_force_solve(system, cap=10**6)
+        assert verdict.status == ("UNSAT" if expected is None else "SAT")
+        assert verdict.witness == expected
+    # zero variables: SAT with the empty witness iff every rhs is 0 mod d
+    empty = HVSystem(5, (), (Constraint((), 0), Constraint((), 10)))
+    assert brute_force_solve(empty) == HVVerdict("SAT", ())
+    assert brute_force_solve(HVSystem(5, (), (Constraint((), 3),))).status == "UNSAT"
+
+
+def test_system_from_operators_matches_reference_builder():
+    # reference: one FactorLabel per factor, interned in a dict, row by row
+    def reference(d, items):
+        variables = {}
+        constraints = []
+        for op, exponent in items:
+            coeffs = tuple(
+                (variables.setdefault(FactorLabel(k, a), len(variables)), 1)
+                for k, a in enumerate(op.angles, start=1)
+            )
+            scaled = exponent.as_fraction() * d
+            constraints.append(Constraint(coeffs, int(scaled) % d))
+        return HVSystem(d, tuple(variables), tuple(constraints))
+
+    for d in range(2, 13):
+        for n in range(3, 15):
+            items = witness_construction(classify(d, n)).all_items()
+            assert system_from_operators(d, items) == reference(d, items)
 
 
 def test_witness_satisfies_every_constraint():

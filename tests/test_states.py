@@ -300,3 +300,16 @@ def test_state_json_round_trip():
     data = s.to_json_dict()
     assert data == {"d": 4, "n": 5, "phi": "3/2"}
     assert GhzState.from_json_dict(data) == s
+
+
+def test_state_json_rejects_inexact_fields():
+    good = {"d": 4, "n": 5, "phi": "3/2"}
+    assert GhzState.from_json_dict(good) == make_ghz(4, 5, Fraction(3, 2))
+    for field, bad in [("d", 4.5), ("d", True), ("n", 5.0), ("n", False)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GhzState.from_json_dict({**good, field: bad})
+    for bad_phi in (0.1, 1, None):  # a float would be taken at its binary value
+        with pytest.raises(ValueError, match="phi must be an exact fraction string"):
+            GhzState.from_json_dict({**good, "phi": bad_phi})
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        GhzState.from_json_dict("4 5 3/2")
