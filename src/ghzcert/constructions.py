@@ -28,6 +28,7 @@ qudit share orthogonal eigenstates) and a per-qudit irreducibility probe.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -157,6 +158,7 @@ class Construction:
         data = _json_object(data, "construction")
         d = _json_int(data["d"], "d")
         n = _json_int(data["n"], "n")
+        _check_cell(d, n)
 
         def item(entry: dict) -> OperatorItem:
             entry = _json_object(entry, "operator")
@@ -614,32 +616,48 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     demands) iff the reduced congruence system is satisfiable or empty.
     On the exponent rows over D, a reduced row has total t = total - e_k:
     it is kept iff t % (D/d) == 0, with right-hand side (t mod D)/(D/d),
-    and its congruence is the full row's with qudit k's column dropped.
+    and its congruence is the full row's with qudit k's variable dropped.
+
+    The N reduced systems are solved in variation coordinates.  Each
+    qudit q gets a reference label r_q, its most used angle (ties go to
+    the first seen), and every other label a on q is replaced by the
+    variation y(q, a) = x(q, a) - x(q, r_q).  This change of variables
+    is unimodular.  In it, a reduced row is S plus the y of the row's
+    non-reference labels off qudit k, where S is the sum of x(q, r_q)
+    over the kept qudits.  The reference variables enter every row only
+    through S, and S is onto Z_d because at least one qudit is kept, so
+    S acts as one free variable: the reduced system is solvable iff the
+    one in S and the y is.  Each row's non-reference labels are listed
+    once per family, and each of the N systems costs only its nonzeros.
     """
     if c.n < 2:
         raise ValueError("cannot reduce below one qudit")
     common, rows = _family_exponents(c)
     step = common // c.d
     variables, columns = _label_columns(op.angles for op, _ in c.all_items())
-    nv = len(variables)
-    full = []  # Howell column order: variable j in column nv-1-j, rhs last
-    for col in columns:
-        row = [0] * (nv + 1)
-        for j in col:
-            row[nv - 1 - j] = 1
-        full.append(row)
+    nv = len(variables)  # label j is column j; S is column nv, the rhs nv + 1
+    uses = Counter(j for col in columns for j in col)
+    reference: dict[int, int] = {}
+    for j, label in enumerate(variables):
+        best = reference.get(label.qudit)
+        if best is None or uses[j] > uses[best]:
+            reference[label.qudit] = j
+    off_reference = [
+        [(k, j) for k, j in enumerate(col) if j != reference[k + 1]] for col in columns
+    ]
     totals = [sum(exps) for exps in rows]
     flags = []
     for k in range(c.n):
         reduced = []
-        for row, exps, total, col in zip(full, rows, totals, columns):
+        for exps, total, labels in zip(rows, totals, off_reference):
             t = total - exps[k]
             if t % step == 0:
-                r = row.copy()
-                r[nv - 1 - col[k]] = 0
-                r[nv] = t % common // step
-                reduced.append(r)
-        flags.append(_howell_basis(c.d, nv, reduced)[-1] is None)
+                row = {j: 1 for q, j in labels if q != k}
+                row[nv] = 1
+                if t % common:
+                    row[nv + 1] = t % common // step
+                reduced.append(row)
+        flags.append(_howell_basis(c.d, nv + 1, reduced)[-1] is None)
     return tuple(flags)
 
 

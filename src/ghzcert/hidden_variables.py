@@ -9,12 +9,15 @@ ring and field Gaussian elimination is not available.  Instead each
 system is factored once, into a Howell basis of its augmented rows
 [A | b] mod d (J. A. Howell, "Spans in the module (Z_m)^s", 1986;
 computed as in Storjohann & Mulders, "Fast algorithms for linear algebra
-modulo N", 1998), with every entry kept in [0, d).  All queries read
-that one basis: the system is unsolvable iff a row pivots in the
-right-hand-side column; back-substitution gives the lexicographically
-least witness; and a linear functional of the hidden variables is forced
-(constant across all solutions) iff it lies in the row space of A mod d,
-i.e. iff the basis reduces it to zero on the variable columns.
+modulo N", 1998).  Rows are sparse, {column: value} with every value in
+[1, d), because a product observable touches one label per qudit out of
+many.  All queries read that one basis: the system is unsolvable iff a
+row pivots in the right-hand-side column; back-substitution gives the
+lexicographically least witness; and a linear functional of the hidden
+variables is forced (constant across all solutions) iff it lies in the
+row space of A mod d, i.e. iff the basis reduces it to zero on the
+variable columns.  The same elimination decides the irreducibility
+subsystems of ``constructions.check_irreducible``.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class FactorLabel:
     def from_json_dict(cls, data: dict) -> "FactorLabel":
         data = _json_object(data, "variable")
         qudit = _json_int(data["qudit"], "qudit")
+        if qudit < 1:
+            raise ValueError(f"qudit positions start at 1, got {qudit}")
         return cls(qudit, RationalPhase.parse(data["angle"]))
 
 
@@ -101,11 +106,20 @@ class HVSystem:
         return {label: i for i, label in enumerate(self.variables)}
 
     @cached_property
-    def _howell(self) -> list[Optional[list[int]]]:
-        """Howell basis of the rows [A | b] mod d (see ``_howell_basis``)."""
-        rows, rhs = self.dense_rows()
-        augmented = [row[::-1] + [r] for row, r in zip(rows, rhs)]
-        return _howell_basis(self.d, len(self.variables), augmented)
+    def _howell(self) -> list[Optional[dict[int, int]]]:
+        """Howell basis of the rows [A | b] mod d (see ``_howell_basis``).
+
+        Variable j sits in column n-1-j, so the basis projects onto every
+        prefix x_0..x_j of the variables.
+        """
+        n = len(self.variables)
+        augmented = []
+        for con in self.constraints:
+            row: dict[int, int] = {n: con.rhs}
+            for idx, coeff in con.coeffs:
+                row[n - 1 - idx] = row.get(n - 1 - idx, 0) + coeff
+            augmented.append({k: v % self.d for k, v in row.items() if v % self.d})
+        return _howell_basis(self.d, n, augmented)
 
     def var_index(self, label: FactorLabel) -> Optional[int]:
         return self._index.get(label)
@@ -138,6 +152,8 @@ class HVSystem:
         d = _json_int(data["d"], "d")
         _check_dim(d)
         variables = tuple(FactorLabel.from_json_dict(v) for v in data["vars"])
+        if len(set(variables)) != len(variables):
+            raise ValueError("an observable (qudit, angle) is listed twice in vars")
         constraints = []
         for con in data["constraints"]:
             con = _json_object(con, "constraint")
@@ -207,44 +223,77 @@ def _label_columns(
     return tuple(FactorLabel(k, a) for k, a in index), columns
 
 
-def _howell_basis(d: int, n: int, rows: list[list[int]]) -> list[Optional[list[int]]]:
-    """Howell basis mod d of augmented rows over n variables, by pivot column.
+def _howell_basis(
+    d: int, n: int, rows: Iterable[dict[int, int]]
+) -> list[Optional[dict[int, int]]]:
+    """Howell basis mod d of sparse augmented rows over n variables.
 
-    Each row holds the variables in reverse order (variable j in column
-    n-1-j) and the right-hand side last, in column n, with every
-    entry in [0, d).  Entry c is the row whose first nonzero entry, a
-    divisor of d, is in column c, or None.  Each pivot row p with pivot h
-    leaves (d/h)*p for the later columns, so the rows from any column c
-    on span every consequence of the system that is zero before c: in
-    particular the exact projection of the solution set onto every prefix
-    x_0..x_j of the variables.  The system is unsolvable iff entry n is
-    not None.
+    A row is {column: value} with every value in [1, d): the variables
+    sit in columns 0..n-1 in the caller's elimination order and the
+    right-hand side in column n.  Entry c of the result is the row whose
+    first column, holding a divisor of d, is c, or None.  Each pivot row
+    p with pivot h leaves (d/h)*p for the later columns, so the rows from
+    any column c on span every consequence of the system that is zero
+    before c: in particular the exact projection of the solution set onto
+    the variables of the columns from c on.  The system is unsolvable
+    iff entry n is not None.  Pending rows wait in buckets keyed by their
+    first column, so a column that no row starts in costs nothing.
     """
-    pending = rows
-    basis: list[Optional[list[int]]] = []
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    basis: list[Optional[dict[int, int]]] = []
     for c in range(n + 1):
-        live = [row for row in pending if row[c]]
-        pending = [row for row in pending if not row[c]]
-        if not live:
+        live = buckets.pop(c, None)
+        if live is None:
             basis.append(None)
             continue
         pivot = live[0]
         for row in live[1:]:
             a, b = pivot[c], row[c]
-            g, s, t = _xgcd(a, b)
-            pivot, row = (
-                [(s * x + t * y) % d for x, y in zip(pivot, row)],
-                [((a // g) * y - (b // g) * x) % d for x, y in zip(pivot, row)],
-            )
-            if any(row):
-                pending.append(row)
-        unit = _normalizing_unit(pivot[c], d)
-        pivot = [unit * x % d for x in pivot]
-        annihilated = [(d // pivot[c]) * x % d for x in pivot]
-        if any(annihilated):
-            pending.append(annihilated)
+            if b % a == 0:
+                row = _subtract(d, row, b // a, pivot)
+            else:
+                g, s, t = _xgcd(a, b)
+                pivot, row = (
+                    _row_sum(d, s, pivot, t, row),
+                    _row_sum(d, a // g, row, -(b // g), pivot),
+                )
+            if row:
+                buckets.setdefault(min(row), []).append(row)
+        h = math.gcd(pivot[c], d)
+        if pivot[c] != h:
+            unit = _normalizing_unit(pivot[c], d)
+            pivot = {k: unit * v % d for k, v in pivot.items()}
+        if h != 1:
+            annihilated = {k: w for k, v in pivot.items() if (w := d // h * v % d)}
+            if annihilated:
+                buckets.setdefault(min(annihilated), []).append(annihilated)
         basis.append(pivot)
     return basis
+
+
+def _row_sum(
+    d: int, s: int, p: dict[int, int], t: int, r: dict[int, int]
+) -> dict[int, int]:
+    """The sparse row s*p + t*r mod d, without zero entries."""
+    out = {k: s * v for k, v in p.items()}
+    for k, v in r.items():
+        out[k] = out.get(k, 0) + t * v
+    return {k: v % d for k, v in out.items() if v % d}
+
+
+def _subtract(d: int, r: dict[int, int], q: int, p: dict[int, int]) -> dict[int, int]:
+    """The sparse row r - q*p mod d, for rows with entries in [1, d)."""
+    out = dict(r)
+    for k, v in p.items():
+        w = (out.get(k, 0) - q * v) % d
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -298,8 +347,8 @@ def solve(system: HVSystem) -> HVVerdict:
     for c in reversed(range(n)):
         row = basis[c]
         if row is not None:
-            resid = (row[n] - sum(row[k] * x[k] for k in range(c + 1, n))) % d
-            x[c] = resid // row[c]
+            resid = row.get(n, 0) - sum(v * x[k] for k, v in row.items() if c < k < n)
+            x[c] = resid % d // row[c]
     verdict = HVVerdict("SAT", tuple(reversed(x)))
     assert _satisfies(system, verdict.witness)
     return verdict
@@ -334,24 +383,25 @@ def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdi
     return HVVerdict("SAT", tuple(int(x) for x in witness))
 
 
-def _functional_vector(
+def _functional_row(
     system: HVSystem, functional: Mapping[FactorLabel, int]
-) -> Optional[list[int]]:
-    """Restrict a label->coefficient functional to the system's variables.
+) -> Optional[dict[int, int]]:
+    """A label->coefficient functional as a sparse row in basis columns.
 
     Returns None when the functional touches a variable the system never
     constrains (with a coefficient nonzero mod d): such a functional can
     take several values, so it is certainly not forced.
     """
-    vec = [0] * len(system.variables)
+    n = len(system.variables)
+    row: dict[int, int] = {}
     for label, coeff in functional.items():
         idx = system.var_index(label)
         if idx is None:
             if coeff % system.d:
                 return None
         else:
-            vec[idx] = (vec[idx] + coeff) % system.d
-    return vec
+            row[n - 1 - idx] = row.get(n - 1 - idx, 0) + coeff
+    return {k: v % system.d for k, v in row.items() if v % system.d}
 
 
 def forced_value(
@@ -361,25 +411,24 @@ def forced_value(
 
     Exact criterion: the functional is constant on the solution coset iff
     it lies in the row space of the constraint matrix modulo d.  Reducing
-    (functional | 0) by the Howell basis leaves (0 | -value) exactly
-    then, and a nonzero variable entry otherwise.  Returns None when not
-    forced.  Raises ValueError on an unsatisfiable system (nothing to
-    compare).
+    (functional | 0) by the Howell basis, first column first, leaves
+    (0 | -value) exactly then, and a nonzero variable entry otherwise.
+    Returns None when not forced.  Raises ValueError on an unsatisfiable
+    system (nothing to compare).
     """
-    vec = _functional_vector(system, functional)
-    if vec is None:
+    v = _functional_row(system, functional)
+    if v is None:
         return None
     if not satisfiable(system):
         raise ValueError("system is unsatisfiable; no solutions to compare")
-    d, n = system.d, len(vec)
-    v = vec[::-1] + [0]
-    for c, row in enumerate(system._howell[:n]):
-        if v[c] and row is not None:
-            q = v[c] // row[c]
-            v = [(a - q * b) % d for a, b in zip(v, row)]
-        if v[c]:
+    d, n = system.d, len(system.variables)
+    basis = system._howell
+    while v and (c := min(v)) < n:
+        row = basis[c]
+        if row is None or v[c] % row[c]:
             return None
-    return -v[n] % d
+        v = _subtract(d, v, v[c] // row[c], row)
+    return -v.get(n, 0) % d
 
 
 @dataclass(frozen=True)

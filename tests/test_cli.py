@@ -149,6 +149,45 @@ def test_verify_checks_n_against_operator_widths(tmp_path, capsys):
     assert "operator has 4 factors but n = 5" in err
 
 
+def test_verify_rejects_fewer_than_three_qudits(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    data = method1(3, 4, 3).to_json_dict()
+    for n in (2, 1):
+
+        def cut(item):
+            return {**item, "angles": item["angles"][:n]}
+
+        small = {
+            **data,
+            "n": n,
+            "operators": [cut(item) for item in data["operators"]],
+            "target": cut(data["target"]),
+        }
+        path.write_text(json.dumps(small))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert f"at least three qudits, got N = {n}" in err
+
+
+def test_hv_solve_rejects_ambiguous_variables(tmp_path, capsys):
+    # listing X(0) on qudit 1 twice would give one observable two values:
+    # as separate variables x0 + 2*x1 = 1 (mod 3) is SAT, as one it is not
+    path = tmp_path / "s.json"
+    system = {
+        "d": 3,
+        "vars": [{"qudit": 1, "angle": "0/1"}, {"qudit": 1, "angle": "0/1"}],
+        "constraints": [{"coeffs": [[0, 1], [1, 2]], "rhs": 1}],
+    }
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "hv-solve", str(path))
+    assert code == 2 and out == "" and "listed twice" in err
+    for qudit in (0, -1):
+        vars_ = [{"qudit": qudit, "angle": "0/1"}, {"qudit": 2, "angle": "0/1"}]
+        path.write_text(json.dumps({**system, "vars": vars_}))
+        code, out, err = run(capsys, "hv-solve", str(path))
+        assert code == 2 and out == "" and "qudit positions start at 1" in err
+
+
 def test_classify_csv_grid(capsys):
     code, out, _ = run(
         capsys, "classify", "--d-max", "12", "--n-max", "20", "--format", "csv"

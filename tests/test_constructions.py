@@ -488,6 +488,14 @@ def test_check_irreducible_matches_reference_on_mixed_denominators(data):
     assert flags[position] is False
 
 
+def test_check_irreducible_matches_reference_at_large_n():
+    # every method at large N or long chains, against the literal probe
+    for d, n in [(24, 40), (40, 39), (31, 29), (97, 5), (211, 5)]:
+        c = witness_construction(classify(d, n))
+        assert check_irreducible(c) == reference_irreducible(c)
+    assert check_irreducible(witness_construction(classify(60, 200))) == (True,) * 200
+
+
 def test_method3_large_dimension():
     # the staircase chain grows with d: at most d - N chain operators on
     # top of the N + 2 conjugate-pair items and the target

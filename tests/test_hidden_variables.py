@@ -1,9 +1,11 @@
 """Congruence systems over Z_d: solver, oracle agreement, forced relations."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzcert import (
     CapExceededError,
@@ -26,6 +28,7 @@ from ghzcert import (
     system_from_operators,
     witness_construction,
 )
+from ghzcert.hidden_variables import DEFAULT_BRUTE_CAP
 
 
 def raw_system(d, rows, rhs):
@@ -133,6 +136,57 @@ def test_solver_agrees_with_brute_force_on_random_systems():
             assert fast.witness == slow.witness  # both lexicographically least
 
 
+def smith_solvable(d, rows, rhs):
+    """Third oracle: A x = b (mod d) is solvable iff the integer matrices
+    [A | dI] and [A | dI | b] have equal products of invariant factors
+    (both have full row rank, and the product is the gcd of the maximal
+    minors)."""
+    # imported here so that only this oracle needs sympy
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def invariant_product(matrix):
+        snf = smith_normal_form(matrix, domain=ZZ)
+        return math.prod(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i])
+
+    m = len(rows)
+    base = Matrix(
+        [list(row) + [d * (i == j) for j in range(m)] for i, row in enumerate(rows)]
+    )
+    return invariant_product(base) == invariant_product(base.row_join(Matrix(rhs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_satisfiable_agrees_with_smith_form_above_brute_force_cap(data):
+    # systems with d**nvars above the brute-force cap, coefficients rich in
+    # zero divisors of Z_d, half of them with a planted solution
+    d = data.draw(st.sampled_from([12, 30, 36, 60, 64, 97]))
+    least = next(k for k in itertools.count(1) if d**k > DEFAULT_BRUTE_CAP)
+    nvars = data.draw(st.integers(least, 12))
+    nrows = data.draw(st.integers(1, 10))
+    divisors = [d // f for f in (2, 3, 4) if d % f == 0] or [1]
+    entry = st.one_of(st.just(0), st.sampled_from(divisors), st.integers(-d, 2 * d))
+    row = st.lists(entry, min_size=nvars, max_size=nvars)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    planted = data.draw(st.booleans())
+    if planted:
+        x = data.draw(st.lists(st.integers(0, d - 1), min_size=nvars, max_size=nvars))
+        rhs = [sum(c * v for c, v in zip(r, x)) % d for r in rows]
+    else:
+        rhs = data.draw(st.lists(st.integers(0, d - 1), min_size=nrows, max_size=nrows))
+    system = raw_system(d, rows, rhs)
+    assert satisfiable(system) == smith_solvable(d, rows, rhs)
+    if planted:
+        assert satisfiable(system)
+    verdict = solve(system)
+    if verdict.is_sat:
+        assert all(
+            sum(c * v for c, v in zip(r, verdict.witness)) % d == b
+            for r, b in zip(rows, rhs)
+        )
+
+
 def test_forced_value_matches_exhaustive_enumeration():
     # forced exactly when every solution gives the functional the same value
     rng = random.Random(79)
@@ -177,9 +231,9 @@ def test_howell_basis_entries_stay_in_range():
         d = system.d
         for c, row in enumerate(system._howell):
             if row is not None:
-                assert all(0 <= v < d for v in row)
-                assert all(v == 0 for v in row[:c])
-                assert row[c] > 0 and d % row[c] == 0
+                assert all(0 < v < d for v in row.values())
+                assert min(row) == c
+                assert d % row[c] == 0
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():
