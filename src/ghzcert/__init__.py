@@ -32,12 +32,10 @@ from .hidden_variables import (
     FactorLabel,
     HVSystem,
     HVVerdict,
-    ImpliedDifference,
     InvarianceReport,
     Relation,
     brute_force_solve,
     forced_value,
-    implied_differences,
     invariance_demo,
     satisfiable,
     solve,
@@ -80,7 +78,6 @@ __all__ = [
     "GhzState",
     "HVSystem",
     "HVVerdict",
-    "ImpliedDifference",
     "InnerProduct",
     "InvarianceReport",
     "MonomialOp",
@@ -101,7 +98,6 @@ __all__ = [
     "eigenvalue_exponent",
     "expectation",
     "forced_value",
-    "implied_differences",
     "inner_product",
     "invariance_demo",
     "make_ghz",

@@ -23,6 +23,9 @@ A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility probe.
+All of them read one cached encoding of the construction: its congruence
+system, whose variables are the family's (qudit, angle) labels, and one
+integer exponent per label over a common denominator.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -37,9 +41,9 @@ import numpy as np
 from .hidden_variables import (
     DEFAULT_BRUTE_CAP,
     brute_force_solve,
+    HVSystem,
     HVVerdict,
     _howell_basis,
-    _label_columns,
     solve,
     system_from_operators,
 )
@@ -48,7 +52,6 @@ from .operators import (
     ProductOperator,
     _check_cell,
     _check_dim,
-    _exponent_rows,
     _json_int,
     _json_object,
     _with_angles,
@@ -108,6 +111,8 @@ class Construction:
     ``operators`` are the supporting observables; ``target`` is the one
     whose hidden-variable prediction conflicts with its quantum eigenphase.
     The full concurrent family is ``all_items()`` (operators + target).
+    A construction checks its cell and every operator's shape when it is
+    built, and every certificate check reads its one cached encoding.
     """
 
     d: int
@@ -119,6 +124,34 @@ class Construction:
     f: Optional[int] = None
     chain: Optional[tuple[int, ...]] = None
 
+    def __post_init__(self) -> None:
+        _check_cell(self.d, self.n)
+        for op, _ in self.all_items():
+            if op.d != self.d:
+                raise ValueError(f"operator has dimension {op.d} but d = {self.d}")
+            if op.n != self.n:
+                raise ValueError(f"operator has {op.n} factors but n = {self.n}")
+
+    @cached_property
+    def _encoding(self) -> tuple[HVSystem, int, list[int], list[int]]:
+        """The family (target last) as (system, D, exponents, totals).
+
+        ``system`` is the congruence system, whose variables are the
+        family's (qudit, angle) labels; it rejects a claimed eigenphase off
+        the 1/d grid.  Over D = lcm(d, every label denominator), label j's
+        angle num/den is the integer exponents[j] = num*(D/den), and row
+        i's collective angle is totals[i]/D: a multiple of 1/d iff
+        totals[i] % (D/d) == 0.
+        """
+        system = system_from_operators(self.d, self.all_items())
+        angles = [label.angle for label in system.variables]
+        common = math.lcm(self.d, *(a.den for a in angles))
+        exponents = [a.num * (common // a.den) for a in angles]
+        totals = [
+            sum(exponents[j] for j, _ in con.coeffs) for con in system.constraints
+        ]
+        return system, common, exponents, totals
+
     def all_items(self) -> list[OperatorItem]:
         return list(self.operators) + [self.target]
 
@@ -128,9 +161,8 @@ class Construction:
     def per_qudit_angles(self) -> list[set[RationalPhase]]:
         """Distinct factor angles used on each qudit (= measurement bases)."""
         used: list[set[RationalPhase]] = [set() for _ in range(self.n)]
-        for op, _ in self.all_items():
-            for k, a in enumerate(op.angles):
-                used[k].add(a)
+        for label in self._encoding[0].variables:
+            used[label.qudit - 1].add(label.angle)
         return used
 
     def to_json_dict(self) -> dict:
@@ -157,14 +189,10 @@ class Construction:
     def from_json_dict(cls, data: dict) -> "Construction":
         data = _json_object(data, "construction")
         d = _json_int(data["d"], "d")
-        n = _json_int(data["n"], "n")
-        _check_cell(d, n)
 
         def item(entry: dict) -> OperatorItem:
             entry = _json_object(entry, "operator")
             angles = tuple(RationalPhase.parse(a) for a in entry["angles"])
-            if len(angles) != n:
-                raise ValueError(f"operator has {len(angles)} factors but n = {n}")
             return ProductOperator(d, angles), RationalPhase.parse(entry["exponent"])
 
         meta = _json_object(data.get("meta", {}), "meta")
@@ -175,7 +203,7 @@ class Construction:
             chain = tuple(_json_int(k, "meta.chain") for k in chain)
         return cls(
             d=d,
-            n=n,
+            n=_json_int(data["n"], "n"),
             method=_json_int(data["method"], "method"),
             phi_o=RationalPhase.parse(data["phi_o"]),
             operators=tuple(item(entry) for entry in data["operators"]),
@@ -183,10 +211,6 @@ class Construction:
             f=f,
             chain=chain,
         )
-
-
-def _divisors(d: int) -> list[int]:
-    return [f for f in range(2, d + 1) if d % f == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +247,12 @@ def _validate_method1(d: int, n: int, f: int) -> None:
 
 def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContradiction:
     """Block-rotation contradiction, or NoContradiction when N is a
-    multiple of f.  With f omitted, factors of d are tried in increasing
-    order and the first that works is used.
+    multiple of f.  With f omitted, the classifier's witness factor (the
+    smallest one that works) is used.
     """
     if f is None:
-        _check_cell(d, n)
-        for cand in _divisors(d):
-            if cand < n and n % cand:
-                f = cand
-                break
-        else:
+        f = classify(d, n).witness_f
+        if f is None:
             return NoContradiction(
                 d,
                 n,
@@ -395,20 +415,14 @@ def _staircase_chain(m: int) -> tuple[list[ChainOp], int]:
     per-position multipliers span less than d, so it never collapses two
     measurement bases.
     """
+    s = 1 if m % 2 == 0 else -1  # even m: +even on position 0; odd m: +odd on 1
     ops: list[ChainOp] = []
-    if m % 2 == 0:  # +even on position 0, -odd on position 1
-        for k in range(2, m + 1):
-            if k % 2 == 0:
-                ops.append(({0: k, 1: -(k - 1), 2: -1}, k))
-            else:
-                ops.append(({0: k - 1, 1: -k, 2: 1}, -k))
-        return ops, 0
-    for k in range(2, m + 1):  # -even on position 0, +odd on position 1
+    for k in range(2, m + 1):
         if k % 2 == 0:
-            ops.append(({0: -k, 1: k - 1, 2: 1}, -k))
+            ops.append(({0: s * k, 1: -s * (k - 1), 2: -s}, s * k))
         else:
-            ops.append(({0: -(k - 1), 1: k, 2: -1}, k))
-    return ops, 1
+            ops.append(({0: s * (k - 1), 1: -s * k, 2: s}, -s * k))
+    return ops, m % 2
 
 
 def method3(d: int, n: int) -> Construction:
@@ -492,8 +506,8 @@ def classify(d: int, n: int) -> RegimeCell:
     gcd(N, d) > 1.  Regime 3: the rest, which always satisfies N < d.
     """
     _check_cell(d, n)
-    for f in _divisors(d):
-        if f < n and n % f:
+    for f in range(2, d + 1):
+        if d % f == 0 and f < n and n % f:
             return RegimeCell(d, n, 1, 1, f)
     if math.gcd(n, d) > 1:
         return RegimeCell(d, n, 2, 2)
@@ -584,27 +598,18 @@ def check_genuine_dimension(d: int, angles: Iterable[RationalPhase]) -> bool:
     of 1/d (then the bases coincide up to relabeling).  When no pair of
     used angles does, no factor pair can be simultaneously
     block-diagonalized and the contradiction needs all d dimensions.
-    Over the common denominator D, distinct angles have distinct
-    exponents e in [0, D), and a - b is a multiple of 1/d iff
-    e_a = e_b (mod D/d); so the test is that the residues stay distinct.
+    Since a - b is a multiple of 1/d iff d*a = d*b mod one turn, the
+    test is that the distinct angles stay distinct when scaled by d.
     """
     _check_dim(d)
-    common, (exponents,) = _exponent_rows(d, [set(angles)])
-    return len({e % (common // d) for e in exponents}) == len(exponents)
+    distinct = set(angles)
+    return len({a * d for a in distinct}) == len(distinct)
 
 
 def _genuinely_d_dimensional(c: Construction) -> bool:
     # Per qudit: bases on different qudits are never measured against each
     # other, so only same-qudit angle pairs can spoil dimensionality.
     return all(check_genuine_dimension(c.d, used) for used in c.per_qudit_angles())
-
-
-def _family_exponents(c: Construction) -> tuple[int, list[list[int]]]:
-    """The family's angles (target last) as exponent rows over D."""
-    items = c.all_items()
-    if any((op.d, op.n) != (c.d, c.n) for op, _ in items):
-        raise ValueError("operator and state have different shapes")
-    return _exponent_rows(c.d, (op.angles for op, _ in items))
 
 
 def check_irreducible(c: Construction) -> tuple[bool, ...]:
@@ -614,7 +619,8 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     operators that remain exact eigenoperators of the (N-1)-qudit state;
     the flag is True (removal spoils the proof, as irreducibility
     demands) iff the reduced congruence system is satisfiable or empty.
-    On the exponent rows over D, a reduced row has total t = total - e_k:
+    On the construction's encoding over D, a reduced row has total
+    t = total - e_k, with e_k the exponent of the row's label on qudit k:
     it is kept iff t % (D/d) == 0, with right-hand side (t mod D)/(D/d),
     and its congruence is the full row's with qudit k's variable dropped.
 
@@ -630,12 +636,12 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     one in S and the y is.  Each row's non-reference labels are listed
     once per family, and each of the N systems costs only its nonzeros.
     """
-    if c.n < 2:
-        raise ValueError("cannot reduce below one qudit")
-    common, rows = _family_exponents(c)
+    system, common, exponents, totals = c._encoding
     step = common // c.d
-    variables, columns = _label_columns(op.angles for op, _ in c.all_items())
+    variables = system.variables
     nv = len(variables)  # label j is column j; S is column nv, the rhs nv + 1
+    # entry k of a row is its label on qudit k+1 (system_from_operators' layout)
+    columns = [[j for j, _ in con.coeffs] for con in system.constraints]
     uses = Counter(j for col in columns for j in col)
     reference: dict[int, int] = {}
     for j, label in enumerate(variables):
@@ -645,12 +651,11 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     off_reference = [
         [(k, j) for k, j in enumerate(col) if j != reference[k + 1]] for col in columns
     ]
-    totals = [sum(exps) for exps in rows]
     flags = []
     for k in range(c.n):
         reduced = []
-        for exps, total, labels in zip(rows, totals, off_reference):
-            t = total - exps[k]
+        for col, total, labels in zip(columns, totals, off_reference):
+            t = total - exponents[col[k]]
             if t % step == 0:
                 row = {j: 1 for q, j in labels if q != k}
                 row[nv] = 1
@@ -697,11 +702,11 @@ def verify_construction(
     """Certify a construction end to end.
 
     quantum_ok recomputes every claimed eigenphase exactly (no tolerance):
-    with each operator's angles as integer exponents over D, its
-    collective angle is total/D, and it equals the claimed num/den iff
-    (total mod D)*den == num*D.  The claim is a multiple of 1/d (the
-    system build rejects any other), so equality also puts total/D on
-    the 1/d grid, which makes it an eigenphase of the unrotated state.
+    on the construction's encoding an operator's collective angle is
+    total/D, and it equals the claimed nu/d (the right-hand side of its
+    congruence; the system build rejects a claim off the 1/d grid) iff
+    total % D == nu*(D/d).  Equality also puts total/D on the 1/d grid,
+    which makes it an eigenphase of the unrotated state.
     The verdict solves the congruence system over all operators including
     the target; with oracle=True the eigenphases are re-checked against
     dense tensors (when d^N fits the cap) and the verdict against
@@ -709,11 +714,10 @@ def verify_construction(
     of the construction are recorded in the certificate; oracle
     disagreements with the exact engine raise instead.
     """
-    common, rows = _family_exponents(c)
-    system = system_from_operators(c.d, c.all_items())
+    system, common, _, totals = c._encoding
     quantum_ok = all(
-        sum(row) % common * claimed.den == claimed.num * common
-        for row, (_, claimed) in zip(rows, c.all_items())
+        total % common == con.rhs * (common // c.d)
+        for total, con in zip(totals, system.constraints)
     )
     verdict = solve(system)
 

@@ -17,7 +17,9 @@ lexicographically least witness; and a linear functional of the hidden
 variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
 variable columns.  The same elimination decides the irreducibility
-subsystems of ``constructions.check_irreducible``.
+subsystems of ``constructions.check_irreducible``.  A system checks its
+own invariants when it is built (d >= 2, every index names a variable,
+no label listed twice), so the JSON reader only parses.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ __all__ = [
     "FactorLabel",
     "HVSystem",
     "HVVerdict",
-    "ImpliedDifference",
     "InvarianceReport",
     "Relation",
     "brute_force_solve",
     "forced_value",
-    "implied_differences",
     "invariance_demo",
     "satisfiable",
     "solve",
@@ -75,16 +75,17 @@ class FactorLabel:
     qudit: int  # 1-based position within the product
     angle: RationalPhase
 
+    def __post_init__(self) -> None:
+        if self.qudit < 1:
+            raise ValueError(f"qudit positions start at 1, got {self.qudit}")
+
     def to_json_dict(self) -> dict:
         return {"qudit": self.qudit, "angle": str(self.angle)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorLabel":
         data = _json_object(data, "variable")
-        qudit = _json_int(data["qudit"], "qudit")
-        if qudit < 1:
-            raise ValueError(f"qudit positions start at 1, got {qudit}")
-        return cls(qudit, RationalPhase.parse(data["angle"]))
+        return cls(_json_int(data["qudit"], "qudit"), RationalPhase.parse(data["angle"]))
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,25 @@ class Constraint:
 
 @dataclass(frozen=True)
 class HVSystem:
+    """A congruence system over Z_d in the hidden variables ``variables``.
+
+    Every constraint index must name a variable, and no (qudit, angle)
+    label may be listed twice: a repeated label would give one
+    observable two independent values.
+    """
+
     d: int
     variables: tuple[FactorLabel, ...]
     constraints: tuple[Constraint, ...]
+
+    def __post_init__(self) -> None:
+        _check_dim(self.d)
+        if len(self._index) != len(self.variables):
+            raise ValueError("an observable (qudit, angle) is listed twice in vars")
+        for con in self.constraints:
+            for idx, _ in con.coeffs:
+                if not 0 <= idx < len(self.variables):
+                    raise ValueError(f"variable index {idx} out of range")
 
     @cached_property
     def _index(self) -> dict[FactorLabel, int]:
@@ -149,21 +166,19 @@ class HVSystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HVSystem":
         data = _json_object(data, "system")
-        d = _json_int(data["d"], "d")
-        _check_dim(d)
-        variables = tuple(FactorLabel.from_json_dict(v) for v in data["vars"])
-        if len(set(variables)) != len(variables):
-            raise ValueError("an observable (qudit, angle) is listed twice in vars")
         constraints = []
         for con in data["constraints"]:
             con = _json_object(con, "constraint")
-            coeffs = []
-            for idx, coeff in con["coeffs"]:
-                if not 0 <= _json_int(idx, "variable index") < len(variables):
-                    raise ValueError(f"variable index {idx} out of range")
-                coeffs.append((idx, _json_int(coeff, "coefficient")))
-            constraints.append(Constraint(tuple(coeffs), _json_int(con["rhs"], "rhs")))
-        return cls(d, variables, tuple(constraints))
+            coeffs = tuple(
+                (_json_int(idx, "variable index"), _json_int(coeff, "coefficient"))
+                for idx, coeff in con["coeffs"]
+            )
+            constraints.append(Constraint(coeffs, _json_int(con["rhs"], "rhs")))
+        return cls(
+            _json_int(data["d"], "d"),
+            tuple(FactorLabel.from_json_dict(v) for v in data["vars"]),
+            tuple(constraints),
+        )
 
 
 @dataclass(frozen=True)
@@ -185,13 +200,15 @@ def system_from_operators(
     """One congruence per (operator, eigenphase nu/d) pair.
 
     The constraint for an N-factor operator puts coefficient 1 on the N
-    labels (qudit, angle) and d*eigenphase on the right-hand side.
-    Variables are deduplicated by exact label identity and kept in first
-    encounter order, so equal inputs build byte-identical systems.
+    labels (qudit, angle), in qudit order, and d*eigenphase on the
+    right-hand side.  Variables are deduplicated by exact label identity
+    and kept in first encounter order, so equal inputs build
+    byte-identical systems.  This is the one place where a family's
+    labels are interned.
     """
-    _check_dim(d)
     items = list(items)
-    rhs = []
+    index: dict[tuple[int, RationalPhase], int] = {}
+    constraints = []
     for op, exponent in items:
         if op.d != d:
             raise ValueError("operator dimension disagrees with the modulus")
@@ -199,28 +216,13 @@ def system_from_operators(
             raise ValueError("operators act on differing qudit counts")
         if d % exponent.den:
             raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
-        rhs.append(exponent.num * (d // exponent.den) % d)
-    variables, columns = _label_columns(op.angles for op, _ in items)
-    constraints = tuple(
-        Constraint(tuple((j, 1) for j in row), r) for row, r in zip(columns, rhs)
-    )
-    return HVSystem(d, variables, constraints)
-
-
-def _label_columns(
-    angle_rows: Iterable[Sequence[RationalPhase]],
-) -> tuple[tuple[FactorLabel, ...], list[list[int]]]:
-    """The hidden variables of a family of operator rows, and where each sits.
-
-    Variables are the distinct labels (qudit, angle) in first-encounter
-    order; entry [i][k] is the index of row i's variable on qudit k+1.
-    """
-    index: dict[tuple[int, RationalPhase], int] = {}
-    columns = [
-        [index.setdefault((k, a), len(index)) for k, a in enumerate(row, start=1)]
-        for row in angle_rows
-    ]
-    return tuple(FactorLabel(k, a) for k, a in index), columns
+        coeffs = tuple(
+            (index.setdefault((k, a), len(index)), 1)
+            for k, a in enumerate(op.angles, start=1)
+        )
+        constraints.append(Constraint(coeffs, exponent.num * (d // exponent.den) % d))
+    variables = tuple(FactorLabel(k, a) for k, a in index)
+    return HVSystem(d, variables, tuple(constraints))
 
 
 def _howell_basis(
@@ -429,27 +431,6 @@ def forced_value(
             return None
         v = _subtract(d, v, v[c] // row[c], row)
     return -v.get(n, 0) % d
-
-
-@dataclass(frozen=True)
-class ImpliedDifference:
-    pair: tuple[FactorLabel, FactorLabel]
-    forced: Optional[int]
-
-
-def implied_differences(
-    system: HVSystem,
-    pairs: Iterable[tuple[FactorLabel, FactorLabel]],
-) -> list[ImpliedDifference]:
-    """For each pair (u, v): the forced value of x_u - x_v, if constant."""
-    if not satisfiable(system):
-        raise ValueError("differences are vacuous: system is unsatisfiable")
-    results = []
-    for u, v in pairs:
-        functional: dict[FactorLabel, int] = {u: 1}
-        functional[v] = functional.get(v, 0) - 1
-        results.append(ImpliedDifference((u, v), forced_value(system, functional)))
-    return results
 
 
 @dataclass(frozen=True)

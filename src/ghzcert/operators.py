@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .phases import RationalPhase, ZERO_PHASE, as_turns
@@ -211,17 +209,6 @@ class ProductOperator:
             tensor = np.moveaxis(tensor, 0, k)
         return tensor.reshape(-1)
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "angles": [str(a) for a in self.angles]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProductOperator":
-        data = _json_object(data, "operator")
-        return cls(
-            _json_int(data["d"], "d"),
-            tuple(RationalPhase.parse(a) for a in data["angles"]),
-        )
-
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
     """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
@@ -229,19 +216,3 @@ def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOpe
     for pos, a in placed.items():
         angles[pos] = a
     return ProductOperator(d, tuple(angles))
-
-
-def _exponent_rows(
-    d: int, angle_rows: Iterable[Sequence[RationalPhase]]
-) -> tuple[int, list[list[int]]]:
-    """A family's angles as integer exponents over one common denominator.
-
-    Returns D = lcm(d, every angle denominator) and, per row, each angle
-    num/den as e = num*(D/den) in [0, D).  A row's collective angle is
-    then sum(e)/D, which is a multiple of 1/d iff sum(e) % (D/d) == 0.
-    """
-    rows = [tuple(row) for row in angle_rows]
-    dens = {a.den for row in rows for a in row}
-    common = math.lcm(d, *dens)
-    scale = {den: common // den for den in dens}
-    return common, [[a.num * scale[a.den] for a in row] for row in rows]

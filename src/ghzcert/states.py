@@ -25,8 +25,6 @@ from .operators import (
     CapExceededError,
     ProductOperator,
     _check_dim,
-    _json_int,
-    _json_object,
 )
 from .phases import RationalPhase, as_turns
 
@@ -73,17 +71,6 @@ class GhzState:
     def circle_point(self) -> RationalPhase:
         """Where the state ray sits on the unit circle (Phi mod one turn)."""
         return RationalPhase.from_fraction(self.phi)
-
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "n": self.n, "phi": str(self.phi)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GhzState":
-        data = _json_object(data, "state")
-        phi = data["phi"]
-        if not isinstance(phi, str):
-            raise ValueError(f"phi must be an exact fraction string, got {phi!r}")
-        return cls(_json_int(data["d"], "d"), _json_int(data["n"], "n"), Fraction(phi))
 
 
 def make_ghz(d: int, n: int, phi: RationalPhase | Fraction | int = 0) -> GhzState:

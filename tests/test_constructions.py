@@ -524,6 +524,35 @@ def test_single_operator_construction_is_vacuous():
     assert not cert.certified
 
 
+def test_construction_built_in_python_is_validated():
+    c = method1(3, 4, 3)
+    fields = dict(method=1, phi_o=c.phi_o, operators=c.operators, target=c.target)
+    with pytest.raises(ValueError, match="at least three qudits"):
+        Construction(d=3, n=2, **fields)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"operator has 4 factors but n = {n}"):
+            Construction(d=3, n=n, **fields)
+    with pytest.raises(ValueError, match="operator has dimension 3 but d = 6"):
+        Construction(d=6, n=4, **fields)
+
+
+def test_off_grid_claim_is_rejected_by_every_check():
+    # an eigenphase claim that is not a multiple of 1/d is malformed input
+    c = method1(3, 4, 3)
+    op, _ = c.target
+    off_grid = Construction(
+        d=3,
+        n=4,
+        method=1,
+        phi_o=c.phi_o,
+        operators=c.operators,
+        target=(op, RationalPhase(1, 9)),
+    )
+    for check in (verify_construction, check_irreducible):
+        with pytest.raises(ValueError, match="not a d-th root of unity"):
+            check(off_grid)
+
+
 def test_eigenphases_recomputed_not_trusted():
     # quantum_ok is an exact recomputation against the unrotated state
     c = method3(5, 3)

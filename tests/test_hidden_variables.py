@@ -19,7 +19,6 @@ from ghzcert import (
     brute_force_solve,
     classify,
     forced_value,
-    implied_differences,
     invariance_demo,
     method1_operator_set,
     method2_operator_set,
@@ -88,6 +87,24 @@ def test_system_rejects_bad_inputs():
         system_from_operators(3, [(op, ZERO_PHASE), (other, ZERO_PHASE)])
     with pytest.raises(ValueError):
         system_from_operators(4, [(op, ZERO_PHASE)])
+
+
+def test_system_built_in_python_is_validated():
+    # the same checks as the JSON reader: a repeated label would give one
+    # observable two values, and a bad index or d < 2 is no system at all
+    label = FactorLabel(1, ZERO_PHASE)
+    twice = Constraint(((0, 1), (1, 2)), 1)
+    with pytest.raises(ValueError, match="listed twice"):
+        HVSystem(3, (label, label), (twice,))
+    with pytest.raises(ValueError, match="out of range"):
+        HVSystem(3, (label,), (twice,))
+    with pytest.raises(ValueError, match="out of range"):
+        HVSystem(3, (label,), (Constraint(((-1, 1),), 0),))
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        HVSystem(1, (), ())
+    for qudit in (0, -1):
+        with pytest.raises(ValueError, match="qudit positions start at 1"):
+            FactorLabel(qudit, ZERO_PHASE)
 
 
 def test_solve_trivial_sat():
@@ -410,18 +427,11 @@ def test_method2_partial_set_leaves_last_variation_free():
 
 
 def test_difference_forcing_depends_on_modulus():
+    # x1 + x2 = 0 forces x1 - x2 = 2*x1 only where 2 = 0, i.e. mod 2
     u, v = FactorLabel(1, ZERO_PHASE), FactorLabel(2, ZERO_PHASE)
     for d, expected in [(3, None), (2, 0)]:
         system = raw_system(d, [[1, 1]], [0])
-        (result,) = implied_differences(system, [(u, v)])
-        assert result.forced == expected
-
-
-def test_implied_differences_requires_sat():
-    system = raw_system(3, [[3], [1]], [1, 0])  # 0 = 1 (mod 3) in the first row
-    assert solve(system).status == "UNSAT"
-    with pytest.raises(ValueError):
-        implied_differences(system, [])
+        assert forced_value(system, {u: 1, v: -1}) == expected
 
 
 def test_forced_value_requires_sat():

@@ -184,19 +184,3 @@ def test_dense_cap():
     with pytest.raises(CapExceededError):
         small.dense(cap=3)
     assert small.dense(cap=4).shape == (4, 4)
-
-
-def test_product_json_round_trip():
-    p = ProductOperator(3, (RationalPhase(1, 9), ZERO_PHASE, RationalPhase(7, 9)))
-    assert ProductOperator.from_json_dict(p.to_json_dict()) == p
-    assert p.to_json_dict() == {"d": 3, "angles": ["1/9", "0/1", "7/9"]}
-
-
-def test_product_json_rejects_non_integer_dimension():
-    good = {"d": 3, "angles": ["1/9", "0/1"]}
-    assert ProductOperator.from_json_dict(good).d == 3
-    for bad_d in (3.5, 3.0, True, "3"):
-        with pytest.raises(ValueError, match="d must be an integer"):
-            ProductOperator.from_json_dict({**good, "d": bad_d})
-    with pytest.raises(ValueError, match="expected a JSON object"):
-        ProductOperator.from_json_dict([3, ["1/9"]])

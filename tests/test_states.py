@@ -9,7 +9,6 @@ import pytest
 
 from ghzcert import (
     CapExceededError,
-    GhzState,
     ProductOperator,
     RationalPhase,
     ZERO_PHASE,
@@ -293,23 +292,3 @@ def test_signed_angles_versus_circle_points_for_even_d():
     assert not flipped.is_zero and flipped.numeric == -1.0
     overlap = np.vdot(dense_state(s), dense_state(wound))
     assert overlap == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_state_json_round_trip():
-    s = make_ghz(4, 5, Fraction(3, 2))
-    data = s.to_json_dict()
-    assert data == {"d": 4, "n": 5, "phi": "3/2"}
-    assert GhzState.from_json_dict(data) == s
-
-
-def test_state_json_rejects_inexact_fields():
-    good = {"d": 4, "n": 5, "phi": "3/2"}
-    assert GhzState.from_json_dict(good) == make_ghz(4, 5, Fraction(3, 2))
-    for field, bad in [("d", 4.5), ("d", True), ("n", 5.0), ("n", False)]:
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            GhzState.from_json_dict({**good, field: bad})
-    for bad_phi in (0.1, 1, None):  # a float would be taken at its binary value
-        with pytest.raises(ValueError, match="phi must be an exact fraction string"):
-            GhzState.from_json_dict({**good, "phi": bad_phi})
-    with pytest.raises(ValueError, match="expected a JSON object"):
-        GhzState.from_json_dict("4 5 3/2")
