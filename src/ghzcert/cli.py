@@ -42,15 +42,13 @@ def _emit(payload: dict | list, output: str | None) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.f is not None and args.method not in ("1", "auto"):
+    if args.f is not None and args.method != "1":
         print("error: --f only applies to method 1", file=sys.stderr)
         return 2
     if args.method == "auto":
-        cell = classify(args.d, args.n)
-        if args.f is not None and (cell.regime != 1 or args.f != cell.witness_f):
-            print("error: --f cannot be combined with --method auto", file=sys.stderr)
-            return 2
-        result: Construction | NoContradiction = witness_construction(cell)
+        result: Construction | NoContradiction = witness_construction(
+            classify(args.d, args.n)
+        )
     elif args.method == "1":
         result = method1(args.d, args.n, args.f)
     elif args.method == "2":
@@ -65,9 +63,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.input).read_text(encoding="utf-8"))
     construction = Construction.from_json_dict(data)
     use_oracle = args.oracle == "dense"
-    certificate = verify_construction(
-        construction, oracle=use_oracle, brute_cap=args.brute_cap
-    )
+    certificate = verify_construction(construction, oracle=use_oracle)
     if use_oracle and not certificate.oracle_checked:
         print(
             f"warning: dense oracle skipped, d^N = "
@@ -147,12 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="certify a construction JSON file")
     verify.add_argument("input", help="path to a construction JSON file")
     verify.add_argument("--oracle", choices=["dense", "none"], default="dense")
-    verify.add_argument(
-        "--brute-cap",
-        type=int,
-        default=10**6,
-        help="max assignments for the exhaustive cross-check",
-    )
     verify.set_defaults(func=_cmd_verify)
 
     grid = sub.add_parser("classify", help="emit the (d, N) regime grid")

@@ -25,7 +25,9 @@ cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility probe.
 All of them read one cached encoding of the construction: its congruence
 system, whose variables are the family's (qudit, angle) labels, and one
-integer exponent per label over a common denominator.
+integer exponent per label over a common denominator.  The dense oracle
+checks the eigenphases of that same encoding against tensor numerics, so
+it guards the engine that decides.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .operators import (
     _with_angles,
 )
 from .phases import RationalPhase, ZERO_PHASE
-from .states import dense_state, eigenvalue_exponent, make_ghz
+from .states import dense_state, make_ghz
 
 __all__ = [
     "Certificate",
@@ -79,6 +81,8 @@ __all__ = [
 ]
 
 OperatorItem = tuple[ProductOperator, RationalPhase]
+
+_DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
 
 
 class CertificationError(RuntimeError):
@@ -483,8 +487,12 @@ class RegimeCell:
     d: int
     n: int
     regime: int
-    witness_method: int
     witness_f: Optional[int] = None
+
+    @property
+    def witness_method(self) -> int:
+        """Regime r is witnessed by method r."""
+        return self.regime
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -508,10 +516,10 @@ def classify(d: int, n: int) -> RegimeCell:
     _check_cell(d, n)
     for f in range(2, d + 1):
         if d % f == 0 and f < n and n % f:
-            return RegimeCell(d, n, 1, 1, f)
+            return RegimeCell(d, n, 1, f)
     if math.gcd(n, d) > 1:
-        return RegimeCell(d, n, 2, 2)
-    return RegimeCell(d, n, 3, 3)
+        return RegimeCell(d, n, 2)
+    return RegimeCell(d, n, 3)
 
 
 def witness_construction(cell: RegimeCell) -> Construction:
@@ -666,39 +674,30 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def _dense_recheck(
-    c: Construction, dense_cap: int, tolerance: float = 1e-12, sample_cap: int = 64
-) -> None:
-    """Re-derive a sample of eigenphases from full tensor numerics.
+def _dense_recheck(c: Construction) -> None:
+    """Check the encoding's eigenphases against full tensor numerics.
 
-    Applies each factor matrix to the complete d^N amplitude vector and
-    compares against exp(2*pi*i*lambda) times the vector.  Raises on any
-    disagreement with the exact subspace computation: that would mean the
-    exact engine itself is broken, not merely the construction.
+    Every operator whose encoded total is a multiple of D/d (an
+    eigenoperator of the unrotated GHZ state) is applied factor by factor
+    to the complete d^N amplitude vector and compared against
+    exp(2*pi*i*total/D) times the vector; the other rows are skipped.
+    Raises on any disagreement: that would mean the exact encoding that
+    the certificate reads is broken, not merely the construction.
     """
-    state = make_ghz(c.d, c.n, 0)
-    vec = dense_state(state, cap=dense_cap)
-    items = c.all_items()
-    if len(items) > sample_cap:
-        step = -(-len(items) // sample_cap)
-        items = items[::step]
-    for op, _ in items:
-        lam = eigenvalue_exponent(state, op)
-        if lam is None:
+    _, common, _, totals = c._encoding
+    vec = dense_state(make_ghz(c.d, c.n, 0))
+    for (op, _), total in zip(c.all_items(), totals):
+        if total % (common // c.d):
             continue
         image = op.apply_dense(vec)
-        if np.max(np.abs(image - lam.to_complex() * vec)) > tolerance:
+        phase = RationalPhase(total, common).to_complex()
+        if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
             raise CertificationError(
                 "exact eigenphase disagrees with dense tensor numerics"
             )
 
 
-def verify_construction(
-    c: Construction,
-    oracle: bool = True,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-) -> Certificate:
+def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     """Certify a construction end to end.
 
     quantum_ok recomputes every claimed eigenphase exactly (no tolerance):
@@ -708,11 +707,12 @@ def verify_construction(
     total % D == nu*(D/d).  Equality also puts total/D on the 1/d grid,
     which makes it an eigenphase of the unrotated state.
     The verdict solves the congruence system over all operators including
-    the target; with oracle=True the eigenphases are re-checked against
-    dense tensors (when d^N fits the cap) and the verdict against
-    exhaustive enumeration (when d^#vars fits the brute cap).  Failures
-    of the construction are recorded in the certificate; oracle
-    disagreements with the exact engine raise instead.
+    the target.  With oracle=True the encoded eigenphases of every
+    operator are re-checked against dense tensors when d^N is at most
+    DEFAULT_DENSE_CAP, and the verdict against exhaustive enumeration
+    when d^#vars is at most DEFAULT_BRUTE_CAP.  Failures of the
+    construction are recorded in the certificate; oracle disagreements
+    with the exact engine raise instead.
     """
     system, common, _, totals = c._encoding
     quantum_ok = all(
@@ -722,11 +722,11 @@ def verify_construction(
     verdict = solve(system)
 
     oracle_checked = False
-    if oracle and c.d**c.n <= dense_cap:
-        _dense_recheck(c, dense_cap)
+    if oracle and c.d**c.n <= DEFAULT_DENSE_CAP:
+        _dense_recheck(c)
         oracle_checked = True
-    if oracle and c.d ** len(system.variables) <= brute_cap:
-        brute = brute_force_solve(system, cap=brute_cap)
+    if oracle and c.d ** len(system.variables) <= DEFAULT_BRUTE_CAP:
+        brute = brute_force_solve(system)
         if brute.status != verdict.status or brute.witness != verdict.witness:
             raise CertificationError(
                 "Howell-basis solver and exhaustive enumeration disagree"

@@ -138,9 +138,6 @@ class HVSystem:
             augmented.append({k: v % self.d for k, v in row.items() if v % self.d})
         return _howell_basis(self.d, n, augmented)
 
-    def var_index(self, label: FactorLabel) -> Optional[int]:
-        return self._index.get(label)
-
     def dense_rows(self) -> tuple[list[list[int]], list[int]]:
         n = len(self.variables)
         rows = []
@@ -187,10 +184,6 @@ class HVVerdict:
 
     status: str  # "SAT" | "UNSAT"
     witness: Optional[tuple[int, ...]]
-
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "SAT"
 
 
 def system_from_operators(
@@ -397,7 +390,7 @@ def _functional_row(
     n = len(system.variables)
     row: dict[int, int] = {}
     for label, coeff in functional.items():
-        idx = system.var_index(label)
+        idx = system._index.get(label)
         if idx is None:
             if coeff % system.d:
                 return None

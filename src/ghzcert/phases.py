@@ -17,7 +17,7 @@ from fractions import Fraction
 
 __all__ = ["PhaseParseError", "RationalPhase", "ZERO_PHASE", "as_turns"]
 
-_CANONICAL_RE = re.compile(r"^(\d+)/(\d+)$")
+_CANONICAL_RE = re.compile(r"([0-9]+)/([0-9]+)")
 
 
 class PhaseParseError(ValueError):
@@ -59,17 +59,17 @@ class RationalPhase:
     def parse(cls, text: str) -> "RationalPhase":
         """Parse the canonical serialization ``"num/den"``.
 
-        Only fully reduced, in-range strings are accepted ("2/18", "5/3"
-        and "-1/3" are all rejected), so parsing is the exact inverse of
-        ``str``.
+        Only the text that ``str`` writes is accepted ("2/18", "5/3",
+        "-1/3", "01/3" and "1/3\\n" are all rejected), so parsing is the
+        exact inverse of ``str``.
         """
-        m = _CANONICAL_RE.match(text)
+        m = _CANONICAL_RE.fullmatch(text)
         if not m:
             raise PhaseParseError(f"not a 'num/den' turn fraction: {text!r}")
         num, den = int(m.group(1)), int(m.group(2))
-        if den == 0 or num >= den or math.gcd(num, den) != 1:
+        if den == 0 or str(phase := cls(num, den)) != text:
             raise PhaseParseError(f"not in canonical form: {text!r}")
-        return cls(num, den)
+        return phase
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)

@@ -41,6 +41,11 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "construct", "--d", "3", "--n", "3", "--method", "2", "--f", "3")
     assert code == 2
+    # --f goes with --method 1 only, even when it matches the auto witness
+    code, out, err = run(
+        capsys, "construct", "--d", "12", "--n", "5", "--method", "auto", "--f", "2"
+    )
+    assert code == 2 and out == "" and "--f only applies to method 1" in err
 
 
 def test_construct_writes_output_file(tmp_path, capsys):
@@ -99,6 +104,8 @@ def test_verify_parse_failure(tmp_path, capsys):
     path.write_text(json.dumps({"d": 3}))
     assert run(capsys, "verify", str(path))[0] == 2
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 2
+    path.write_text(json.dumps(method1(3, 4, 3).to_json_dict()))
+    assert run(capsys, "verify", str(path), "--brute-cap", "10")[0] == 2
 
 
 def test_verify_rejects_non_object_meta(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzcert import (
+    CertificationError,
     Construction,
     NoContradiction,
     ProductOperator,
@@ -387,6 +388,23 @@ def test_oracle_flag_reflects_dense_cap():
     assert cert.oracle_checked
     cert = verify_construction(method2(2, 4), oracle=False)
     assert not cert.oracle_checked
+
+
+def test_dense_oracle_checks_every_encoded_eigenphase():
+    # 70 operators and a tampered total at an odd index: an oracle that
+    # sampled at most 64 operators would check only the even ones
+    base = method1(3, 4, 3)
+    items = (base.all_items() * 14)[:70]
+    c = Construction(
+        d=3, n=4, method=1, phi_o=base.phi_o, operators=tuple(items[:-1]), target=items[-1]
+    )
+    assert verify_construction(c, oracle=True).oracle_checked
+    system, common, exponents, totals = c._encoding
+    shifted = list(totals)
+    shifted[33] += common // c.d  # still on the 1/d grid, one step off
+    c.__dict__["_encoding"] = (system, common, exponents, shifted)
+    with pytest.raises(CertificationError, match="dense tensor numerics"):
+        verify_construction(c, oracle=True)
 
 
 def test_certificate_json_shape():

@@ -62,7 +62,7 @@ def test_system_from_single_operator():
     con = system.constraints[0]
     assert con.rhs == 0
     assert sorted(con.coeffs) == [(0, 1), (1, 1), (2, 1)]
-    assert solve(system).is_sat
+    assert solve(system).status == "SAT"
 
 
 def test_system_from_method1_shape():
@@ -75,7 +75,7 @@ def test_empty_system_is_sat():
     system = system_from_operators(3, [])
     assert len(system.variables) == 0
     verdict = solve(system)
-    assert verdict.is_sat and verdict.witness == ()
+    assert verdict.status == "SAT" and verdict.witness == ()
 
 
 def test_system_rejects_bad_inputs():
@@ -110,7 +110,7 @@ def test_system_built_in_python_is_validated():
 def test_solve_trivial_sat():
     system = raw_system(3, [[1]], [1])
     verdict = solve(system)
-    assert verdict.is_sat and verdict.witness == (1,)
+    assert verdict.status == "SAT" and verdict.witness == (1,)
 
 
 def test_method1_solvability_matches_divisibility():
@@ -149,7 +149,7 @@ def test_solver_agrees_with_brute_force_on_random_systems():
         fast = solve(system)
         slow = brute_force_solve(system, cap=10**6)
         assert fast.status == slow.status
-        if fast.is_sat:
+        if fast.status == "SAT":
             assert fast.witness == slow.witness  # both lexicographically least
 
 
@@ -197,7 +197,7 @@ def test_satisfiable_agrees_with_smith_form_above_brute_force_cap(data):
     if planted:
         assert satisfiable(system)
     verdict = solve(system)
-    if verdict.is_sat:
+    if verdict.status == "SAT":
         assert all(
             sum(c * v for c, v in zip(r, verdict.witness)) % d == b
             for r, b in zip(rows, rhs)
@@ -325,8 +325,8 @@ def test_witness_satisfies_every_constraint():
         rhs = [rng.randrange(d) for _ in range(nrows)]
         system = raw_system(d, rows, rhs)
         verdict = solve(system)
-        assert verdict.is_sat == satisfiable(system)
-        if verdict.is_sat:
+        assert (verdict.status == "SAT") == satisfiable(system)
+        if verdict.status == "SAT":
             for row, r in zip(rows, rhs):
                 assert sum(c * w for c, w in zip(row, verdict.witness)) % d == r % d
 

@@ -88,7 +88,11 @@ def test_parse_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["2/18", "5/3", "-1/3", "1/1", "0/3", "1/0", "1", "x", "1/ 3", "1/3 "]
+    "bad",
+    [
+        "2/18", "5/3", "-1/3", "1/1", "0/3", "1/0", "1", "x", "1/ 3", "1/3 ",
+        "01/3", "1/03", "1/3\n", "\u0661/\u0663",  # the last is Arabic-Indic 1/3
+    ],
 )
 def test_parse_rejects_non_canonical(bad):
     with pytest.raises(PhaseParseError):
