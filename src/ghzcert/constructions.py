@@ -24,10 +24,11 @@ recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility probe.
 All of them read one cached encoding of the construction: its congruence
-system, whose variables are the family's (qudit, angle) labels, and one
-integer exponent per label over a common denominator.  The dense oracle
-checks the eigenphases of that same encoding against tensor numerics, so
-it guards the engine that decides.
+system, whose variables are the family's (qudit, angle) labels, one
+integer exponent per label and one collective angle per operator, both
+over a common denominator.  The dense oracle checks the eigenphases of
+that same encoding against tensor numerics, so it guards the engine that
+decides.
 """
 
 from __future__ import annotations
@@ -143,17 +144,20 @@ class Construction:
         ``system`` is the congruence system, whose variables are the
         family's (qudit, angle) labels; it rejects a claimed eigenphase off
         the 1/d grid.  Over D = lcm(d, every label denominator), label j's
-        angle num/den is the integer exponents[j] = num*(D/den), and row
-        i's collective angle is totals[i]/D: a multiple of 1/d iff
+        angle is exponents[j]/D, and row i's operator has collective angle
+        totals[i]/D (``ProductOperator.collective_angle``, the eigenphase
+        engine of ``states`` too): a multiple of 1/d iff
         totals[i] % (D/d) == 0.
         """
         system = system_from_operators(self.d, self.all_items())
         angles = [label.angle for label in system.variables]
         common = math.lcm(self.d, *(a.den for a in angles))
-        exponents = [a.num * (common // a.den) for a in angles]
-        totals = [
-            sum(exponents[j] for j, _ in con.coeffs) for con in system.constraints
-        ]
+
+        def over(a: RationalPhase) -> int:  # a as a count of 1/D turns
+            return a.num * (common // a.den)
+
+        exponents = [over(a) for a in angles]
+        totals = [over(op.collective_angle) for op, _ in self.all_items()]
         return system, common, exponents, totals
 
     def all_items(self) -> list[OperatorItem]:
