@@ -22,13 +22,13 @@ induce a congruence system over Z_d with no solution:
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
-qudit share orthogonal eigenstates) and a per-qudit irreducibility probe.
-All of them read one cached encoding of the construction: its congruence
-system, whose variables are the family's (qudit, angle) labels, one
-integer exponent per label and one collective angle per operator, both
-over a common denominator.  The dense oracle checks the eigenphases of
-that same encoding against tensor numerics, so it guards the engine that
-decides.
+qudit share orthogonal eigenstates, read from the operators' angles) and
+a per-qudit irreducibility probe.  The others read one cached encoding
+of the construction: its congruence system, whose variables are the
+family's (qudit, angle) labels, one integer exponent per label and one
+collective angle per operator, both over a common denominator.  The
+dense oracle checks the eigenphases of that same encoding against tensor
+numerics, so it guards the engine that decides.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class Construction:
     whose hidden-variable prediction conflicts with its quantum eigenphase.
     The full concurrent family is ``all_items()`` (operators + target).
     A construction checks its cell and every operator's shape when it is
-    built, and every certificate check reads its one cached encoding.
+    built, and the certificate's algebraic checks read its one cached
+    encoding.
     """
 
     d: int
@@ -167,11 +168,14 @@ class Construction:
         return len(self.operators) + 1
 
     def per_qudit_angles(self) -> list[set[RationalPhase]]:
-        """Distinct factor angles used on each qudit (= measurement bases)."""
-        used: list[set[RationalPhase]] = [set() for _ in range(self.n)]
-        for label in self._encoding[0].variables:
-            used[label.qudit - 1].add(label.angle)
-        return used
+        """Distinct factor angles used on each qudit (= measurement bases).
+
+        Read from the operators' angles, not from the encoding, so that
+        ``method3`` can check a candidate ladder without building its
+        congruence system.
+        """
+        rows = (op.angles for op, _ in self.all_items())
+        return [set(column) for column in zip(*rows)]
 
     def to_json_dict(self) -> dict:
         def item(entry: OperatorItem) -> dict:
@@ -546,8 +550,11 @@ def classify_plane(d_max: int, n_max: int, verify: bool = False) -> list[RegimeC
     """Classify every cell with 2 <= d <= d_max, 3 <= N <= n_max.
 
     With verify=True each cell's witness construction is built and
-    certified (exact quantum checks + UNSAT verdict); any failure raises
-    CertificationError.
+    certified by the exact quantum checks and the UNSAT verdict, the two
+    checks that decide ``Certificate.certified``; any failure raises
+    CertificationError.  The certificate's other flags (genuine
+    dimension, irreducibility) are not computed here, since the plane
+    reports none of them.
     """
     _check_cell(d_max, n_max)
     cells = [
@@ -555,11 +562,11 @@ def classify_plane(d_max: int, n_max: int, verify: bool = False) -> list[RegimeC
     ]
     if verify:
         for cell in cells:
-            cert = verify_construction(witness_construction(cell), oracle=False)
-            if not cert.certified:
+            quantum_ok, verdict = _exact_checks(witness_construction(cell))
+            if not (quantum_ok and verdict.status == "UNSAT"):
                 raise CertificationError(
                     f"cell (d={cell.d}, N={cell.n}) failed certification: "
-                    f"quantum_ok={cert.quantum_ok}, hv={cert.hv_verdict.status}"
+                    f"quantum_ok={quantum_ok}, hv={verdict.status}"
                 )
     return cells
 
@@ -682,9 +689,11 @@ def _dense_recheck(c: Construction) -> None:
     """Check the encoding's eigenphases against full tensor numerics.
 
     Every operator whose encoded total is a multiple of D/d (an
-    eigenoperator of the unrotated GHZ state) is applied factor by factor
-    to the complete d^N amplitude vector and compared against
-    exp(2*pi*i*total/D) times the vector; the other rows are skipped.
+    eigenoperator of the unrotated GHZ state) is applied to the complete
+    d^N amplitude vector (``ProductOperator.apply_dense``, which builds
+    every factor's matrix entries from ``make_rotated_x``) and compared
+    against exp(2*pi*i*total/D) times the vector; the other rows are
+    skipped.
     Raises on any disagreement: that would mean the exact encoding that
     the certificate reads is broken, not merely the construction.
     """
@@ -699,6 +708,16 @@ def _dense_recheck(c: Construction) -> None:
             raise CertificationError(
                 "exact eigenphase disagrees with dense tensor numerics"
             )
+
+
+def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
+    """quantum_ok and the solver's verdict: what decides ``certified``."""
+    system, common, _, totals = c._encoding
+    quantum_ok = all(
+        total % common == con.rhs * (common // c.d)
+        for total, con in zip(totals, system.constraints)
+    )
+    return quantum_ok, solve(system)
 
 
 def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
@@ -718,12 +737,8 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     construction are recorded in the certificate; oracle disagreements
     with the exact engine raise instead.
     """
-    system, common, _, totals = c._encoding
-    quantum_ok = all(
-        total % common == con.rhs * (common // c.d)
-        for total, con in zip(totals, system.constraints)
-    )
-    verdict = solve(system)
+    quantum_ok, verdict = _exact_checks(c)
+    system = c._encoding[0]
 
     oracle_checked = False
     if oracle and c.d**c.n <= DEFAULT_DENSE_CAP:

@@ -197,17 +197,34 @@ class ProductOperator:
         return reduce(np.kron, (self.factor(k).to_dense() for k in range(self.n)))
 
     def apply_dense(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the operator to a full d^N vector, factor by factor.
+        """Apply the operator to a full d^N vector in one monomial step.
 
         Equivalent to ``self.dense() @ vec`` but without materializing the
-        matrix, so the numeric oracle stays cheap at the cap boundary.
+        matrix.  Every factor is a monomial operator, so the product sends
+        the basis ket |n_1 ... n_N> to the product of the factors' column
+        phases times |n_1+s_1 ... n_N+s_N>.  The phases and target indices
+        of all d^N kets are built factor by factor as outer products (in
+        ``np.kron``'s order: the first factor is the most significant
+        digit), then the vector is multiplied once and scattered once.
+        Factors with equal angles are equal, so each distinct angle's
+        factor is built once.
         """
-        d, n = self.d, self.n
-        tensor = np.asarray(vec, dtype=complex).reshape((d,) * n)
-        for k in range(n):
-            tensor = np.tensordot(self.factor(k).to_dense(), tensor, axes=([1], [k]))
-            tensor = np.moveaxis(tensor, 0, k)
-        return tensor.reshape(-1)
+        d = self.d
+        phase = np.ones(1, dtype=complex)
+        target = np.zeros(1, dtype=np.intp)
+        columns = np.arange(d)
+        entries = {}  # angle -> (column phases, row of each column) of its factor
+        for k, angle in enumerate(self.angles):
+            if angle not in entries:
+                f = self.factor(k)
+                column_phases = np.array([p.to_complex() for p in f.phases])
+                entries[angle] = column_phases, (columns + f.shift) % d
+            column_phases, rows = entries[angle]
+            phase = np.multiply.outer(phase, column_phases).ravel()
+            target = np.add.outer(target * d, rows).ravel()
+        image = np.empty(phase.size, dtype=complex)
+        image[target] = phase * np.asarray(vec, dtype=complex).reshape(phase.size)
+        return image
 
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:

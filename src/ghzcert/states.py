@@ -178,11 +178,13 @@ def expectation(state: GhzState, op: ProductOperator) -> Expectation:
     return Expectation(terms, value)
 
 
-def dense_state(state: GhzState, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Full d^N amplitude vector (numeric oracle); refuses above the cap."""
+def dense_state(state: GhzState) -> np.ndarray:
+    """Full d^N amplitude vector (numeric oracle); refuses above DEFAULT_DENSE_CAP."""
     size = state.d**state.n
-    if size > cap:
-        raise CapExceededError(f"dense state would have {size} entries, cap is {cap}")
+    if size > DEFAULT_DENSE_CAP:
+        raise CapExceededError(
+            f"dense state would have {size} entries, cap is {DEFAULT_DENSE_CAP}"
+        )
     vec = np.zeros(size, dtype=complex)
     stride = (size - 1) // (state.d - 1)  # index of |kk...k> is k * stride
     norm = 1.0 / math.sqrt(state.d)

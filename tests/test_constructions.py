@@ -337,6 +337,43 @@ def test_classify_plane_verify_subset():
         classify_plane(5, 2)
 
 
+def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
+    # method3 runs the genuine-dimension check itself while choosing its
+    # ladder, so the verified plane may make exactly those calls and no more
+    from ghzcert import constructions
+
+    def refuse(c):
+        raise AssertionError("irreducibility probe run by the verified plane")
+
+    calls = []
+    real = constructions._genuinely_d_dimensional
+
+    def counted(c):
+        calls.append((c.d, c.n))
+        return real(c)
+
+    monkeypatch.setattr(constructions, "check_irreducible", refuse)
+    monkeypatch.setattr(constructions, "_genuinely_d_dimensional", counted)
+    for cell in classify_plane(12, 12):
+        witness_construction(cell)
+    built = list(calls)
+    assert built  # the plane has Fibonacci-ladder cells
+    calls.clear()
+    classify_plane(12, 12, verify=True)
+    assert calls == built
+
+
+def test_verified_plane_rejects_a_shifted_claim(monkeypatch):
+    from ghzcert import constructions
+
+    def shifted(cell):
+        return corrupted(witness_construction(cell))
+
+    monkeypatch.setattr(constructions, "witness_construction", shifted)
+    with pytest.raises(CertificationError, match=r"cell \(d=2, N=3\) failed"):
+        classify_plane(12, 12, verify=True)
+
+
 def test_witness_construction_matches_cell():
     for d, n in [(2, 3), (3, 6), (5, 3), (12, 5)]:
         cell = classify(d, n)
@@ -512,6 +549,20 @@ def test_check_irreducible_matches_reference_at_large_n():
         c = witness_construction(classify(d, n))
         assert check_irreducible(c) == reference_irreducible(c)
     assert check_irreducible(witness_construction(classify(60, 200))) == (True,) * 200
+
+
+def test_method3_builds_no_congruence_system(monkeypatch):
+    # the ladder's genuine-dimension check reads the operators' angles
+    from ghzcert import constructions
+
+    cells = [(5, 3), (7, 3), (5, 4), (31, 29)]
+    expected = [method3(d, n).to_json_dict() for d, n in cells]
+
+    def refuse(d, items):
+        raise AssertionError("congruence system built during construction")
+
+    monkeypatch.setattr(constructions, "system_from_operators", refuse)
+    assert [method3(d, n).to_json_dict() for d, n in cells] == expected
 
 
 def test_method3_large_dimension():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ghzcert import (
+    DEFAULT_DENSE_CAP,
     CapExceededError,
     MonomialOp,
     ProductOperator,
@@ -174,6 +175,22 @@ def test_apply_dense_matches_matrix():
             [rng.random() + 1j * rng.random() for _ in range(d**n)]
         )
         assert np.max(np.abs(p.apply_dense(vec) - p.dense() @ vec)) < 1e-12
+
+
+def test_apply_dense_matches_kron_on_every_oracle_shape():
+    # every (d, N) the dense oracle certifies, against the reduce(np.kron)
+    # matrix, with mixed-denominator angles (three per operator, so angles
+    # repeat across factors as in the families) and a random complex vector
+    rng = random.Random(29)
+    shapes = [
+        (d, n) for d in range(2, 17) for n in range(3, 13) if d**n <= DEFAULT_DENSE_CAP
+    ]
+    assert len(shapes) == 36 and (2, 12) in shapes and (16, 3) in shapes
+    for d, n in shapes:
+        pool = [random_phase(rng) for _ in range(3)]
+        p = ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
+        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d**n)])
+        assert np.max(np.abs(p.apply_dense(vec) - p.dense() @ vec)) < 1e-12, (d, n)
 
 
 def test_dense_cap():
