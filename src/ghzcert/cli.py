@@ -5,7 +5,9 @@ circle.  Payloads are deterministic JSON on stdout (CSV for the regime
 grid), diagnostics go to stderr.  Exit codes: 0 = certified contradiction
 or successful query, 1 = valid run without a contradiction
 (no-contradiction result or a satisfiable system), 2 = usage or input
-error.
+error.  The parser is built once per process, at import, because
+in-process callers (the tests and the benchmark) call ``main()`` many
+times.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _cmd_hv_solve(args: argparse.Namespace) -> int:
 def _cmd_invariance_demo(args: argparse.Namespace) -> int:
     angle = RationalPhase.parse(args.angle)
     partition = None
-    if args.partition:
+    if args.partition is not None:
         n1_text, _, n2_text = args.partition.partition(":")
         partition = (int(n1_text), int(n2_text))
     report = invariance_demo(args.d, args.n, angle, partition)
@@ -116,75 +118,69 @@ def _cmd_circle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ghzcert",
-        description=(
-            "Construct and certify GHZ contradictions for N qudits of "
-            "dimension d, using exact arithmetic throughout."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_parser = argparse.ArgumentParser(
+    prog="ghzcert",
+    description=(
+        "Construct and certify GHZ contradictions for N qudits of "
+        "dimension d, using exact arithmetic throughout."
+    ),
+)
+_commands = _parser.add_subparsers(dest="command", required=True)
 
-    construct = sub.add_parser(
-        "construct", help="synthesize a concurrent-operator contradiction"
-    )
-    construct.add_argument("--d", type=int, required=True, help="qudit dimension")
-    construct.add_argument("--n", type=int, required=True, help="number of qudits")
-    construct.add_argument(
-        "--method", choices=["auto", "1", "2", "3"], default="auto"
-    )
-    construct.add_argument(
-        "--f", type=int, default=None, help="block length for method 1 (a factor of d)"
-    )
-    construct.add_argument("--output", default=None, help="also write JSON to a file")
-    construct.set_defaults(func=_cmd_construct)
+_construct = _commands.add_parser(
+    "construct", help="synthesize a concurrent-operator contradiction"
+)
+_construct.add_argument("--d", type=int, required=True, help="qudit dimension")
+_construct.add_argument("--n", type=int, required=True, help="number of qudits")
+_construct.add_argument("--method", choices=["auto", "1", "2", "3"], default="auto")
+_construct.add_argument(
+    "--f", type=int, default=None, help="block length for method 1 (a factor of d)"
+)
+_construct.add_argument("--output", default=None, help="also write JSON to a file")
+_construct.set_defaults(func=_cmd_construct)
 
-    verify = sub.add_parser("verify", help="certify a construction JSON file")
-    verify.add_argument("input", help="path to a construction JSON file")
-    verify.add_argument("--oracle", choices=["dense", "none"], default="dense")
-    verify.set_defaults(func=_cmd_verify)
+_verify = _commands.add_parser("verify", help="certify a construction JSON file")
+_verify.add_argument("input", help="path to a construction JSON file")
+_verify.add_argument("--oracle", choices=["dense", "none"], default="dense")
+_verify.set_defaults(func=_cmd_verify)
 
-    grid = sub.add_parser("classify", help="emit the (d, N) regime grid")
-    grid.add_argument("--d-max", type=int, required=True)
-    grid.add_argument("--n-max", type=int, required=True)
-    grid.add_argument("--format", choices=["csv", "json"], default="csv")
-    grid.add_argument(
-        "--verify",
-        action="store_true",
-        help="certify every cell's witness construction before emitting",
-    )
-    grid.set_defaults(func=_cmd_classify)
+_grid = _commands.add_parser("classify", help="emit the (d, N) regime grid")
+_grid.add_argument("--d-max", type=int, required=True)
+_grid.add_argument("--n-max", type=int, required=True)
+_grid.add_argument("--format", choices=["csv", "json"], default="csv")
+_grid.add_argument(
+    "--verify",
+    action="store_true",
+    help="certify every cell's witness construction before emitting",
+)
+_grid.set_defaults(func=_cmd_classify)
 
-    hv = sub.add_parser("hv-solve", help="solve a congruence-system JSON file")
-    hv.add_argument("input", help="path to a hidden-variable system JSON file")
-    hv.set_defaults(func=_cmd_hv_solve)
+_hv = _commands.add_parser("hv-solve", help="solve a congruence-system JSON file")
+_hv.add_argument("input", help="path to a hidden-variable system JSON file")
+_hv.set_defaults(func=_cmd_hv_solve)
 
-    demo = sub.add_parser(
-        "invariance-demo",
-        help="show the variation relations forced at a sampled angle",
-    )
-    demo.add_argument("--d", type=int, required=True)
-    demo.add_argument("--n", type=int, required=True)
-    demo.add_argument("--angle", required=True, help='turn fraction, e.g. "1/12"')
-    demo.add_argument(
-        "--partition", default=None, help='qudit split "N1:N2" for the scaling relation'
-    )
-    demo.set_defaults(func=_cmd_invariance_demo)
+_demo = _commands.add_parser(
+    "invariance-demo",
+    help="show the variation relations forced at a sampled angle",
+)
+_demo.add_argument("--d", type=int, required=True)
+_demo.add_argument("--n", type=int, required=True)
+_demo.add_argument("--angle", required=True, help='turn fraction, e.g. "1/12"')
+_demo.add_argument(
+    "--partition", default=None, help='qudit split "N1:N2" for the scaling relation'
+)
+_demo.set_defaults(func=_cmd_invariance_demo)
 
-    circle = sub.add_parser(
-        "circle", help="emit the special circle points nu/d for one dimension"
-    )
-    circle.add_argument("--d", type=int, required=True)
-    circle.set_defaults(func=_cmd_circle)
-
-    return parser
+_circle = _commands.add_parser(
+    "circle", help="emit the special circle points nu/d for one dimension"
+)
+_circle.add_argument("--d", type=int, required=True)
+_circle.set_defaults(func=_cmd_circle)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

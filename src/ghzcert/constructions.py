@@ -56,6 +56,7 @@ from .operators import (
     _check_cell,
     _check_dim,
     _json_int,
+    _json_list,
     _json_object,
     _with_angles,
 )
@@ -204,21 +205,23 @@ class Construction:
 
         def item(entry: dict) -> OperatorItem:
             entry = _json_object(entry, "operator")
-            angles = tuple(RationalPhase.parse(a) for a in entry["angles"])
-            return ProductOperator(d, angles), RationalPhase.parse(entry["exponent"])
+            angles = _json_list(entry["angles"], "angles")
+            op = ProductOperator(d, tuple(RationalPhase.parse(a) for a in angles))
+            return op, RationalPhase.parse(entry["exponent"])
 
         meta = _json_object(data.get("meta", {}), "meta")
         f, chain = meta.get("f"), meta.get("chain")
         if f is not None:
             f = _json_int(f, "meta.f")
         if chain is not None:
+            chain = _json_list(chain, "meta.chain")
             chain = tuple(_json_int(k, "meta.chain") for k in chain)
         return cls(
             d=d,
             n=_json_int(data["n"], "n"),
             method=_json_int(data["method"], "method"),
             phi_o=RationalPhase.parse(data["phi_o"]),
-            operators=tuple(item(entry) for entry in data["operators"]),
+            operators=tuple(map(item, _json_list(data["operators"], "operators"))),
             target=item(data["target"]),
             f=f,
             chain=chain,
@@ -238,7 +241,11 @@ def method1_operator_set(
     1/(f*d), each at eigenphase 1/d.  Returned as (supporting, target)
     with the last cyclic placement distinguished as the target.
     """
-    _validate_method1(d, n, f)
+    _check_cell(d, n)
+    if f <= 1 or d % f != 0:
+        raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
+    if n <= f:
+        raise ValueError(f"need more qudits than the block length (N > f = {f})")
     phi_o = RationalPhase(1, f * d)
     nu = RationalPhase(1, d)
     blocks = []
@@ -247,14 +254,6 @@ def method1_operator_set(
         blocks.append((_with_angles(d, n, placed), nu))
     supporting = [(_with_angles(d, n, {}), ZERO_PHASE)] + blocks[:-1]
     return supporting, blocks[-1]
-
-
-def _validate_method1(d: int, n: int, f: int) -> None:
-    _check_cell(d, n)
-    if f <= 1 or d % f != 0:
-        raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
-    if n <= f:
-        raise ValueError(f"need more qudits than the block length (N > f = {f})")
 
 
 def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContradiction:
@@ -272,17 +271,15 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
                 "every factor of d below N divides N, so the summed value "
                 "equations are solvable",
             )
-    else:
-        _validate_method1(d, n, f)
-        if n % f == 0:
-            return NoContradiction(
-                d,
-                n,
-                1,
-                f"N = {n} is a multiple of f = {f}: f*sum(Y-exponents) = N "
-                f"(mod {d}) has solutions",
-            )
     supporting, target = method1_operator_set(d, n, f)
+    if n % f == 0:
+        return NoContradiction(
+            d,
+            n,
+            1,
+            f"N = {n} is a multiple of f = {f}: f*sum(Y-exponents) = N "
+            f"(mod {d}) has solutions",
+        )
     return Construction(
         d=d,
         n=n,

@@ -39,6 +39,7 @@ from .operators import (
     _check_cell,
     _check_dim,
     _json_int,
+    _json_list,
     _json_object,
     _with_angles,
 )
@@ -163,17 +164,22 @@ class HVSystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HVSystem":
         data = _json_object(data, "system")
+
+        def pair(entry: object) -> tuple[int, int]:
+            entry = _json_list(entry, "coeffs pair")
+            if len(entry) != 2:
+                raise ValueError(f"coeffs pair must be [index, coeff], got {entry!r}")
+            idx, coeff = entry
+            return _json_int(idx, "variable index"), _json_int(coeff, "coefficient")
+
         constraints = []
-        for con in data["constraints"]:
+        for con in _json_list(data["constraints"], "constraints"):
             con = _json_object(con, "constraint")
-            coeffs = tuple(
-                (_json_int(idx, "variable index"), _json_int(coeff, "coefficient"))
-                for idx, coeff in con["coeffs"]
-            )
+            coeffs = tuple(map(pair, _json_list(con["coeffs"], "coeffs")))
             constraints.append(Constraint(coeffs, _json_int(con["rhs"], "rhs")))
         return cls(
             _json_int(data["d"], "d"),
-            tuple(FactorLabel.from_json_dict(v) for v in data["vars"]),
+            tuple(map(FactorLabel.from_json_dict, _json_list(data["vars"], "vars"))),
             tuple(constraints),
         )
 

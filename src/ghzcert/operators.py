@@ -56,6 +56,14 @@ def _json_object(data: object, what: str) -> dict:
     return data
 
 
+def _json_list(value: object, what: str) -> list:
+    """Validate one parsed JSON value as an array."""
+    if not isinstance(value, list):
+        kind = type(value).__name__
+        raise ValueError(f"expected a JSON array for {what}, got {kind}")
+    return value
+
+
 def _json_int(value: object, what: str) -> int:
     """Validate one parsed JSON value as an integer (not a float or bool)."""
     if type(value) is not int:
@@ -113,13 +121,11 @@ class MonomialOp:
 
 def make_z(d: int) -> MonomialOp:
     """Clock operator: diagonal with entries omega^n, omega = exp(2*pi*i/d)."""
-    _check_dim(d)
     return MonomialOp(d, 0, tuple(RationalPhase(n, d) for n in range(d)))
 
 
 def make_x(d: int) -> MonomialOp:
     """Cyclic raising operator |n> -> |n+1>, with |d> identified with |0>."""
-    _check_dim(d)
     return MonomialOp(d, 1, (ZERO_PHASE,) * d)
 
 
@@ -130,7 +136,6 @@ def make_rotated_x(d: int, phi: RationalPhase | Fraction | int) -> MonomialOp:
     carries (1-d)*phi.  Advancing phi by 1/d therefore multiplies the
     whole operator by omega, so X(phi) spans one period per 1/d turn.
     """
-    _check_dim(d)
     angle = RationalPhase.from_fraction(as_turns(phi))
     return MonomialOp(d, 1, (angle,) * (d - 1) + (angle * (1 - d),))
 
@@ -142,7 +147,6 @@ def make_rotation(d: int, phi: RationalPhase | Fraction | int) -> MonomialOp:
     that a full turn stays distinguishable from no rotation, which matters
     for half-integer spin (even d), where a 2*pi rotation equals -1.
     """
-    _check_dim(d)
     turns = as_turns(phi)
     spin = Fraction(d - 1, 2)
     phases = tuple(

@@ -1,8 +1,15 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from ghzcert import method1, system_from_operators, method1_operator_set
+import pytest
+
+from ghzcert import method1, method3, system_from_operators, method1_operator_set
 from ghzcert.cli import main
 
 
@@ -148,6 +155,51 @@ def test_readers_reject_non_integer_fields(tmp_path, capsys):
         assert code == 2 and out == "" and "must be an integer" in err
 
 
+@pytest.mark.parametrize("value", [{}, "1/9", {"1/9": 0, "0/1": 1, "2/9": 2}])
+@pytest.mark.parametrize(
+    "command, field, put",
+    [
+        ("verify", "operators", lambda c, v: c.update(operators=v)),
+        ("verify", "angles", lambda c, v: c["target"].update(angles=v)),
+        ("verify", "meta.chain", lambda c, v: c["meta"].update(chain=v)),
+        ("hv-solve", "vars", lambda s, v: s.update(vars=v)),
+        ("hv-solve", "constraints", lambda s, v: s.update(constraints=v)),
+        ("hv-solve", "coeffs", lambda s, v: s["constraints"][0].update(coeffs=v)),
+        ("hv-solve", "coeffs pair", lambda s, v: s["constraints"][0].update(coeffs=[v])),
+    ],
+)
+def test_readers_reject_non_array_lists(tmp_path, capsys, command, field, put, value):
+    # iterating an object yields its keys and a string its characters, so
+    # neither may stand in for an array
+    if command == "verify":
+        data = method3(5, 3).to_json_dict()
+    else:
+        data = {
+            "d": 3,
+            "vars": [{"qudit": 1, "angle": "0/1"}],
+            "constraints": [{"coeffs": [[0, 1]], "rhs": 1}],
+        }
+    put(data, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert f"expected a JSON array for {field}," in err
+
+
+def test_hv_solve_rejects_pairs_of_the_wrong_length(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for coeffs in ([[0]], [[0, 1, 1]], [[]]):
+        system = {
+            "d": 3,
+            "vars": [{"qudit": 1, "angle": "0/1"}],
+            "constraints": [{"coeffs": coeffs, "rhs": 1}],
+        }
+        path.write_text(json.dumps(system))
+        code, out, err = run(capsys, "hv-solve", str(path))
+        assert code == 2 and out == "" and "coeffs pair must be [index, coeff]" in err
+
+
 def test_verify_checks_n_against_operator_widths(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({**method1(3, 4, 3).to_json_dict(), "n": 5}))
@@ -273,6 +325,13 @@ def test_invariance_demo_command(capsys):
     assert payload["partition"] == [1, 2]
     assert any("1*dX_1(1/8) - 2*dX_1(1/16)" in r["description"] for r in payload["relations"])
 
+    code, out, err = run(
+        capsys,
+        "invariance-demo",
+        "--d", "2", "--n", "3", "--angle", "1/8", "--partition", "",
+    )
+    assert code == 2 and out == "" and "error" in err
+
 
 def test_invariance_demo_rejects_non_canonical_angle(capsys):
     code, _, err = run(
@@ -298,3 +357,48 @@ def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main() built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    path = tmp_path / "c.json"
+    construct = ("construct", "--d", "3", "--n", "4", "--method", "1")
+    assert run(capsys, *construct, "--output", str(path))[0] == 0
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert run(capsys, "circle", "--d", "3")[0] == 0
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "construct", "--d", "3")[0] == 2
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    construct = ("construct", "--d", "3", "--n", "4", "--method", "1", "--f", "3")
+    assert run(capsys, *construct, "--output", str(path))[0] == 0
+    assert run(capsys, "construct", "--d", "5", "--n", "3")[0] == 0  # no --f left over
+    code, out, _ = run(capsys, "verify", str(path), "--oracle", "none")
+    assert code == 0 and json.loads(out)["oracle_checked"] is False
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["oracle_checked"] is True
+
+
+def test_fresh_process_matches_in_process_main(tmp_path, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    path = tmp_path / "c.json"
+    calls = (
+        ("construct", "--d", "3", "--n", "4", "--method", "1", "--output", str(path)),
+        ("verify", str(path)),
+        ("circle", "--d", "1"),
+    )
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "ghzcert.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)

@@ -34,6 +34,17 @@ def test_make_z_examples():
         make_z(1)
 
 
+@pytest.mark.parametrize("d", [1, 0, -2])
+@pytest.mark.parametrize(
+    "build",
+    [make_z, make_x, lambda d: make_rotated_x(d, Fraction(1, 7)),
+     lambda d: make_rotation(d, Fraction(1, 7))],
+)
+def test_factories_reject_dimensions_below_two(build, d):
+    with pytest.raises(ValueError, match=f"dimension must be at least 2, got {d}$"):
+        build(d)
+
+
 def test_make_x_examples():
     assert np.allclose(make_x(2).to_dense(), [[0, 1], [1, 0]])
     x3 = make_x(3).to_dense()
