@@ -104,8 +104,13 @@ def _cmd_invariance_demo(args: argparse.Namespace) -> int:
     angle = RationalPhase.parse(args.angle)
     partition = None
     if args.partition is not None:
-        n1_text, _, n2_text = args.partition.partition(":")
-        partition = (int(n1_text), int(n2_text))
+        try:
+            n1_text, n2_text = args.partition.split(":")
+            partition = (int(n1_text), int(n2_text))
+        except ValueError:
+            raise ValueError(
+                f"--partition must be N1:N2, two qudit counts, got {args.partition!r}"
+            ) from None
     report = invariance_demo(args.d, args.n, angle, partition)
     _emit(report.to_json_dict(), None)
     return 0 if report.all_forced else 1

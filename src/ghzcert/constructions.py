@@ -58,7 +58,9 @@ from .operators import (
     _json_int,
     _json_list,
     _json_object,
+    _json_phase_reader,
     _with_angles,
+    apply_dense_family,
 )
 from .phases import RationalPhase, ZERO_PHASE
 from .states import dense_state, make_ghz
@@ -200,14 +202,16 @@ class Construction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Construction":
-        data = _json_object(data, "construction")
+        keys = ("d", "n", "method", "phi_o", "operators", "target")
+        data = _json_object(data, "construction", *keys)
         d = _json_int(data["d"], "d")
+        phase = _json_phase_reader()
 
         def item(entry: dict) -> OperatorItem:
-            entry = _json_object(entry, "operator")
+            entry = _json_object(entry, "operator", "angles", "exponent")
             angles = _json_list(entry["angles"], "angles")
-            op = ProductOperator(d, tuple(RationalPhase.parse(a) for a in angles))
-            return op, RationalPhase.parse(entry["exponent"])
+            op = ProductOperator(d, tuple(phase(a, "angles entry") for a in angles))
+            return op, phase(entry["exponent"], "exponent")
 
         meta = _json_object(data.get("meta", {}), "meta")
         f, chain = meta.get("f"), meta.get("chain")
@@ -220,7 +224,7 @@ class Construction:
             d=d,
             n=_json_int(data["n"], "n"),
             method=_json_int(data["method"], "method"),
-            phi_o=RationalPhase.parse(data["phi_o"]),
+            phi_o=phase(data["phi_o"], "phi_o"),
             operators=tuple(map(item, _json_list(data["operators"], "operators"))),
             target=item(data["target"]),
             f=f,
@@ -687,19 +691,21 @@ def _dense_recheck(c: Construction) -> None:
 
     Every operator whose encoded total is a multiple of D/d (an
     eigenoperator of the unrotated GHZ state) is applied to the complete
-    d^N amplitude vector (``ProductOperator.apply_dense``, which builds
-    every factor's matrix entries from ``make_rotated_x``) and compared
-    against exp(2*pi*i*total/D) times the vector; the other rows are
-    skipped.
+    d^N amplitude vector and compared against exp(2*pi*i*total/D) times
+    the vector; the other rows are skipped.  One ``apply_dense_family``
+    call covers the family: it takes each distinct angle's matrix
+    entries from ``make_rotated_x`` and builds the scatter target once.
     Raises on any disagreement: that would mean the exact encoding that
     the certificate reads is broken, not merely the construction.
     """
     _, common, _, totals = c._encoding
+    step = common // c.d
+    checked = [
+        (op, total) for (op, _), total in zip(c.all_items(), totals) if total % step == 0
+    ]
     vec = dense_state(make_ghz(c.d, c.n, 0))
-    for (op, _), total in zip(c.all_items(), totals):
-        if total % (common // c.d):
-            continue
-        image = op.apply_dense(vec)
+    images = apply_dense_family((op for op, _ in checked), vec)
+    for image, (_, total) in zip(images, checked):
         phase = RationalPhase(total, common).to_complex()
         if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
             raise CertificationError(

@@ -41,6 +41,7 @@ from .operators import (
     _json_int,
     _json_list,
     _json_object,
+    _json_phase_reader,
     _with_angles,
 )
 from .phases import RationalPhase, ZERO_PHASE, as_turns
@@ -82,11 +83,6 @@ class FactorLabel:
 
     def to_json_dict(self) -> dict:
         return {"qudit": self.qudit, "angle": str(self.angle)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FactorLabel":
-        data = _json_object(data, "variable")
-        return cls(_json_int(data["qudit"], "qudit"), RationalPhase.parse(data["angle"]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,13 @@ class HVSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HVSystem":
-        data = _json_object(data, "system")
+        data = _json_object(data, "system", "d", "vars", "constraints")
+        phase = _json_phase_reader()
+
+        def label(entry: object) -> FactorLabel:
+            entry = _json_object(entry, "variable", "qudit", "angle")
+            qudit = _json_int(entry["qudit"], "qudit")
+            return FactorLabel(qudit, phase(entry["angle"], "angle"))
 
         def pair(entry: object) -> tuple[int, int]:
             entry = _json_list(entry, "coeffs pair")
@@ -174,12 +176,12 @@ class HVSystem:
 
         constraints = []
         for con in _json_list(data["constraints"], "constraints"):
-            con = _json_object(con, "constraint")
+            con = _json_object(con, "constraint", "coeffs", "rhs")
             coeffs = tuple(map(pair, _json_list(con["coeffs"], "coeffs")))
             constraints.append(Constraint(coeffs, _json_int(con["rhs"], "rhs")))
         return cls(
             _json_int(data["d"], "d"),
-            tuple(map(FactorLabel.from_json_dict, _json_list(data["vars"], "vars"))),
+            tuple(map(label, _json_list(data["vars"], "vars"))),
             tuple(constraints),
         )
 

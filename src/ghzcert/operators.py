@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import Callable, Iterable, Iterator
+
 import numpy as np
 
 from .phases import RationalPhase, ZERO_PHASE, as_turns
@@ -23,6 +25,7 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "MonomialOp",
     "ProductOperator",
+    "apply_dense_family",
     "make_rotated_x",
     "make_rotation",
     "make_x",
@@ -48,11 +51,14 @@ def _check_cell(d: int, n: int) -> None:
         raise ValueError(f"GHZ contradictions need at least three qudits, got N = {n}")
 
 
-def _json_object(data: object, what: str) -> dict:
-    """Validate one parsed JSON value as an object."""
+def _json_object(data: object, what: str, *keys: str) -> dict:
+    """Validate one parsed JSON value as an object holding every key in keys."""
     if not isinstance(data, dict):
         kind = type(data).__name__
         raise ValueError(f"expected a JSON object for {what}, got {kind}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r} in {what}")
     return data
 
 
@@ -69,6 +75,26 @@ def _json_int(value: object, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_phase_reader() -> Callable[[object, str], RationalPhase]:
+    """A reader of one JSON document's phase fields.
+
+    Each distinct text is parsed, and fully validated, once per reader,
+    so equal angles come back as one shared object.  A value that is not
+    a string is rejected by the field's name before any lookup.
+    """
+    parsed: dict[str, RationalPhase] = {}
+
+    def read(value: object, what: str) -> RationalPhase:
+        if not isinstance(value, str):
+            raise ValueError(f"{what} must be a 'num/den' string, got {value!r}")
+        phase = parsed.get(value)
+        if phase is None:
+            phase = parsed[value] = RationalPhase.parse(value)
+        return phase
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -201,34 +227,51 @@ class ProductOperator:
         return reduce(np.kron, (self.factor(k).to_dense() for k in range(self.n)))
 
     def apply_dense(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the operator to a full d^N vector in one monomial step.
+        """``self.dense() @ vec`` without the matrix: the one-operator case
+        of ``apply_dense_family``."""
+        return next(apply_dense_family((self,), vec))
 
-        Equivalent to ``self.dense() @ vec`` but without materializing the
-        matrix.  Every factor is a monomial operator, so the product sends
-        the basis ket |n_1 ... n_N> to the product of the factors' column
-        phases times |n_1+s_1 ... n_N+s_N>.  The phases and target indices
-        of all d^N kets are built factor by factor as outer products (in
-        ``np.kron``'s order: the first factor is the most significant
-        digit), then the vector is multiplied once and scattered once.
-        Factors with equal angles are equal, so each distinct angle's
-        factor is built once.
-        """
-        d = self.d
+
+def apply_dense_family(
+    operators: Iterable[ProductOperator], vec: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield each operator's image of a full d^N vector, in order.
+
+    Equivalent to ``op.dense() @ vec`` for every operator, without the
+    matrices.  Every factor is a monomial operator, so a product sends
+    the basis ket |n_1 ... n_N> to the product of the factors' column
+    phases times |n_1+s_1 ... n_N+s_N>.  Each distinct angle's column
+    phases are taken from ``make_rotated_x`` once per call, and since
+    every rotated X shifts by one, the target index of all d^N kets is
+    built once per call (in ``np.kron``'s order: the first factor is the
+    most significant digit).  Each operator then costs one outer-product
+    phase build, one multiply and one scatter, and only its own image is
+    held at a time.  The operators must share d and N.
+    """
+    operators = list(operators)
+    if not operators:
+        return
+    d, n = operators[0].d, operators[0].n
+    if any((op.d, op.n) != (d, n) for op in operators):
+        raise ValueError("operators in one family must share d and N")
+    rows = (np.arange(d) + 1) % d
+    target = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        target = np.add.outer(target * d, rows).ravel()
+    flat = np.asarray(vec, dtype=complex).reshape(target.size)
+    factors: dict[RationalPhase, np.ndarray] = {}  # angle -> its factor's column phases
+    for op in operators:
         phase = np.ones(1, dtype=complex)
-        target = np.zeros(1, dtype=np.intp)
-        columns = np.arange(d)
-        entries = {}  # angle -> (column phases, row of each column) of its factor
-        for k, angle in enumerate(self.angles):
-            if angle not in entries:
-                f = self.factor(k)
-                column_phases = np.array([p.to_complex() for p in f.phases])
-                entries[angle] = column_phases, (columns + f.shift) % d
-            column_phases, rows = entries[angle]
+        for angle in op.angles:
+            column_phases = factors.get(angle)
+            if column_phases is None:
+                factor = make_rotated_x(d, angle)
+                column_phases = np.array([p.to_complex() for p in factor.phases])
+                factors[angle] = column_phases
             phase = np.multiply.outer(phase, column_phases).ravel()
-            target = np.add.outer(target * d, rows).ravel()
-        image = np.empty(phase.size, dtype=complex)
-        image[target] = phase * np.asarray(vec, dtype=complex).reshape(phase.size)
-        return image
+        image = np.empty(target.size, dtype=complex)
+        image[target] = phase * flat
+        yield image
 
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:

@@ -187,6 +187,65 @@ def test_readers_reject_non_array_lists(tmp_path, capsys, command, field, put, v
     assert f"expected a JSON array for {field}," in err
 
 
+def small_system():
+    return {
+        "d": 3,
+        "vars": [{"qudit": 1, "angle": "0/1"}],
+        "constraints": [{"coeffs": [[0, 1]], "rhs": 1}],
+    }
+
+
+@pytest.mark.parametrize("value", [1, ["1/9"], None, {"1/9": 0}])
+@pytest.mark.parametrize(
+    "command, field, put",
+    [
+        ("verify", "angles entry", lambda c, v: c["target"]["angles"].__setitem__(1, v)),
+        ("verify", "exponent", lambda c, v: c["operators"][0].update(exponent=v)),
+        ("verify", "phi_o", lambda c, v: c.update(phi_o=v)),
+        ("hv-solve", "angle", lambda s, v: s["vars"][0].update(angle=v)),
+    ],
+)
+def test_readers_name_non_string_phase_fields(tmp_path, capsys, command, field, put, value):
+    # checked before the per-document parse memo, so a list is not
+    # reported as "unhashable"
+    data = method1(3, 4, 3).to_json_dict() if command == "verify" else small_system()
+    put(data, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert f"error: {field} must be a 'num/den' string, got {value!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, what, key, drop",
+    [
+        *[
+            ("verify", "construction", key, lambda c, k: c.pop(k))
+            for key in ("d", "n", "method", "phi_o", "operators", "target")
+        ],
+        ("verify", "operator", "angles", lambda c, k: c["operators"][2].pop(k)),
+        ("verify", "operator", "exponent", lambda c, k: c["target"].pop(k)),
+        *[
+            ("hv-solve", "system", key, lambda s, k: s.pop(k))
+            for key in ("d", "vars", "constraints")
+        ],
+        ("hv-solve", "variable", "qudit", lambda s, k: s["vars"][0].pop(k)),
+        ("hv-solve", "variable", "angle", lambda s, k: s["vars"][0].pop(k)),
+        ("hv-solve", "constraint", "coeffs", lambda s, k: s["constraints"][0].pop(k)),
+        ("hv-solve", "constraint", "rhs", lambda s, k: s["constraints"][0].pop(k)),
+    ],
+)
+def test_readers_name_missing_keys(tmp_path, capsys, command, what, key, drop):
+    data = method1(3, 4, 3).to_json_dict() if command == "verify" else small_system()
+    drop(data, key)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: missing key {key!r} in {what}\n"
+
+
 def test_hv_solve_rejects_pairs_of_the_wrong_length(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for coeffs in ([[0]], [[0, 1, 1]], [[]]):
@@ -331,6 +390,17 @@ def test_invariance_demo_command(capsys):
         "--d", "2", "--n", "3", "--angle", "1/8", "--partition", "",
     )
     assert code == 2 and out == "" and "error" in err
+
+
+def test_invariance_demo_names_the_partition_format(capsys):
+    for partition in ("", "3", "1:", "1:2:0", "a:2"):
+        code, out, err = run(
+            capsys,
+            "invariance-demo",
+            "--d", "2", "--n", "3", "--angle", "1/8", "--partition", partition,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --partition must be N1:N2, two qudit counts, got {partition!r}\n"
 
 
 def test_invariance_demo_rejects_non_canonical_angle(capsys):

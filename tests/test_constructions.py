@@ -1,5 +1,6 @@
 """The three contradiction families, the regime map, and certification."""
 
+import copy
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from ghzcert import (
     CertificationError,
     Construction,
     NoContradiction,
+    PhaseParseError,
     ProductOperator,
     RationalPhase,
     ZERO_PHASE,
@@ -30,6 +32,7 @@ from ghzcert import (
     verify_construction,
     witness_construction,
 )
+from ghzcert import operators
 
 
 def full_system(construction):
@@ -638,3 +641,37 @@ def test_construction_json_round_trip():
         assert verify_construction(rebuilt, oracle=False).certified
     assert method1(3, 4, 3).to_json_dict()["meta"] == {"f": 3}
     assert method3(7, 3).to_json_dict()["meta"] == {"chain": [2, -3, -2, 5]}
+
+
+def test_json_reader_parses_each_distinct_angle_text_once():
+    data = method3(7, 3).to_json_dict()
+    c = Construction.from_json_dict(data)
+    phases = [c.phi_o] + [p for op, nu in c.all_items() for p in (*op.angles, nu)]
+    assert len({id(p) for p in phases}) == len({str(p) for p in phases}) < len(phases)
+    # a non-canonical text seen only once, in the very last factor, is
+    # still parsed and rejected
+    base = method1(3, 4, 3).to_json_dict()
+    for last in (lambda data: data["operators"][-1], lambda data: data["target"]):
+        data = copy.deepcopy(base)
+        last(data)["angles"][-1] = "2/18"
+        with pytest.raises(PhaseParseError, match="2/18"):
+            Construction.from_json_dict(data)
+
+
+def test_verify_keeps_no_factor_cache_between_calls(monkeypatch):
+    # the dense oracle builds each distinct angle's factor once per call,
+    # and a second call on a fresh parse builds them all again
+    calls = []
+    real = operators.make_rotated_x
+    monkeypatch.setattr(
+        operators, "make_rotated_x", lambda d, phi: calls.append(phi) or real(d, phi)
+    )
+    data = method1(3, 4, 3).to_json_dict()
+    counts = []
+    for _ in range(2):
+        c = Construction.from_json_dict(data)
+        calls.clear()
+        assert verify_construction(c).oracle_checked
+        counts.append(len(calls))
+    distinct = {a for op, _ in c.all_items() for a in op.angles}
+    assert counts == [len(distinct)] * 2 and sorted(map(str, calls)) == sorted(map(str, distinct))

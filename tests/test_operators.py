@@ -13,6 +13,7 @@ from ghzcert import (
     ProductOperator,
     RationalPhase,
     ZERO_PHASE,
+    apply_dense_family,
     make_rotated_x,
     make_rotation,
     make_x,
@@ -202,6 +203,37 @@ def test_apply_dense_matches_kron_on_every_oracle_shape():
         p = ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
         vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d**n)])
         assert np.max(np.abs(p.apply_dense(vec) - p.dense() @ vec)) < 1e-12, (d, n)
+
+
+def test_apply_dense_family_matches_kron_on_every_oracle_shape():
+    # one call per shape over a family of three operators drawn from three
+    # mixed-denominator angles, so angles repeat within and across
+    # operators and each distinct one's factor is shared
+    rng = random.Random(31)
+    shapes = [
+        (d, n) for d in range(2, 17) for n in range(3, 13) if d**n <= DEFAULT_DENSE_CAP
+    ]
+    assert len(shapes) == 36
+    for d, n in shapes:
+        pool = [ZERO_PHASE, RationalPhase(1, n * d), random_phase(rng)]
+        family = [
+            ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
+            for _ in range(3)
+        ]
+        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d**n)])
+        images = list(apply_dense_family(family, vec))
+        assert len(images) == len(family)
+        for p, image in zip(family, images):
+            assert np.max(np.abs(image - p.dense() @ vec)) < 1e-12, (d, n, p)
+
+
+def test_apply_dense_family_rejects_mixed_shapes():
+    vec = np.ones(27, dtype=complex)
+    for other in (ProductOperator(2, (ZERO_PHASE,) * 3), ProductOperator(3, (ZERO_PHASE,) * 4)):
+        family = [ProductOperator(3, (ZERO_PHASE,) * 3), other]
+        with pytest.raises(ValueError, match="share d and N"):
+            list(apply_dense_family(family, vec))
+    assert list(apply_dense_family([], vec)) == []
 
 
 def test_dense_cap():
