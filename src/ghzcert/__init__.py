@@ -46,7 +46,6 @@ from .operators import (
     DEFAULT_DENSE_CAP,
     MonomialOp,
     ProductOperator,
-    apply_dense_family,
     make_rotated_x,
     make_rotation,
     make_x,
@@ -89,7 +88,6 @@ __all__ = [
     "RegimeCell",
     "Relation",
     "ZERO_PHASE",
-    "apply_dense_family",
     "apply_rotations",
     "brute_force_solve",
     "check_genuine_dimension",

@@ -693,19 +693,21 @@ def _dense_recheck(c: Construction) -> None:
     eigenoperator of the unrotated GHZ state) is applied to the complete
     d^N amplitude vector and compared against exp(2*pi*i*total/D) times
     the vector; the other rows are skipped.  One ``apply_dense_family``
-    call covers the family: it takes each distinct angle's matrix
-    entries from ``make_rotated_x`` and builds the scatter target once.
+    call covers the family: each operator goes through its own
+    ``apply_dense``, on tables that take each distinct angle's matrix
+    entries from ``make_rotated_x`` and build the scatter target once.
     Raises on any disagreement: that would mean the exact encoding that
     the certificate reads is broken, not merely the construction.
     """
     _, common, _, totals = c._encoding
     step = common // c.d
-    checked = [
-        (op, total) for (op, _), total in zip(c.all_items(), totals) if total % step == 0
-    ]
+    ops, checked = [], []
+    for (op, _), total in zip(c.all_items(), totals):
+        if total % step == 0:
+            ops.append(op)
+            checked.append(total)
     vec = dense_state(make_ghz(c.d, c.n, 0))
-    images = apply_dense_family((op for op, _ in checked), vec)
-    for image, (_, total) in zip(images, checked):
+    for image, total in zip(apply_dense_family(ops, vec), checked):
         phase = RationalPhase(total, common).to_complex()
         if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
             raise CertificationError(

@@ -226,52 +226,77 @@ class ProductOperator:
             )
         return reduce(np.kron, (self.factor(k).to_dense() for k in range(self.n)))
 
-    def apply_dense(self, vec: np.ndarray) -> np.ndarray:
-        """``self.dense() @ vec`` without the matrix: the one-operator case
-        of ``apply_dense_family``."""
-        return next(apply_dense_family((self,), vec))
+    def apply_dense(
+        self, vec: np.ndarray, *, tables: "_DenseTables | None" = None
+    ) -> np.ndarray:
+        """``self.dense() @ vec`` without the matrix.
+
+        Every factor is a monomial operator, so the product sends the
+        basis ket |n_1 ... n_N> to the product of the factors' column
+        phases times |n_1+s_1 ... n_N+s_N>: one outer-product phase build,
+        one multiply and one scatter.  ``tables`` holds what a family of
+        operators on one (d, N) shares, the factors' column phases and
+        the scatter target; ``apply_dense_family`` builds one per call.
+        Without it this operator is a family of one.
+        """
+        if tables is None:
+            tables = _DenseTables(self.d, self.n)
+        elif (tables.d, tables.n) != (self.d, self.n):
+            raise ValueError("operators in one family must share d and N")
+        phase = np.ones(1, dtype=complex)
+        for angle in self.angles:
+            phase = np.multiply.outer(phase, tables.column_phases(angle)).ravel()
+        image = np.empty(phase.size, dtype=complex)
+        image[tables.target] = phase * np.asarray(vec, dtype=complex).reshape(phase.size)
+        return image
+
+
+class _DenseTables:
+    """The per-angle work of applying one (d, N) family to full vectors.
+
+    Each distinct angle's column phases are read from ``make_rotated_x``
+    once.  Every rotated X shifts by the same amount (one), so the
+    target index of all d^N kets is built once, from the first factor's
+    shift, in ``np.kron``'s order: the first factor is the most
+    significant digit.  A table lives for one ``apply_dense_family`` or
+    ``apply_dense`` call.
+    """
+
+    def __init__(self, d: int, n: int) -> None:
+        self.d, self.n = d, n
+        self._columns: dict[RationalPhase, np.ndarray] = {}
+        self.target: np.ndarray | None = None  # built with the first factor
+
+    def column_phases(self, angle: RationalPhase) -> np.ndarray:
+        columns = self._columns.get(angle)
+        if columns is None:
+            factor = make_rotated_x(self.d, angle)
+            if self.target is None:
+                rows = (np.arange(self.d) + factor.shift) % self.d
+                target = np.zeros(1, dtype=np.intp)
+                for _ in range(self.n):
+                    target = np.add.outer(target * self.d, rows).ravel()
+                self.target = target
+            columns = np.array([p.to_complex() for p in factor.phases])
+            self._columns[angle] = columns
+        return columns
 
 
 def apply_dense_family(
     operators: Iterable[ProductOperator], vec: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Yield each operator's image of a full d^N vector, in order.
+    """Yield ``op.apply_dense(vec)`` for each operator, in order.
 
-    Equivalent to ``op.dense() @ vec`` for every operator, without the
-    matrices.  Every factor is a monomial operator, so a product sends
-    the basis ket |n_1 ... n_N> to the product of the factors' column
-    phases times |n_1+s_1 ... n_N+s_N>.  Each distinct angle's column
-    phases are taken from ``make_rotated_x`` once per call, and since
-    every rotated X shifts by one, the target index of all d^N kets is
-    built once per call (in ``np.kron``'s order: the first factor is the
-    most significant digit).  Each operator then costs one outer-product
-    phase build, one multiply and one scatter, and only its own image is
-    held at a time.  The operators must share d and N.
+    The operators must share d and N.  They share one ``_DenseTables``,
+    so each distinct angle's factor and the scatter target are built
+    once per call, while each operator still gets its own phase build,
+    multiply and scatter, and only its own image is held at a time.
     """
-    operators = list(operators)
-    if not operators:
-        return
-    d, n = operators[0].d, operators[0].n
-    if any((op.d, op.n) != (d, n) for op in operators):
-        raise ValueError("operators in one family must share d and N")
-    rows = (np.arange(d) + 1) % d
-    target = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        target = np.add.outer(target * d, rows).ravel()
-    flat = np.asarray(vec, dtype=complex).reshape(target.size)
-    factors: dict[RationalPhase, np.ndarray] = {}  # angle -> its factor's column phases
+    tables = None
     for op in operators:
-        phase = np.ones(1, dtype=complex)
-        for angle in op.angles:
-            column_phases = factors.get(angle)
-            if column_phases is None:
-                factor = make_rotated_x(d, angle)
-                column_phases = np.array([p.to_complex() for p in factor.phases])
-                factors[angle] = column_phases
-            phase = np.multiply.outer(phase, column_phases).ravel()
-        image = np.empty(target.size, dtype=complex)
-        image[target] = phase * flat
-        yield image
+        if tables is None:
+            tables = _DenseTables(op.d, op.n)
+        yield op.apply_dense(vec, tables=tables)
 
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:

@@ -13,12 +13,13 @@ from ghzcert import (
     ProductOperator,
     RationalPhase,
     ZERO_PHASE,
-    apply_dense_family,
     make_rotated_x,
     make_rotation,
     make_x,
     make_z,
 )
+from ghzcert import operators
+from ghzcert.operators import apply_dense_family
 
 
 def random_phase(rng, max_den=40):
@@ -225,6 +226,22 @@ def test_apply_dense_family_matches_kron_on_every_oracle_shape():
         assert len(images) == len(family)
         for p, image in zip(family, images):
             assert np.max(np.abs(image - p.dense() @ vec)) < 1e-12, (d, n, p)
+
+
+def test_apply_dense_scatters_by_the_factors_own_shift(monkeypatch):
+    # the scatter target is read from the factors make_rotated_x builds,
+    # so a factor with another shift moves the oracle with it
+    real = operators.make_rotated_x
+    monkeypatch.setattr(
+        operators, "make_rotated_x", lambda d, phi: MonomialOp(d, 2, real(d, phi).phases)
+    )
+    rng = random.Random(37)
+    pool = [ZERO_PHASE, RationalPhase(1, 12), random_phase(rng)]
+    family = [ProductOperator(4, tuple(rng.choice(pool) for _ in range(3))) for _ in range(3)]
+    vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(64)])
+    for p, image in zip(family, apply_dense_family(family, vec)):
+        assert np.max(np.abs(image - p.dense() @ vec)) < 1e-12
+        assert np.max(np.abs(image - p.apply_dense(vec))) < 1e-12
 
 
 def test_apply_dense_family_rejects_mixed_shapes():
