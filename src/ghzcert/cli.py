@@ -36,11 +36,57 @@ from .phases import RationalPhase
 __all__ = ["main"]
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _indented(value: object, out: list[str], newline: str) -> None:
+    """Append ``json.dumps(value, indent=2)`` to out, nested at newline.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder; this
+    writes the same text with the C string escaper.  Strings, ints,
+    booleans, None and lists and objects of them are written directly;
+    any other value (a float, a tuple, an object with non-string keys)
+    goes to ``json.dumps``, whose lines are re-indented to this depth.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append(_LITERALS[value])
+    elif kind is list and value:
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(inner if i == 0 else "," + inner)
+            _indented(item, out, inner)
+        out.append(newline + "]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            out.append((inner if i == 0 else "," + inner) + _quote(key) + ": ")
+            _indented(item, out, inner)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _json_text(payload: object) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte."""
+    out: list[str] = []
+    _indented(payload, out, "\n")
+    return "".join(out)
+
+
 def _emit(payload: dict | list, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    print(text)
+    """Print the payload as indented JSON, after writing it to output."""
+    text = _json_text(payload)
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

@@ -28,7 +28,11 @@ of the construction: its congruence system, whose variables are the
 family's (qudit, angle) labels, one integer exponent per label and one
 collective angle per operator, both over a common denominator.  The
 dense oracle checks the eigenphases of that same encoding against tensor
-numerics, so it guards the engine that decides.
+numerics, so it guards the engine that decides.  The irreducibility
+probe solves one reduced system per qudit orbit: qudits that a
+permutation of the family's rows onto themselves links (the cyclic
+placements of method 1, the plain qudits of methods 2 and 3) share a
+flag.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Iterable, Optional
 
 import numpy as np
@@ -632,6 +638,42 @@ def _genuinely_d_dimensional(c: Construction) -> bool:
     return all(check_genuine_dimension(c.d, used) for used in c.per_qudit_angles())
 
 
+def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
+    """The first qudit of each qudit's orbit under the family's symmetries.
+
+    Each row is one operator's per-qudit exponents over D followed by its
+    right-hand side.  A qudit permutation pi is a symmetry when moving
+    each row's entry on qudit q to pi(q) maps the row multiset onto
+    itself, that is, leaves the sorted rows unchanged.  Then the
+    relabelling (q, a) -> (pi(q), a) maps the system with qudit k deleted
+    onto the system with pi(k) deleted: a row and its image have the same
+    total and the same exponent on k and on pi(k) respectively, so the
+    grid filter t % (D/d) keeps both or neither and gives both the rhs
+    t mod D, and their remaining labels correspond.  The two reduced
+    systems differ only in the names of their variables, so their
+    irreducibility flags are equal, and so are the flags of any two
+    qudits that a product of symmetries links.
+
+    Two kinds of generator are tested.  The cyclic shift q -> q+1 (mod N),
+    which every method-1 family has, is one multiset comparison and
+    links all N qudits.  Failing that, each adjacent transposition
+    (k, k+1) is tested on only the rows whose entries at k and k+1
+    differ, since it fixes the others; methods 2 and 3 pass it on their
+    runs of interchangeable plain qudits.  A passing transposition
+    merges the orbits of k and k+1, so the union-find over these
+    generators reduces to one scan: the orbits are runs of neighbours.
+    """
+    if sorted(rows) == sorted(r[n - 1 : n] + r[: n - 1] + r[n:] for r in rows):
+        return [0] * n
+    columns = list(zip(*rows))
+    first = [0]
+    for k in range(n - 1):
+        moved = sorted(compress(rows, map(ne, columns[k], columns[k + 1])))
+        swapped = sorted(r[:k] + (r[k + 1], r[k]) + r[k + 2 :] for r in moved)
+        first.append(first[k] if moved == swapped else k + 1)
+    return first
+
+
 def check_irreducible(c: Construction) -> tuple[bool, ...]:
     """Per qudit: does deleting that qudit destroy the contradiction?
 
@@ -643,8 +685,10 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     t = total - e_k, with e_k the exponent of the row's label on qudit k:
     it is kept iff t % (D/d) == 0, with right-hand side (t mod D)/(D/d),
     and its congruence is the full row's with qudit k's variable dropped.
+    One reduced system is solved per qudit orbit (``_qudit_orbits``), and
+    its flag is copied to every qudit of the orbit.
 
-    The N reduced systems are solved in variation coordinates.  Each
+    The reduced systems are solved in variation coordinates.  Each
     qudit q gets a reference label r_q, its most used angle (ties go to
     the first seen), and every other label a on q is replaced by the
     variation y(q, a) = x(q, a) - x(q, r_q).  This change of variables
@@ -654,7 +698,7 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     through S, and S is onto Z_d because at least one qudit is kept, so
     S acts as one free variable: the reduced system is solvable iff the
     one in S and the y is.  Each row's non-reference labels are listed
-    once per family, and each of the N systems costs only its nonzeros.
+    once per family, and each reduced system costs only its nonzeros.
     """
     system, common, exponents, totals = c._encoding
     step = common // c.d
@@ -671,8 +715,16 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     off_reference = [
         [(k, j) for k, j in enumerate(col) if j != reference[k + 1]] for col in columns
     ]
-    flags = []
+    keyed = [
+        (*(exponents[j] for j in col), con.rhs)
+        for col, con in zip(columns, system.constraints)
+    ]
+    first = _qudit_orbits(keyed, c.n)
+    flags: list[bool] = []
     for k in range(c.n):
+        if first[k] != k:
+            flags.append(flags[first[k]])
+            continue
         reduced = []
         for col, total, labels in zip(columns, totals, off_reference):
             t = total - exponents[col[k]]

@@ -217,12 +217,12 @@ class ProductOperator:
     def factor(self, k: int) -> MonomialOp:
         return make_rotated_x(self.d, self.angles[k])
 
-    def dense(self, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        """Full d^N x d^N matrix (numeric oracle); refuses above the cap."""
+    def dense(self) -> np.ndarray:
+        """Full d^N x d^N matrix (numeric oracle); refuses above DEFAULT_DENSE_CAP."""
         size = self.d**self.n
-        if size > cap:
+        if size > DEFAULT_DENSE_CAP:
             raise CapExceededError(
-                f"dense matrix would be {size} x {size}, cap is {cap}"
+                f"dense matrix would be {size} x {size}, cap is {DEFAULT_DENSE_CAP}"
             )
         return reduce(np.kron, (self.factor(k).to_dense() for k in range(self.n)))
 

@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzcert import method1, method3, system_from_operators, method1_operator_set
-from ghzcert.cli import main
+from ghzcert.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -63,6 +64,40 @@ def test_construct_writes_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+def test_construct_output_failure_prints_no_payload(tmp_path, capsys):
+    # the file is written before the payload is printed, so a path that
+    # cannot be written leaves stdout empty
+    path = tmp_path / "missing" / "c.json"
+    code, out, err = run(
+        capsys, "construct", "--d", "3", "--n", "4", "--output", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False)
+    | st.text()
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_json_text_matches_json_dumps(tree):
+    # empty containers, nesting, non-ASCII text, escapes and large ints
+    # come out exactly as json.dumps(indent=2) writes them
+    assert _json_text(tree) == json.dumps(tree, indent=2)
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):

@@ -33,6 +33,7 @@ from ghzcert import (
     witness_construction,
 )
 from ghzcert import operators
+from ghzcert.hidden_variables import _howell_basis
 
 
 def full_system(construction):
@@ -548,10 +549,82 @@ def test_check_irreducible_matches_reference_on_mixed_denominators(data):
 
 def test_check_irreducible_matches_reference_at_large_n():
     # every method at large N or long chains, against the literal probe
-    for d, n in [(24, 40), (40, 39), (31, 29), (97, 5), (211, 5)]:
+    for d, n in [(24, 40), (40, 39), (31, 29), (97, 5), (211, 5), (64, 63), (30, 50)]:
         c = witness_construction(classify(d, n))
         assert check_irreducible(c) == reference_irreducible(c)
     assert check_irreducible(witness_construction(classify(60, 200))) == (True,) * 200
+
+
+def with_items(c, items):
+    return Construction(
+        c.d, c.n, c.method, c.phi_o, tuple(items[:-1]), items[-1], c.f, c.chain
+    )
+
+
+def changed_at(item, qudit, angle):
+    op, exponent = item
+    angles = op.angles[:qudit] + (angle,) + op.angles[qudit + 1 :]
+    return ProductOperator(op.d, angles), exponent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_irreducible_matches_reference_on_nearly_symmetric_families(data):
+    # one row of a cyclic or conjugate-pair family gets another angle on
+    # one qudit, or a copy of a row is added with that change (or none):
+    # the symmetries that change breaks must not merge any qudits
+    base = data.draw(
+        st.sampled_from(
+            [
+                method1(3, 4, 3),
+                method1(6, 5, 2),
+                method1(4, 7, 2),
+                method1(2, 5, 2),
+                method2(4, 6),
+                method2(2, 6),
+                method2(6, 4),
+            ]
+        )
+    )
+    items = base.all_items()
+    used = {a for op, _ in items for a in op.angles}
+    angles = sorted(used | {RationalPhase(1, base.d)}, key=str)
+    angle = data.draw(st.sampled_from(angles))
+    i = data.draw(st.integers(0, len(items) - 1))
+    changed = changed_at(items[i], data.draw(st.integers(0, base.n - 1)), angle)
+    if data.draw(st.booleans()):
+        items[i] = changed
+    else:
+        items.insert(data.draw(st.integers(0, len(items) - 1)), changed)
+    c = with_items(base, items)
+    assert check_irreducible(c) == reference_irreducible(c)
+
+
+def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
+    from ghzcert import constructions
+
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _howell_basis(*args)
+
+    monkeypatch.setattr(constructions, "_howell_basis", counted)
+    # the N cyclic placements of method 1 are one orbit
+    assert check_irreducible(method1(40, 39, 2)) == (True,) * 39
+    assert len(solves) == 1
+    # method 2's plain qudits 2..N-2 are one orbit; qudits 1, N-1, N are
+    # each their own
+    solves.clear()
+    assert check_irreducible(method2(6, 30)) == (True,) * 30
+    assert len(solves) <= 5
+    # one changed angle breaks the cyclic symmetry, and the flags differ
+    c = method1(6, 5, 2)
+    items = c.all_items()
+    items[1] = changed_at(items[1], 3, RationalPhase(1, 12))
+    perturbed = with_items(c, items)
+    expected = (False, False, True, True, True)
+    assert check_irreducible(perturbed) == reference_irreducible(perturbed) == expected
 
 
 def test_method3_builds_no_congruence_system(monkeypatch):
