@@ -644,11 +644,13 @@ def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
     Each row is one operator's per-qudit exponents over D followed by its
     right-hand side.  A qudit permutation pi is a symmetry when moving
     each row's entry on qudit q to pi(q) maps the row multiset onto
-    itself, that is, leaves the sorted rows unchanged.  Then the
-    relabelling (q, a) -> (pi(q), a) maps the system with qudit k deleted
-    onto the system with pi(k) deleted: a row and its image have the same
-    total and the same exponent on k and on pi(k) respectively, so the
-    grid filter t % (D/d) keeps both or neither and gives both the rhs
+    itself.  It does iff each row's image occurs as often as the row:
+    pi has finite order, so the images of a row cycle back to it and
+    every row on that cycle occurs equally often.  Then the relabelling
+    (q, a) -> (pi(q), a) maps the system with qudit k deleted onto the
+    system with pi(k) deleted: a row and its image have the same total
+    and the same exponent on k and on pi(k) respectively, so the grid
+    filter t % (D/d) keeps both or neither and gives both the rhs
     t mod D, and their remaining labels correspond.  The two reduced
     systems differ only in the names of their variables, so their
     irreducibility flags are equal, and so are the flags of any two
@@ -663,14 +665,16 @@ def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
     merges the orbits of k and k+1, so the union-find over these
     generators reduces to one scan: the orbits are runs of neighbours.
     """
-    if sorted(rows) == sorted(r[n - 1 : n] + r[: n - 1] + r[n:] for r in rows):
+    counts = Counter(rows)
+    if all(counts[r[n - 1 : n] + r[: n - 1] + r[n:]] == counts[r] for r in rows):
         return [0] * n
     columns = list(zip(*rows))
     first = [0]
     for k in range(n - 1):
-        moved = sorted(compress(rows, map(ne, columns[k], columns[k + 1])))
-        swapped = sorted(r[:k] + (r[k + 1], r[k]) + r[k + 2 :] for r in moved)
-        first.append(first[k] if moved == swapped else k + 1)
+        moved = list(compress(rows, map(ne, columns[k], columns[k + 1])))
+        swapped = (r[:k] + (r[k + 1], r[k]) + r[k + 2 :] for r in moved)
+        symmetric = all(counts[s] == counts[r] for r, s in zip(moved, swapped))
+        first.append(first[k] if symmetric else k + 1)
     return first
 
 
