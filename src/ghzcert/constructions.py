@@ -22,17 +22,16 @@ induce a congruence system over Z_d with no solution:
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
-qudit share orthogonal eigenstates, read from the operators' angles) and
-a per-qudit irreducibility probe.  The others read one cached encoding
-of the construction: its congruence system, whose variables are the
-family's (qudit, angle) labels, one integer exponent per label and one
-collective angle per operator, both over a common denominator.  The
-dense oracle checks the eigenphases of that same encoding against tensor
-numerics, so it guards the engine that decides.  The irreducibility
-probe solves one reduced system per qudit orbit: qudits that a
-permutation of the family's rows onto themselves links (the cyclic
-placements of method 1, the plain qudits of methods 2 and 3) share a
-flag.
+qudit share orthogonal eigenstates) and a per-qudit irreducibility
+probe.  All of them read one cached encoding of the construction: its
+congruence system, whose variables are the family's (qudit, angle)
+labels, one integer exponent per label and one collective angle per
+operator, both over a common denominator.  The dense oracle checks the
+eigenphases of that same encoding against tensor numerics, so it guards
+the engine that decides.  The irreducibility probe solves one reduced
+system per qudit orbit: qudits that a permutation of the family's rows
+onto themselves links (the cyclic placements of method 1, the plain
+qudits of methods 2 and 3) share a flag.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from .hidden_variables import (
 from .operators import (
     DEFAULT_DENSE_CAP,
     ProductOperator,
+    _DenseTables,
     _check_cell,
     _check_dim,
     _json_int,
@@ -66,7 +66,6 @@ from .operators import (
     _json_object,
     _json_phase_reader,
     _with_angles,
-    apply_dense_family,
 )
 from .phases import RationalPhase, ZERO_PHASE
 from .states import dense_state, make_ghz
@@ -179,12 +178,13 @@ class Construction:
     def per_qudit_angles(self) -> list[set[RationalPhase]]:
         """Distinct factor angles used on each qudit (= measurement bases).
 
-        Read from the operators' angles, not from the encoding, so that
-        ``method3`` can check a candidate ladder without building its
-        congruence system.
+        Read from the encoding's labels, which are distinct per qudit, so
+        each label is one set entry.
         """
-        rows = (op.angles for op, _ in self.all_items())
-        return [set(column) for column in zip(*rows)]
+        used: list[set[RationalPhase]] = [set() for _ in range(self.n)]
+        for label in self._encoding[0].variables:
+            used[label.qudit - 1].add(label.angle)
+        return used
 
     def to_json_dict(self) -> dict:
         def item(entry: OperatorItem) -> dict:
@@ -483,7 +483,9 @@ def method3(d: int, n: int) -> Construction:
 
     if _fibonacci_index(m) is not None:
         construction = realize(*_ladder_chain(m))
-        if _genuinely_d_dimensional(construction):
+        # the candidate's angle columns: no congruence system is built
+        columns = zip(*(op.angles for op, _ in construction.all_items()))
+        if _genuinely_d_dimensional(d, columns):
             return construction
         # Large ladders can fold two bases on one qudit together; the
         # staircase's tighter multiplier range never does.
@@ -632,10 +634,12 @@ def check_genuine_dimension(d: int, angles: Iterable[RationalPhase]) -> bool:
     return len({a * d for a in distinct}) == len(distinct)
 
 
-def _genuinely_d_dimensional(c: Construction) -> bool:
+def _genuinely_d_dimensional(
+    d: int, per_qudit: Iterable[Iterable[RationalPhase]]
+) -> bool:
     # Per qudit: bases on different qudits are never measured against each
     # other, so only same-qudit angle pairs can spoil dimensionality.
-    return all(check_genuine_dimension(c.d, used) for used in c.per_qudit_angles())
+    return all(check_genuine_dimension(d, used) for used in per_qudit)
 
 
 def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
@@ -748,22 +752,22 @@ def _dense_recheck(c: Construction) -> None:
     Every operator whose encoded total is a multiple of D/d (an
     eigenoperator of the unrotated GHZ state) is applied to the complete
     d^N amplitude vector and compared against exp(2*pi*i*total/D) times
-    the vector; the other rows are skipped.  One ``apply_dense_family``
-    call covers the family: each operator goes through its own
-    ``apply_dense``, on tables that take each distinct angle's matrix
-    entries from ``make_rotated_x`` and build the scatter target once.
-    Raises on any disagreement: that would mean the exact encoding that
-    the certificate reads is broken, not merely the construction.
+    the vector; the other rows are skipped.  Each checked operator goes
+    through its own ``apply_dense`` on one ``_DenseTables`` for the
+    family, which takes each distinct angle's matrix entries from
+    ``make_rotated_x`` once and holds the one scatter target.  Only one
+    operator's image is held at a time.  Raises on any disagreement:
+    that would mean the exact encoding that the certificate reads is
+    broken, not merely the construction.
     """
     _, common, _, totals = c._encoding
     step = common // c.d
-    ops, checked = [], []
-    for (op, _), total in zip(c.all_items(), totals):
-        if total % step == 0:
-            ops.append(op)
-            checked.append(total)
     vec = dense_state(make_ghz(c.d, c.n, 0))
-    for image, total in zip(apply_dense_family(ops, vec), checked):
+    tables = _DenseTables(c.d, c.n)
+    for (op, _), total in zip(c.all_items(), totals):
+        if total % step:
+            continue
+        image = op.apply_dense(vec, tables=tables)
         phase = RationalPhase(total, common).to_complex()
         if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
             raise CertificationError(
@@ -817,6 +821,6 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
         quantum_ok=quantum_ok,
         hv_verdict=verdict,
         oracle_checked=oracle_checked,
-        genuinely_d_dimensional=_genuinely_d_dimensional(c),
+        genuinely_d_dimensional=_genuinely_d_dimensional(c.d, c.per_qudit_angles()),
         irreducible=check_irreducible(c),
     )

@@ -4,8 +4,10 @@ A monomial operator has exactly one unit-modulus entry in every row and
 column, so it is fully determined by a cyclic shift and one phase per
 basis column.  The clock operator Z, the shift operator X, axis rotations
 R(phi) and the rotated observables X(phi) are all of this form, and their
-products compose exactly in (shift, phases) coordinates.  Dense matrices
-exist only as a bridge to numeric cross-checks.
+products compose exactly in (shift, phases) coordinates.  Dense arrays
+exist only as a bridge to numeric cross-checks: ``MonomialOp.to_dense``
+for one qudit, and ``ProductOperator.apply_dense`` on a ``_DenseTables``
+for the image of a full d^N vector under an N-qudit product.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "MonomialOp",
     "ProductOperator",
-    "apply_dense_family",
     "make_rotated_x",
     "make_rotation",
     "make_x",
@@ -185,9 +185,9 @@ def make_rotation(d: int, phi: RationalPhase | Fraction | int) -> MonomialOp:
 class ProductOperator:
     """Tensor product of rotated shift observables, one factor per qudit.
 
-    Only the defining angles are stored; the collective angle and any
-    matrix form are derived on demand.  Constructions reason about angles
-    (periods, circle points), never about matrices.
+    Only the defining angles are stored; the collective angle and the
+    action on a dense vector are derived on demand.  Constructions reason
+    about angles (periods, circle points), never about matrices.
     """
 
     d: int
@@ -214,30 +214,18 @@ class ProductOperator:
         total = sum(a.num * (common // a.den) for a in self.angles)
         return RationalPhase(total, common)
 
-    def factor(self, k: int) -> MonomialOp:
-        return make_rotated_x(self.d, self.angles[k])
-
-    def dense(self) -> np.ndarray:
-        """Full d^N x d^N matrix (numeric oracle); refuses above DEFAULT_DENSE_CAP."""
-        size = self.d**self.n
-        if size > DEFAULT_DENSE_CAP:
-            raise CapExceededError(
-                f"dense matrix would be {size} x {size}, cap is {DEFAULT_DENSE_CAP}"
-            )
-        return reduce(np.kron, (self.factor(k).to_dense() for k in range(self.n)))
-
     def apply_dense(
         self, vec: np.ndarray, *, tables: "_DenseTables | None" = None
     ) -> np.ndarray:
-        """``self.dense() @ vec`` without the matrix.
+        """The image of the d^N amplitude vector ``vec`` under this operator.
 
         Every factor is a monomial operator, so the product sends the
         basis ket |n_1 ... n_N> to the product of the factors' column
         phases times |n_1+s_1 ... n_N+s_N>: one outer-product phase build,
-        one multiply and one scatter.  ``tables`` holds what a family of
-        operators on one (d, N) shares, the factors' column phases and
-        the scatter target; ``apply_dense_family`` builds one per call.
-        Without it this operator is a family of one.
+        one multiply and one scatter.  ``tables`` holds what the operators
+        on one (d, N) share, the factors' column phases and the scatter
+        target; a caller checking several operators builds one and passes
+        it to each call.  Without it this operator gets its own.
         """
         if tables is None:
             tables = _DenseTables(self.d, self.n)
@@ -252,51 +240,36 @@ class ProductOperator:
 
 
 class _DenseTables:
-    """The per-angle work of applying one (d, N) family to full vectors.
+    """The per-angle work of applying (d, N) products to full vectors.
 
     Each distinct angle's column phases are read from ``make_rotated_x``
-    once.  Every rotated X shifts by the same amount (one), so the
-    target index of all d^N kets is built once, from the first factor's
-    shift, in ``np.kron``'s order: the first factor is the most
-    significant digit.  A table lives for one ``apply_dense_family`` or
-    ``apply_dense`` call.
+    once.  Every rotated X shifts by the same amount as X(0), so the
+    target index of all d^N kets is built once, from that shift, when
+    the table is made: the first factor is the most significant digit.
+    X(0)'s column phases are kept too, since plain factors are the most
+    common ones.
     """
 
     def __init__(self, d: int, n: int) -> None:
         self.d, self.n = d, n
-        self._columns: dict[RationalPhase, np.ndarray] = {}
-        self.target: np.ndarray | None = None  # built with the first factor
+        plain = make_rotated_x(d, ZERO_PHASE)
+        rows = (np.arange(d) + plain.shift) % d
+        target = np.zeros(1, dtype=np.intp)
+        for _ in range(n):
+            target = np.add.outer(target * d, rows).ravel()
+        self.target = target
+        self._columns = {ZERO_PHASE: _column_phases(plain)}
 
     def column_phases(self, angle: RationalPhase) -> np.ndarray:
         columns = self._columns.get(angle)
         if columns is None:
             factor = make_rotated_x(self.d, angle)
-            if self.target is None:
-                rows = (np.arange(self.d) + factor.shift) % self.d
-                target = np.zeros(1, dtype=np.intp)
-                for _ in range(self.n):
-                    target = np.add.outer(target * self.d, rows).ravel()
-                self.target = target
-            columns = np.array([p.to_complex() for p in factor.phases])
-            self._columns[angle] = columns
+            columns = self._columns[angle] = _column_phases(factor)
         return columns
 
 
-def apply_dense_family(
-    operators: Iterable[ProductOperator], vec: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield ``op.apply_dense(vec)`` for each operator, in order.
-
-    The operators must share d and N.  They share one ``_DenseTables``,
-    so each distinct angle's factor and the scatter target are built
-    once per call, while each operator still gets its own phase build,
-    multiply and scatter, and only its own image is held at a time.
-    """
-    tables = None
-    for op in operators:
-        if tables is None:
-            tables = _DenseTables(op.d, op.n)
-        yield op.apply_dense(vec, tables=tables)
+def _column_phases(factor: MonomialOp) -> np.ndarray:
+    return np.array([p.to_complex() for p in factor.phases])
 
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:

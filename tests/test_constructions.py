@@ -352,9 +352,10 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
     calls = []
     real = constructions._genuinely_d_dimensional
 
-    def counted(c):
-        calls.append((c.d, c.n))
-        return real(c)
+    def counted(d, per_qudit):
+        per_qudit = list(per_qudit)
+        calls.append((d, len(per_qudit)))
+        return real(d, per_qudit)
 
     monkeypatch.setattr(constructions, "check_irreducible", refuse)
     monkeypatch.setattr(constructions, "_genuinely_d_dimensional", counted)
@@ -384,6 +385,30 @@ def test_witness_construction_matches_cell():
         c = witness_construction(cell)
         assert c.method == cell.witness_method
         assert verify_construction(c, oracle=False).certified
+
+
+@pytest.mark.parametrize(
+    "d, n, chain",
+    [
+        (16, 4, (2, -3, -2, 5, 3, -8, -5, 13)),
+        (26, 6, (-2, 3, 2, -5, -3, 8, 5, -13, -8, 21)),
+    ],
+)
+def test_folded_ladder_is_not_genuinely_d_dimensional(monkeypatch, d, n, chain):
+    # the Fibonacci ladders that method3 rejects for folding two bases on
+    # one qudit together still certify and are irreducible; the
+    # certificate reports the fold
+    from ghzcert import constructions
+
+    with monkeypatch.context() as patched:
+        patched.setattr(constructions, "_genuinely_d_dimensional", lambda d, used: True)
+        ladder = method3(d, n)
+    assert ladder.chain == chain
+    assert method3(d, n).chain != chain  # the staircase replaces it
+    cert = verify_construction(ladder)
+    assert cert.certified and all(cert.irreducible)
+    assert cert.genuinely_d_dimensional is False
+    assert cert.to_json_dict()["genuinely_d_dimensional"] is False
 
 
 def test_every_plane_witness_is_genuinely_d_dimensional():

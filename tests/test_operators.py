@@ -8,7 +8,6 @@ import pytest
 
 from ghzcert import (
     DEFAULT_DENSE_CAP,
-    CapExceededError,
     MonomialOp,
     ProductOperator,
     RationalPhase,
@@ -19,12 +18,39 @@ from ghzcert import (
     make_z,
 )
 from ghzcert import operators
-from ghzcert.operators import apply_dense_family
+from ghzcert.operators import _DenseTables
 
 
 def random_phase(rng, max_den=40):
     den = rng.randint(1, max_den)
     return RationalPhase(rng.randint(-3 * max_den, 3 * max_den), den)
+
+
+def per_axis_image(p, vec):
+    """The reference for ``apply_dense``: p applied to vec one qudit at a time.
+
+    The vector is read as a (d,)*N tensor whose first axis is the first
+    qudit, and each factor's d x d matrix acts along its own axis.
+    """
+    tensor = np.asarray(vec, dtype=complex).reshape((p.d,) * p.n)
+    for k, angle in enumerate(p.angles):
+        factor = operators.make_rotated_x(p.d, angle).to_dense()
+        tensor = np.moveaxis(np.tensordot(factor, tensor, axes=([1], [k])), 0, k)
+    return tensor.reshape(-1)
+
+
+def matrix_of(p):
+    """The d^N x d^N matrix of p, one apply_dense column at a time."""
+    return np.column_stack([p.apply_dense(ket) for ket in np.eye(p.d**p.n)])
+
+
+def random_vector(rng, size):
+    return np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(size)])
+
+
+ORACLE_SHAPES = [
+    (d, n) for d in range(2, 17) for n in range(3, 13) if d**n <= DEFAULT_DENSE_CAP
+]
 
 
 def test_make_z_examples():
@@ -158,14 +184,14 @@ def test_product_operator_basics():
     assert p.n == 2
     assert p.collective_angle == ZERO_PHASE
     single = ProductOperator(4, (RationalPhase(1, 8),))
-    assert np.allclose(single.dense(), make_rotated_x(4, RationalPhase(1, 8)).to_dense())
+    assert np.allclose(matrix_of(single), make_rotated_x(4, RationalPhase(1, 8)).to_dense())
     with pytest.raises(ValueError):
         ProductOperator(3, ())
 
 
 def test_product_dense_swap_permutation():
     p = ProductOperator(2, (ZERO_PHASE, ZERO_PHASE))
-    mat = p.dense()
+    mat = matrix_of(p)
     expected = np.zeros((4, 4))
     # X (x) X swaps 00 <-> 11 and 01 <-> 10
     expected[3, 0] = expected[0, 3] = expected[2, 1] = expected[1, 2] = 1
@@ -174,11 +200,17 @@ def test_product_dense_swap_permutation():
 
 def test_product_dense_unitary():
     p = ProductOperator(3, (RationalPhase(1, 9), RationalPhase(8, 9)))
-    mat = p.dense()
+    mat = matrix_of(p)
     assert np.max(np.abs(mat @ mat.conj().T - np.eye(9))) < 1e-12
 
 
 def test_apply_dense_matches_matrix():
+    # one small product against the Kronecker matrix of its factors, in
+    # which the first factor is the most significant digit
+    p = ProductOperator(3, (RationalPhase(1, 9), ZERO_PHASE, RationalPhase(-2, 5)))
+    first, second, third = (make_rotated_x(3, a).to_dense() for a in p.angles)
+    kron = np.kron(np.kron(first, second), third)
+    assert np.max(np.abs(matrix_of(p) - kron)) < 1e-12
     rng = random.Random(23)
     for _ in range(20):
         d = rng.randint(2, 4)
@@ -187,45 +219,39 @@ def test_apply_dense_matches_matrix():
         vec = np.array(
             [rng.random() + 1j * rng.random() for _ in range(d**n)]
         )
-        assert np.max(np.abs(p.apply_dense(vec) - p.dense() @ vec)) < 1e-12
+        assert np.max(np.abs(p.apply_dense(vec) - per_axis_image(p, vec))) < 1e-12
 
 
-def test_apply_dense_matches_kron_on_every_oracle_shape():
-    # every (d, N) the dense oracle certifies, against the reduce(np.kron)
-    # matrix, with mixed-denominator angles (three per operator, so angles
-    # repeat across factors as in the families) and a random complex vector
+def test_apply_dense_matches_per_axis_reference_on_every_oracle_shape():
+    # every (d, N) the dense oracle certifies, with mixed-denominator angles
+    # (three per operator, so angles repeat across factors as in the
+    # families) and a random complex vector
     rng = random.Random(29)
-    shapes = [
-        (d, n) for d in range(2, 17) for n in range(3, 13) if d**n <= DEFAULT_DENSE_CAP
-    ]
-    assert len(shapes) == 36 and (2, 12) in shapes and (16, 3) in shapes
-    for d, n in shapes:
+    assert len(ORACLE_SHAPES) == 36
+    assert (2, 12) in ORACLE_SHAPES and (16, 3) in ORACLE_SHAPES
+    for d, n in ORACLE_SHAPES:
         pool = [random_phase(rng) for _ in range(3)]
         p = ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
-        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d**n)])
-        assert np.max(np.abs(p.apply_dense(vec) - p.dense() @ vec)) < 1e-12, (d, n)
+        vec = random_vector(rng, d**n)
+        assert np.max(np.abs(p.apply_dense(vec) - per_axis_image(p, vec))) < 1e-12, (d, n)
 
 
-def test_apply_dense_family_matches_kron_on_every_oracle_shape():
-    # one call per shape over a family of three operators drawn from three
+def test_shared_tables_match_per_axis_reference_on_every_oracle_shape():
+    # one table per shape over a family of three operators drawn from three
     # mixed-denominator angles, so angles repeat within and across
-    # operators and each distinct one's factor is shared
+    # operators and each distinct one's column phases are shared
     rng = random.Random(31)
-    shapes = [
-        (d, n) for d in range(2, 17) for n in range(3, 13) if d**n <= DEFAULT_DENSE_CAP
-    ]
-    assert len(shapes) == 36
-    for d, n in shapes:
+    for d, n in ORACLE_SHAPES:
         pool = [ZERO_PHASE, RationalPhase(1, n * d), random_phase(rng)]
         family = [
             ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
             for _ in range(3)
         ]
-        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d**n)])
-        images = list(apply_dense_family(family, vec))
-        assert len(images) == len(family)
-        for p, image in zip(family, images):
-            assert np.max(np.abs(image - p.dense() @ vec)) < 1e-12, (d, n, p)
+        vec = random_vector(rng, d**n)
+        tables = _DenseTables(d, n)
+        for p in family:
+            image = p.apply_dense(vec, tables=tables)
+            assert np.max(np.abs(image - per_axis_image(p, vec))) < 1e-12, (d, n, p)
 
 
 def test_apply_dense_scatters_by_the_factors_own_shift(monkeypatch):
@@ -238,23 +264,19 @@ def test_apply_dense_scatters_by_the_factors_own_shift(monkeypatch):
     rng = random.Random(37)
     pool = [ZERO_PHASE, RationalPhase(1, 12), random_phase(rng)]
     family = [ProductOperator(4, tuple(rng.choice(pool) for _ in range(3))) for _ in range(3)]
-    vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(64)])
-    for p, image in zip(family, apply_dense_family(family, vec)):
-        assert np.max(np.abs(image - p.dense() @ vec)) < 1e-12
+    vec = random_vector(rng, 64)
+    tables = _DenseTables(4, 3)
+    for p in family:
+        image = p.apply_dense(vec, tables=tables)
+        assert np.max(np.abs(image - per_axis_image(p, vec))) < 1e-12
         assert np.max(np.abs(image - p.apply_dense(vec))) < 1e-12
 
 
-def test_apply_dense_family_rejects_mixed_shapes():
+def test_apply_dense_rejects_tables_of_another_shape():
     vec = np.ones(27, dtype=complex)
+    tables = _DenseTables(3, 3)
     for other in (ProductOperator(2, (ZERO_PHASE,) * 3), ProductOperator(3, (ZERO_PHASE,) * 4)):
-        family = [ProductOperator(3, (ZERO_PHASE,) * 3), other]
         with pytest.raises(ValueError, match="share d and N"):
-            list(apply_dense_family(family, vec))
-    assert list(apply_dense_family([], vec)) == []
-
-
-def test_dense_cap():
-    p = ProductOperator(2, (ZERO_PHASE,) * 13)  # 8192 > 4096
-    with pytest.raises(CapExceededError):
-        p.dense()
-    assert ProductOperator(2, (ZERO_PHASE,) * 3).dense().shape == (8, 8)
+            other.apply_dense(vec, tables=tables)
+    same = ProductOperator(3, (ZERO_PHASE,) * 3)
+    assert same.apply_dense(vec, tables=tables).shape == (27,)
