@@ -368,20 +368,8 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
 ChainOp = tuple[dict[int, int], int]  # ({active position: multiplier}, new value)
 
 
-def _fibonacci_index(m: int) -> Optional[int]:
-    a, b = 1, 1  # values at levels 0 and 1 are 1 and 2
-    level = 0
-    while True:
-        a, b = b, a + b
-        level += 1
-        if b == m:
-            return level
-        if b > m:
-            return None
-
-
-def _ladder_chain(m: int) -> tuple[list[ChainOp], int]:
-    """Fibonacci ladder reaching multiplier m (m must be a Fibonacci number).
+def _ladder_chain(m: int) -> Optional[tuple[list[ChainOp], int]]:
+    """Fibonacci ladder reaching multiplier m, or None if m is not on it.
 
     Level j holds value F_j (F_1 = 2, F_2 = 3, F_3 = 5, ...) on active
     position (j-1) mod 3; the seeds F_0 = F_{-1} = 1 sit on positions 2
@@ -389,14 +377,13 @@ def _ladder_chain(m: int) -> tuple[list[ChainOp], int]:
     level j requires sign -s at levels j-1 and j-2, so both signs of the
     intermediate values are emitted exactly when needed.
     """
-    top = _fibonacci_index(m)
-    if top is None:
-        raise ValueError(f"{m} is not on the multiplier ladder")
-    value = {-1: 1, 0: 1}
-    prev, cur = 1, 2
-    for j in range(1, top + 1):
-        value[j] = cur
-        prev, cur = cur, prev + cur
+    value = {-1: 1, 0: 1, 1: 2}
+    top = 1
+    while value[top] < m:
+        top += 1
+        value[top] = value[top - 1] + value[top - 2]
+    if value[top] != m:
+        return None
 
     def pos(j: int) -> int:
         return (j - 1) % 3
@@ -481,8 +468,9 @@ def method3(d: int, n: int) -> Construction:
             chain=tuple(new for _, new in chain),
         )
 
-    if _fibonacci_index(m) is not None:
-        construction = realize(*_ladder_chain(m))
+    ladder = _ladder_chain(m)
+    if ladder is not None:
+        construction = realize(*ladder)
         # the candidate's angle columns: no congruence system is built
         columns = zip(*(op.angles for op, _ in construction.all_items()))
         if _genuinely_d_dimensional(d, columns):
@@ -697,31 +685,27 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     its flag is copied to every qudit of the orbit.
 
     The reduced systems are solved in variation coordinates.  Each
-    qudit q gets a reference label r_q, its most used angle (ties go to
-    the first seen), and every other label a on q is replaced by the
-    variation y(q, a) = x(q, a) - x(q, r_q).  This change of variables
-    is unimodular.  In it, a reduced row is S plus the y of the row's
+    qudit q gets a reference label r_q, the first operator's label on q,
+    and every other label a on q is replaced by the variation
+    y(q, a) = x(q, a) - x(q, r_q).  This change of variables is
+    unimodular.  In it, a reduced row is S plus the y of the row's
     non-reference labels off qudit k, where S is the sum of x(q, r_q)
     over the kept qudits.  The reference variables enter every row only
     through S, and S is onto Z_d because at least one qudit is kept, so
     S acts as one free variable: the reduced system is solvable iff the
-    one in S and the y is.  Each row's non-reference labels are listed
-    once per family, and each reduced system costs only its nonzeros.
+    one in S and the y is.  The references are labels 0..N-1, so label
+    j >= N is a variation, in column nv-1-j as in ``HVSystem._howell``:
+    free = nv - N label columns, then S, then the rhs.  Each reduced
+    system costs only its nonzeros.
     """
     system, common, exponents, totals = c._encoding
     step = common // c.d
-    variables = system.variables
-    nv = len(variables)  # label j is column j; S is column nv, the rhs nv + 1
+    nv = len(system.variables)
+    free = nv - c.n
     # entry k of a row is its label on qudit k+1 (system_from_operators' layout)
     columns = [[j for j, _ in con.coeffs] for con in system.constraints]
-    uses = Counter(j for col in columns for j in col)
-    reference: dict[int, int] = {}
-    for j, label in enumerate(variables):
-        best = reference.get(label.qudit)
-        if best is None or uses[j] > uses[best]:
-            reference[label.qudit] = j
-    off_reference = [
-        [(k, j) for k, j in enumerate(col) if j != reference[k + 1]] for col in columns
+    off_reference = [  # (qudit index, column) of each non-reference label
+        [(k, nv - 1 - j) for k, j in enumerate(col) if j >= c.n] for col in columns
     ]
     keyed = [
         (*(exponents[j] for j in col), con.rhs)
@@ -738,11 +722,11 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
             t = total - exponents[col[k]]
             if t % step == 0:
                 row = {j: 1 for q, j in labels if q != k}
-                row[nv] = 1
+                row[free] = 1
                 if t % common:
-                    row[nv + 1] = t % common // step
+                    row[free + 1] = t % common // step
                 reduced.append(row)
-        flags.append(_howell_basis(c.d, nv + 1, reduced)[-1] is None)
+        flags.append(_howell_basis(c.d, free + 1, reduced)[-1] is None)
     return tuple(flags)
 
 

@@ -204,8 +204,10 @@ def system_from_operators(
     labels (qudit, angle), in qudit order, and d*eigenphase on the
     right-hand side.  Variables are deduplicated by exact label identity
     and kept in first encounter order, so equal inputs build
-    byte-identical systems.  This is the one place where a family's
-    labels are interned.
+    byte-identical systems: the first operator's labels are variables
+    0..N-1 in qudit order, and entry k of every constraint is the label
+    on qudit k+1.  This is the one place where a family's labels are
+    interned.
     """
     items = list(items)
     index: dict[tuple[int, RationalPhase], int] = {}

@@ -574,8 +574,15 @@ def test_check_irreducible_matches_reference_on_mixed_denominators(data):
 
 def test_check_irreducible_matches_reference_at_large_n():
     # every method at large N or long chains, against the literal probe
-    for d, n in [(24, 40), (40, 39), (31, 29), (97, 5), (211, 5), (64, 63), (30, 50)]:
-        c = witness_construction(classify(d, n))
+    cells = [(24, 40), (40, 39), (31, 29), (97, 5), (211, 5), (64, 63), (30, 50)]
+    families = [witness_construction(classify(d, n)) for d, n in cells]
+    for c in [method1(6, 5, 2), method2(4, 6), method3(5, 3)]:
+        # supporting operators rotated by one place: the first operator,
+        # whose labels the probe takes as references, is not X^N
+        rotated = with_items(c, [*c.operators[1:], c.operators[0], c.target])
+        assert set(rotated.operators[0][0].angles) != {ZERO_PHASE}
+        families.append(rotated)
+    for c in families:
         assert check_irreducible(c) == reference_irreducible(c)
     assert check_irreducible(witness_construction(classify(60, 200))) == (True,) * 200
 
