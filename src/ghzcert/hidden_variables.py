@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -388,27 +389,6 @@ def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdi
     return HVVerdict("SAT", tuple(int(x) for x in witness))
 
 
-def _functional_row(
-    system: HVSystem, functional: Mapping[FactorLabel, int]
-) -> Optional[dict[int, int]]:
-    """A label->coefficient functional as a sparse row in basis columns.
-
-    Returns None when the functional touches a variable the system never
-    constrains (with a coefficient nonzero mod d): such a functional can
-    take several values, so it is certainly not forced.
-    """
-    n = len(system.variables)
-    row: dict[int, int] = {}
-    for label, coeff in functional.items():
-        idx = system._index.get(label)
-        if idx is None:
-            if coeff % system.d:
-                return None
-        else:
-            row[n - 1 - idx] = row.get(n - 1 - idx, 0) + coeff
-    return {k: v % system.d for k, v in row.items() if v % system.d}
-
-
 def forced_value(
     system: HVSystem, functional: Mapping[FactorLabel, int]
 ) -> Optional[int]:
@@ -418,15 +398,22 @@ def forced_value(
     it lies in the row space of the constraint matrix modulo d.  Reducing
     (functional | 0) by the Howell basis, first column first, leaves
     (0 | -value) exactly then, and a nonzero variable entry otherwise.
-    Returns None when not forced.  Raises ValueError on an unsatisfiable
-    system (nothing to compare).
+    Returns None when not forced.  That includes a functional that puts a
+    coefficient nonzero mod d on a variable the system never constrains:
+    such a functional can take several values, so it is certainly not
+    forced, whether or not the system is satisfiable.  Raises ValueError
+    on an unsatisfiable system (nothing to compare).
     """
-    v = _functional_row(system, functional)
-    if v is None:
-        return None
+    d, n = system.d, len(system.variables)
+    v: dict[int, int] = {}  # the functional as a sparse row in basis columns
+    for label, coeff in functional.items():
+        if coeff % d:
+            idx = system._index.get(label)
+            if idx is None:
+                return None
+            v[n - 1 - idx] = coeff % d
     if not satisfiable(system):
         raise ValueError("system is unsatisfiable; no solutions to compare")
-    d, n = system.d, len(system.variables)
     basis = system._howell
     while v and (c := min(v)) < n:
         row = basis[c]
@@ -442,11 +429,10 @@ class Relation:
 
     description: str
     forced: Optional[int]
-    expected: int = 0
 
     @property
     def holds(self) -> bool:
-        return self.forced == self.expected
+        return self.forced == 0
 
 
 @dataclass(frozen=True)
@@ -471,7 +457,7 @@ class InvarianceReport:
                 {
                     "description": r.description,
                     "forced": r.forced,
-                    "expected": r.expected,
+                    "expected": 0,
                     "holds": r.holds,
                 }
                 for r in self.relations
@@ -481,18 +467,6 @@ class InvarianceReport:
         if self.partition is not None:
             payload["partition"] = list(self.partition)
         return payload
-
-
-def _combine(*functionals: Mapping[FactorLabel, int]) -> dict[FactorLabel, int]:
-    out: dict[FactorLabel, int] = {}
-    for f in functionals:
-        for label, coeff in f.items():
-            out[label] = out.get(label, 0) + coeff
-    return out
-
-
-def _scaled(functional: Mapping[FactorLabel, int], k: int) -> dict[FactorLabel, int]:
-    return {label: k * coeff for label, coeff in functional.items()}
 
 
 def invariance_demo(
@@ -511,9 +485,11 @@ def invariance_demo(
     variation across qudits, and oddness in phi (dX denotes the variation
     x(phi) - x(0)).  Given a partition (n1, n2) of the qudits, rotating
     the groups through phi and -phi*n1/n2 additionally forces the scaling
-    relation n1*dX(phi) = n2*dX(phi*n1/n2).  A finite set of observables
-    can only pin these relations at the sampled angles; nothing here
-    claims the continuum statement for every phi.
+    relation n1*dX(phi) = n2*dX(phi*n1/n2).  Each relation is a sum of
+    variations c*dX_i(a), and it holds when the congruences force that
+    sum to 0 mod d.  A finite set of observables can only pin these
+    relations at the sampled angles; nothing here claims the continuum
+    statement for every phi.
     """
     _check_cell(d, n)
     phi = RationalPhase.from_fraction(as_turns(angle))
@@ -521,7 +497,6 @@ def invariance_demo(
     items = [(_with_angles(d, n, {}), ZERO_PHASE)]
     items += [(_with_angles(d, n, {i: phi, j: -phi}), ZERO_PHASE) for i, j in pairs]
 
-    lam_phi: Optional[RationalPhase] = None
     if partition is not None:
         n1, n2 = partition
         if n1 < 1 or n2 <= n1 or n1 + n2 != n:
@@ -541,42 +516,30 @@ def invariance_demo(
 
     system = system_from_operators(d, items)
 
-    def variation(i: int, a: RationalPhase) -> dict[FactorLabel, int]:
-        # dX_i(a) = x(i, a) - x(i, 0); collapses to the zero functional at a = 0
-        return _combine({FactorLabel(i + 1, a): 1}, {FactorLabel(i + 1, ZERO_PHASE): -1})
-
-    def probe(description: str, functional: Mapping[FactorLabel, int]) -> Relation:
+    def probe(description: str, *terms: tuple[int, int, RationalPhase]) -> Relation:
+        # a term (c, i, a) is c*dX_i(a) on qudit position i (from 0), where
+        # dX_i(a) = x(i, a) - x(i, 0) is the zero functional at a = 0
+        functional: Counter[FactorLabel] = Counter()
+        for c, i, a in terms:
+            functional[FactorLabel(i + 1, a)] += c
+            functional[FactorLabel(i + 1, ZERO_PHASE)] -= c
         return Relation(description, forced_value(system, functional))
 
     relations = [
-        probe(
-            f"dX_{i + 1}({phi}) + dX_{j + 1}({-phi})",
-            _combine(variation(i, phi), variation(j, -phi)),
-        )
+        probe(f"dX_{i + 1}({phi}) + dX_{j + 1}({-phi})", (1, i, phi), (1, j, -phi))
         for i, j in pairs
     ]
-    for i in range(1, n):
-        relations.append(
-            probe(
-                f"dX_{i + 1}({phi}) - dX_1({phi})",
-                _combine(variation(i, phi), _scaled(variation(0, phi), -1)),
-            )
-        )
-    relations.append(
-        probe(
-            f"dX_1({phi}) + dX_1({-phi})",
-            _combine(variation(0, phi), variation(0, -phi)),
-        )
-    )
+    relations += [
+        probe(f"dX_{i + 1}({phi}) - dX_1({phi})", (1, i, phi), (-1, 0, phi))
+        for i in range(1, n)
+    ]
+    relations.append(probe(f"dX_1({phi}) + dX_1({-phi})", (1, 0, phi), (1, 0, -phi)))
     if partition is not None:
-        n1, n2 = partition
         relations.append(
             probe(
                 f"{n1}*dX_1({phi}) - {n2}*dX_1({lam_phi})",
-                _combine(
-                    _scaled(variation(0, phi), n1),
-                    _scaled(variation(0, lam_phi), -n2),
-                ),
+                (n1, 0, phi),
+                (-n2, 0, lam_phi),
             )
         )
 

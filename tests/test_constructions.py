@@ -582,6 +582,14 @@ def test_check_irreducible_matches_reference_at_large_n():
         rotated = with_items(c, [*c.operators[1:], c.operators[0], c.target])
         assert set(rotated.operators[0][0].angles) != {ZERO_PHASE}
         families.append(rotated)
+    for c in [method1(3, 4, 3), method2(4, 6), method1(6, 5, 2)]:
+        # a copy of X^N rotated to 1/d on qudit 1 goes first, so label N,
+        # the second operator's (1, 0), is the first variation: the probe
+        # must not take it as a second reference on qudit 1
+        items = c.all_items()
+        families.append(
+            with_items(c, [changed_at(items[0], 0, RationalPhase(1, c.d)), *items])
+        )
     for c in families:
         assert check_irreducible(c) == reference_irreducible(c)
     assert check_irreducible(witness_construction(classify(60, 200))) == (True,) * 200
@@ -670,7 +678,10 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
         (z, z, z, z, h),
         (q, z, z, z, q),
     ]
-    items = [(ProductOperator(2, r), h if any(r) else z) for r in rows]
+    # the zero angle is tested for explicitly: RationalPhase defines no
+    # __bool__, so every angle is truthy.  Row (1/4, 0, 1/4, 1/4, 0) has
+    # total 3/4, so it is not an eigenoperator.
+    items = [(ProductOperator(2, r), h if any(a != z for a in r) else z) for r in rows]
     uneven = Construction(2, 5, 1, q, tuple(items[:-1]), items[-1], 2)
     expected = (True, True, True, False, True)
     assert check_irreducible(uneven) == reference_irreducible(uneven) == expected

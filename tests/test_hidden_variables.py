@@ -452,15 +452,26 @@ def test_invariance_demo_antisymmetry():
     report = invariance_demo(3, 3, RationalPhase(1, 12))
     assert report.all_forced
     assert all(r.forced == 0 for r in report.relations)
-    descriptions = [r.description for r in report.relations]
-    assert any("dX_1(1/12) + dX_2(11/12)" in d for d in descriptions)
+    assert [r.description for r in report.relations] == [
+        "dX_1(1/12) + dX_2(11/12)",
+        "dX_1(1/12) + dX_3(11/12)",
+        "dX_2(1/12) + dX_1(11/12)",
+        "dX_2(1/12) + dX_3(11/12)",
+        "dX_3(1/12) + dX_1(11/12)",
+        "dX_3(1/12) + dX_2(11/12)",
+        "dX_2(1/12) - dX_1(1/12)",
+        "dX_3(1/12) - dX_1(1/12)",
+        "dX_1(1/12) + dX_1(11/12)",
+    ]
 
 
 def test_invariance_demo_scaling_relation():
     report = invariance_demo(2, 3, RationalPhase(1, 8), partition=(1, 2))
     assert report.all_forced
+    assert len(report.relations) == 10
     scaling = [r for r in report.relations if "1*dX_1(1/8) - 2*dX_1(1/16)" in r.description]
     assert len(scaling) == 1 and scaling[0].forced == 0
+    assert report.relations[-1] is scaling[0]
 
 
 def test_invariance_demo_zero_angle_is_trivial():
