@@ -519,8 +519,8 @@ def classify(d: int, n: int) -> RegimeCell:
     gcd(N, d) > 1.  Regime 3: the rest, which always satisfies N < d.
     """
     _check_cell(d, n)
-    for f in range(2, d + 1):
-        if d % f == 0 and f < n and n % f:
+    for f in range(2, min(d, n - 1) + 1):
+        if d % f == 0 and n % f:
             return RegimeCell(d, n, 1, f)
     if math.gcd(n, d) > 1:
         return RegimeCell(d, n, 2)
@@ -687,30 +687,29 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     The reduced systems are solved in variation coordinates.  Each
     qudit q gets a reference label r_q, the first operator's label on q,
     and every other label a on q is replaced by the variation
-    y(q, a) = x(q, a) - x(q, r_q).  This change of variables is
-    unimodular.  In it, a reduced row is S plus the y of the row's
-    non-reference labels off qudit k, where S is the sum of x(q, r_q)
-    over the kept qudits.  The reference variables enter every row only
-    through S, and S is onto Z_d because at least one qudit is kept, so
-    S acts as one free variable: the reduced system is solvable iff the
-    one in S and the y is.  The references are labels 0..N-1, so label
-    j >= N is a variation, in column nv-1-j as in ``HVSystem._howell``:
-    free = nv - N label columns, then S, then the rhs.  Each reduced
-    system costs only its nonzeros.
+    y(q, a) = x(q, a) - x(q, r_q), a unimodular change of variables.  A
+    reduced row is then S plus the y of its non-reference labels off
+    qudit k, with S the sum of x(q, r_q) over the kept qudits, which is
+    onto Z_d since some qudit is kept: the reduced system is solvable iff
+    the one in S and the y is.  The references are labels 0..N-1, so one
+    pass over the rows reads each row's labels once and keeps its orbit
+    key (label exponents, then rhs) and its variation columns (k, nv-1-j)
+    for j >= N: free = nv - N columns as in ``HVSystem._howell``, then S,
+    then the rhs.  The probe of qudit k reads e_k as the key's entry k.
     """
     system, common, exponents, totals = c._encoding
     step = common // c.d
     nv = len(system.variables)
     free = nv - c.n
-    # entry k of a row is its label on qudit k+1 (system_from_operators' layout)
-    columns = [[j for j, _ in con.coeffs] for con in system.constraints]
-    off_reference = [  # (qudit index, column) of each non-reference label
-        [(k, nv - 1 - j) for k, j in enumerate(col) if j >= c.n] for col in columns
-    ]
-    keyed = [
-        (*(exponents[j] for j in col), con.rhs)
-        for col, con in zip(columns, system.constraints)
-    ]
+    keyed, off_reference = [], []  # per row: orbit key, variation columns
+    for con in system.constraints:
+        key, labels = [], []
+        for k, (j, _) in enumerate(con.coeffs):
+            key.append(exponents[j])
+            if j >= c.n:
+                labels.append((k, nv - 1 - j))
+        keyed.append((*key, con.rhs))
+        off_reference.append(labels)
     first = _qudit_orbits(keyed, c.n)
     flags: list[bool] = []
     for k in range(c.n):
@@ -718,8 +717,8 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
             flags.append(flags[first[k]])
             continue
         reduced = []
-        for col, total, labels in zip(columns, totals, off_reference):
-            t = total - exponents[col[k]]
+        for key, total, labels in zip(keyed, totals, off_reference):
+            t = total - key[k]
             if t % step == 0:
                 row = {j: 1 for q, j in labels if q != k}
                 row[free] = 1

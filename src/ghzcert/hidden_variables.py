@@ -360,20 +360,20 @@ def solve(system: HVSystem) -> HVVerdict:
     return verdict
 
 
-def brute_force_solve(system: HVSystem, cap: int = DEFAULT_BRUTE_CAP) -> HVVerdict:
+def brute_force_solve(system: HVSystem) -> HVVerdict:
     """Independent oracle: exhaust Z_d^n in lexicographic order.
 
     Every constraint is evaluated on the whole grid Z_d^n at once, one
     axis per variable, so the C-order flat index of a grid point is its
     rank in lexicographic order and the first hit is the least witness.
     Shares no code with the Howell-basis solver; agreement of the two is
-    a standing cross-check.  Raises CapExceededError when d^n > cap.
+    a standing cross-check.  Raises CapExceededError when d^n > DEFAULT_BRUTE_CAP.
     """
     d = system.d
     nv = len(system.variables)
     total = d**nv
-    if total > cap:
-        raise CapExceededError(f"{total} assignments exceed the cap {cap}")
+    if total > DEFAULT_BRUTE_CAP:
+        raise CapExceededError(f"{total} assignments exceed {DEFAULT_BRUTE_CAP}")
     rows, rhs = system.dense_rows()
     digits = np.arange(d, dtype=np.int64)
     ok = np.ones((d,) * nv, dtype=bool)

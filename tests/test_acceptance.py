@@ -133,7 +133,7 @@ def test_c04_dense_oracle_equivalence():
         system = system_from_operators(d, construction.all_items())
         if d ** len(system.variables) <= 10**6:
             fast = solve(system)
-            slow = brute_force_solve(system, cap=10**6)
+            slow = brute_force_solve(system)
             assert fast.status == slow.status == "UNSAT"
             brute_checked += 1
             if (d, n, cell.regime) == (3, 4, 1):

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzcert import method1, method3, system_from_operators, method1_operator_set
+from ghzcert import (
+    Construction,
+    RationalPhase,
+    brute_force_solve,
+    method1,
+    method1_operator_set,
+    method3,
+    system_from_operators,
+    verify_construction,
+)
 from ghzcert.cli import _json_text, main
 
 
@@ -18,6 +27,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "ghzcert.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_construct_auto_regime3(capsys):
@@ -490,8 +513,6 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 
 def test_fresh_process_matches_in_process_main(tmp_path, capsys):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
     path = tmp_path / "c.json"
     calls = (
         ("construct", "--d", "3", "--n", "4", "--method", "1", "--output", str(path)),
@@ -499,11 +520,43 @@ def test_fresh_process_matches_in_process_main(tmp_path, capsys):
         ("circle", "--d", "1"),
     )
     for argv in calls:
-        done = subprocess.run(
-            [sys.executable, "-m", "ghzcert.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert run_fresh(*argv) == run(capsys, *argv)
+
+
+def test_satisfiable_certificate_carries_the_least_witness(tmp_path, capsys):
+    # N = 6 is a multiple of f = 3: every eigenphase claim is right, but the
+    # congruences are solvable, so the certificate is SAT and not certified
+    supporting, target = method1_operator_set(3, 6, 3)
+    c = Construction(
+        d=3,
+        n=6,
+        method=1,
+        phi_o=RationalPhase(1, 9),
+        operators=tuple(supporting),
+        target=target,
+        f=3,
+    )
+    data = verify_construction(c, oracle=True).to_json_dict()
+    assert data["quantum_ok"] is True and data["oracle_checked"] is True
+    assert data["hv_status"] == "SAT" and data["certified"] is False
+    witness = brute_force_solve(system_from_operators(3, supporting + [target])).witness
+    assert data["hv_witness"] == list(witness) == [0] * 8 + [1, 0, 0, 1]
+    path = tmp_path / "sat.json"
+    path.write_text(json.dumps(c.to_json_dict()))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and json.loads(out) == data
+
+
+def test_huge_dimension_constructs_and_certifies(tmp_path):
+    # regime 2 at d = 10^12: the classifier stops at N, and method 2 builds
+    # N+3 operators whatever d is
+    path = tmp_path / "huge.json"
+    code, _, err = run_fresh(
+        "construct", "--d", "1000000000000", "--n", "4", "--output", str(path)
+    )
+    assert code == 0, err
+    code, out, err = run_fresh("verify", str(path), "--oracle", "none")
+    assert code == 0, err
+    certificate = json.loads(out)
+    assert certificate["certified"] and certificate["construction"]["method"] == 2
+    assert len(certificate["construction"]["operators"]) + 1 == 7

@@ -13,6 +13,7 @@ from ghzcert import (
     PhaseParseError,
     ProductOperator,
     RationalPhase,
+    RegimeCell,
     ZERO_PHASE,
     brute_force_solve,
     check_genuine_dimension,
@@ -32,7 +33,7 @@ from ghzcert import (
     verify_construction,
     witness_construction,
 )
-from ghzcert import operators
+from ghzcert import hidden_variables, operators
 from ghzcert.hidden_variables import _howell_basis
 
 
@@ -68,13 +69,14 @@ def test_method1_multiple_of_f_has_no_contradiction():
     assert satisfiable(system_from_operators(3, supporting + [target]))
 
 
-def test_method1_composite_dimension():
+def test_method1_composite_dimension(monkeypatch):
     c = method1(4, 5, 2)
     assert isinstance(c, Construction)
     system = full_system(c)
     assert solve(system).status == "UNSAT"
     # 4^10 assignments, exhaustively confirmed with a raised cap
-    assert brute_force_solve(system, cap=2**20).status == "UNSAT"
+    monkeypatch.setattr(hidden_variables, "DEFAULT_BRUTE_CAP", 2**20)
+    assert brute_force_solve(system).status == "UNSAT"
 
 
 def test_method1_auto_factor_selection():
@@ -316,10 +318,28 @@ def test_classify_spot_cells():
     cell = classify(12, 5)
     assert cell.regime == 1 and cell.witness_f == 2
     assert classify(12, 7).regime == 1
+    # only factors below N can qualify, so a 10^12 dimension costs N steps
+    assert classify(10**12, 4) == RegimeCell(10**12, 4, 2)
+    assert classify(10**12, 7) == RegimeCell(10**12, 7, 1, 2)
+    assert classify(10**12 + 39, 4) == RegimeCell(10**12 + 39, 4, 3)
     with pytest.raises(ValueError):
         classify(3, 2)
     with pytest.raises(ValueError):
         classify(1, 3)
+
+
+def reference_classify(d, n):
+    """The regime rule read literally: every factor f <= d is tried."""
+    for f in range(2, d + 1):
+        if d % f == 0 and f < n and n % f:
+            return RegimeCell(d, n, 1, f)
+    return RegimeCell(d, n, 2 if math.gcd(n, d) > 1 else 3)
+
+
+def test_classify_matches_the_unbounded_scan():
+    for d in range(2, 301):
+        for n in range(3, 301):
+            assert classify(d, n) == reference_classify(d, n), (d, n)
 
 
 def test_classify_plane_covers_every_cell():
@@ -471,6 +491,26 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
     c.__dict__["_encoding"] = (system, common, exponents, shifted)
     with pytest.raises(CertificationError, match="dense tensor numerics"):
         verify_construction(c, oracle=True)
+
+
+def test_dense_oracle_skips_an_operator_off_the_grid():
+    # X(1/9) x 1 x 1 x 1 has collective angle 1/9, off the 1/3 grid: not an
+    # eigenoperator of the GHZ state, so the dense oracle must not compare
+    # its image, while quantum_ok records the false claim of eigenphase 0
+    base = method1(3, 4, 3)
+    stray = ProductOperator(3, (RationalPhase(1, 9),) + (ZERO_PHASE,) * 3)
+    c = Construction(
+        d=3,
+        n=4,
+        method=1,
+        phi_o=base.phi_o,
+        operators=base.operators + ((stray, ZERO_PHASE),),
+        target=base.target,
+        f=3,
+    )
+    cert = verify_construction(c, oracle=True)
+    assert cert.oracle_checked
+    assert not cert.quantum_ok and not cert.certified
 
 
 def test_certificate_json_shape():

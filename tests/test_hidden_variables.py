@@ -27,6 +27,7 @@ from ghzcert import (
     system_from_operators,
     witness_construction,
 )
+from ghzcert import hidden_variables
 from ghzcert.hidden_variables import DEFAULT_BRUTE_CAP
 
 
@@ -122,16 +123,17 @@ def test_method1_solvability_matches_divisibility():
 
 def test_brute_force_is_the_designated_oracle():
     # 3^8 = 6561 assignments, exhaustively refuted
-    verdict = brute_force_solve(method1_system(3, 4, 3), cap=10**6)
+    verdict = brute_force_solve(method1_system(3, 4, 3))
     assert verdict.status == "UNSAT"
     # the qubit case: 2^6 assignments
-    verdict = brute_force_solve(method1_system(2, 3, 2), cap=10**6)
+    verdict = brute_force_solve(method1_system(2, 3, 2))
     assert verdict.status == "UNSAT"
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
+    monkeypatch.setattr(hidden_variables, "DEFAULT_BRUTE_CAP", 100)
     with pytest.raises(CapExceededError):
-        brute_force_solve(method1_system(3, 4, 3), cap=100)
+        brute_force_solve(method1_system(3, 4, 3))  # 3^8 assignments
 
 
 def test_solver_agrees_with_brute_force_on_random_systems():
@@ -147,7 +149,7 @@ def test_solver_agrees_with_brute_force_on_random_systems():
             rhs = [rng.randrange(d) for _ in range(nrows)]
             system = raw_system(d, rows, rhs)
         fast = solve(system)
-        slow = brute_force_solve(system, cap=10**6)
+        slow = brute_force_solve(system)
         assert fast.status == slow.status
         if fast.status == "SAT":
             assert fast.witness == slow.witness  # both lexicographically least
@@ -256,7 +258,7 @@ def test_howell_basis_entries_stay_in_range():
 def test_brute_force_vectorized_path_matches_scalar_path():
     # a 65536-point sweep whose least witness sets only the last variable
     system = raw_system(2, [[1] * 16], [1])  # 65536 assignments
-    fast = brute_force_solve(system, cap=2**20)
+    fast = brute_force_solve(system)
     assert fast.status == "SAT"
     assert fast.witness == (0,) * 15 + (1,)
 
@@ -286,7 +288,7 @@ def test_brute_force_matches_itertools_enumeration():
             ),
             None,
         )
-        verdict = brute_force_solve(system, cap=10**6)
+        verdict = brute_force_solve(system)
         assert verdict.status == ("UNSAT" if expected is None else "SAT")
         assert verdict.witness == expected
     # zero variables: SAT with the empty witness iff every rhs is 0 mod d
