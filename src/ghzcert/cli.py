@@ -238,7 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         OSError,
-        json.JSONDecodeError,
         KeyError,
         TypeError,
         ValueError,

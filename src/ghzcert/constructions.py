@@ -92,6 +92,7 @@ __all__ = [
 OperatorItem = tuple[ProductOperator, RationalPhase]
 
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
+_STAIRCASE_CAP = 2**16  # method 3: most staircase operators it builds
 
 
 class CertificationError(RuntimeError):
@@ -442,6 +443,10 @@ def method3(d: int, n: int) -> Construction:
     elsewhere: its net angle is d*phi_o = 1/d, so quantum mechanics
     assigns eigenvalue omega, while the forced variations predict
     omega^(d*delta) = 1.
+
+    The ladder is tried first at any d.  The staircase fallback needs
+    m-1 operators, so more than ``_STAIRCASE_CAP`` of them raise
+    ValueError before any is built.
     """
     _check_dim(d)
     if not 3 <= n < d:
@@ -477,6 +482,11 @@ def method3(d: int, n: int) -> Construction:
             return construction
         # Large ladders can fold two bases on one qudit together; the
         # staircase's tighter multiplier range never does.
+    if m - 1 > _STAIRCASE_CAP:
+        raise ValueError(
+            f"method 3 at (d={d}, N={n}) needs a staircase of {m - 1} operators,"
+            f" over the limit of {_STAIRCASE_CAP}"
+        )
     return realize(*_staircase_chain(m))
 
 
@@ -633,8 +643,10 @@ def _genuinely_d_dimensional(
 def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
     """The first qudit of each qudit's orbit under the family's symmetries.
 
-    Each row is one operator's per-qudit exponents over D followed by its
-    right-hand side.  A qudit permutation pi is a symmetry when moving
+    Each row is one operator's per-qudit exponents over D.  A reduced
+    system reads nothing else of a row: its labels are (qudit, exponent)
+    pairs, and its rhs comes from the exponents' total, not from the
+    claimed eigenphase.  A qudit permutation pi is a symmetry when moving
     each row's entry on qudit q to pi(q) maps the row multiset onto
     itself.  It does iff each row's image occurs as often as the row:
     pi has finite order, so the images of a row cycle back to it and
@@ -658,7 +670,7 @@ def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
     generators reduces to one scan: the orbits are runs of neighbours.
     """
     counts = Counter(rows)
-    if all(counts[r[n - 1 : n] + r[: n - 1] + r[n:]] == counts[r] for r in rows):
+    if all(counts[r[-1:] + r[:-1]] == counts[r] for r in rows):
         return [0] * n
     columns = list(zip(*rows))
     first = [0]
@@ -693,7 +705,7 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     onto Z_d since some qudit is kept: the reduced system is solvable iff
     the one in S and the y is.  The references are labels 0..N-1, so one
     pass over the rows reads each row's labels once and keeps its orbit
-    key (label exponents, then rhs) and its variation columns (k, nv-1-j)
+    key (its label exponents) and its variation columns (k, nv-1-j)
     for j >= N: free = nv - N columns as in ``HVSystem._howell``, then S,
     then the rhs.  The probe of qudit k reads e_k as the key's entry k.
     """
@@ -708,7 +720,7 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
             key.append(exponents[j])
             if j >= c.n:
                 labels.append((k, nv - 1 - j))
-        keyed.append((*key, con.rhs))
+        keyed.append(tuple(key))
         off_reference.append(labels)
     first = _qudit_orbits(keyed, c.n)
     flags: list[bool] = []

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["PhaseParseError", "RationalPhase", "ZERO_PHASE", "as_turns"]
+__all__ = ["PhaseParseError", "RationalPhase", "ZERO_PHASE"]
 
 _CANONICAL_RE = re.compile(r"([0-9]+)/([0-9]+)")
 

@@ -560,3 +560,11 @@ def test_huge_dimension_constructs_and_certifies(tmp_path):
     certificate = json.loads(out)
     assert certificate["certified"] and certificate["construction"]["method"] == 2
     assert len(certificate["construction"]["operators"]) + 1 == 7
+
+
+def test_method3_staircase_limit_exits_2():
+    # d = 1000003 is prime, so the cell is regime 3, and m = d-2 is off the
+    # ladder: its staircase would need a million operators
+    code, out, err = run_fresh("construct", "--d", "1000003", "--n", "3")
+    assert code == 2 and out == ""
+    assert "1000000 operators, over the limit of 65536" in err

@@ -294,6 +294,22 @@ def test_method3_ladder_fallback_keeps_certifying():
     assert cert.certified and cert.genuinely_d_dimensional
 
 
+def test_method3_bounds_the_staircase(monkeypatch):
+    from ghzcert import constructions
+
+    def unbuilt(m):
+        raise AssertionError(f"staircase of {m - 1} operators built")
+
+    monkeypatch.setattr(constructions, "_staircase_chain", unbuilt)
+    # m = 2**16 + 2 is off the ladder; its staircase needs 2**16 + 1 operators
+    with pytest.raises(ValueError, match="65537 operators, over the limit of 65536"):
+        method3(2**16 + 4, 3)
+    # a genuinely d-dimensional ladder is built at any d: m = 121393
+    c = method3(121395, 3)
+    assert c.operator_count() == 52
+    assert verify_construction(c, oracle=False).certified
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -699,6 +715,16 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
     solves.clear()
     assert check_irreducible(method2(6, 30)) == (True,) * 30
     assert len(solves) == 4
+    # a reduced system never reads a claimed eigenphase, so changing one
+    # claim keeps the orbits
+    c = method2(6, 30)
+    items = c.all_items()
+    items[6] = (items[6][0], RationalPhase(1, 6))
+    claimed = with_items(c, items)
+    solves.clear()
+    flags = check_irreducible(claimed)
+    assert len(solves) == 4
+    assert flags == reference_irreducible(claimed)
     # one changed angle breaks the cyclic symmetry, and the flags differ
     c = method1(6, 5, 2)
     items = c.all_items()
