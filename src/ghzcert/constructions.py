@@ -23,12 +23,20 @@ A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility
-probe.  All of them read one cached encoding of the construction: its
-congruence system, whose variables are the family's (qudit, angle)
-labels, one integer exponent per label and one collective angle per
-operator, both over a common denominator.  The dense oracle checks the
-eigenphases of that same encoding against tensor numerics, so it guards
-the engine that decides.  The irreducibility probe solves one reduced
+probe.  All of them read one cached encoding of the construction over a
+common denominator D: one collective angle per operator, and one sparse
+row per operator of the (qudit, exponent) pairs of its rotated factors.
+The hidden variable x(q, a) of each (qudit, angle) label enters only as
+the variation y(q, a) = x(q, a) - x(q, 0), with S the sum of the x(q, 0):
+a unimodular change of variables, in which a congruence is S plus the y
+of the operator's rotated factors.  So a family costs its rotated
+factors, not N per operator: method 1 rotates f qudits per operator,
+method 2 two.  The system in the labels themselves, an ``HVSystem``, is
+built only for a satisfiable family, whose certificate gives the least
+witness in the labels, and for the exhaustive oracle, which so stays
+independent of the variation coordinates.  The dense oracle checks the
+eigenphases of the encoding against tensor numerics, so it guards the
+engine that decides.  The irreducibility probe solves one reduced
 system per qudit orbit: qudits that a permutation of the family's rows
 onto themselves links (the cyclic placements of method 1, the plain
 qudits of methods 2 and 3) share a flag.
@@ -37,12 +45,11 @@ qudits of methods 2 and 3) share a flag.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import ne
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -90,9 +97,11 @@ __all__ = [
 ]
 
 OperatorItem = tuple[ProductOperator, RationalPhase]
+Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated factor
 
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
 _STAIRCASE_CAP = 2**16  # method 3: most staircase operators it builds
+_JSON_CAP = 2**22  # most angle entries, N per operator, in a construction's JSON
 
 
 class CertificationError(RuntimeError):
@@ -148,27 +157,34 @@ class Construction:
                 raise ValueError(f"operator has {op.n} factors but n = {self.n}")
 
     @cached_property
-    def _encoding(self) -> tuple[HVSystem, int, list[int], list[int]]:
-        """The family (target last) as (system, D, exponents, totals).
+    def _encoding(self) -> "_Encoding":
+        """The family (target last) as integer rows over a common denominator.
 
-        ``system`` is the congruence system, whose variables are the
-        family's (qudit, angle) labels; it rejects a claimed eigenphase off
-        the 1/d grid.  Over D = lcm(d, every label denominator), label j's
-        angle is exponents[j]/D, and row i's operator has collective angle
-        totals[i]/D (``ProductOperator.collective_angle``, the eigenphase
-        engine of ``states`` too): a multiple of 1/d iff
-        totals[i] % (D/d) == 0.
+        Rejects a claimed eigenphase off the 1/d grid, in item order.
         """
-        system = system_from_operators(self.d, self.all_items())
-        angles = [label.angle for label in system.variables]
-        common = math.lcm(self.d, *(a.den for a in angles))
+        items = self.all_items()
+        dens = {a.den for op, _ in items for _, a in op.rotations}
+        common = math.lcm(self.d, *dens)
+        scale = {den: common // den for den in dens}
+        claims, rows, variations = [], [], {}
+        for op, exponent in items:
+            if self.d % exponent.den:
+                raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
+            claims.append(exponent.num * (self.d // exponent.den) % self.d)
+            row = tuple([(q, a.num * scale[a.den]) for q, a in op.rotations])
+            for label in row:
+                variations.setdefault(label, len(variations))
+            rows.append(row)
+        totals = []
+        for op, _ in items:
+            total = op.collective_angle
+            totals.append(total.num * (common // total.den))
+        return _Encoding(common, totals, claims, rows, variations)
 
-        def over(a: RationalPhase) -> int:  # a as a count of 1/D turns
-            return a.num * (common // a.den)
-
-        exponents = [over(a) for a in angles]
-        totals = [over(op.collective_angle) for op, _ in self.all_items()]
-        return system, common, exponents, totals
+    @cached_property
+    def _system(self) -> HVSystem:
+        """The congruence system in the labels x(q, a): built only on demand."""
+        return system_from_operators(self.d, self.all_items())
 
     def all_items(self) -> list[OperatorItem]:
         return list(self.operators) + [self.target]
@@ -179,18 +195,31 @@ class Construction:
     def per_qudit_angles(self) -> list[set[RationalPhase]]:
         """Distinct factor angles used on each qudit (= measurement bases).
 
-        Read from the encoding's labels, which are distinct per qudit, so
-        each label is one set entry.
+        A qudit's plain factor X(0) counts when some operator leaves the
+        qudit unrotated.
         """
         used: list[set[RationalPhase]] = [set() for _ in range(self.n)]
-        for label in self._encoding[0].variables:
-            used[label.qudit - 1].add(label.angle)
+        rotated = [0] * self.n
+        for op, _ in self.all_items():
+            for q, a in op.rotations:
+                used[q].add(a)
+                rotated[q] += 1
+        count = self.operator_count()
+        for angles, times in zip(used, rotated):
+            if times < count:
+                angles.add(ZERO_PHASE)
         return used
 
     def to_json_dict(self) -> dict:
+        _check_json_size(self.n, self.operator_count())
+        plain = str(ZERO_PHASE)
+
         def item(entry: OperatorItem) -> dict:
             op, exponent = entry
-            return {"angles": [str(a) for a in op.angles], "exponent": str(exponent)}
+            angles = [plain] * op.n
+            for q, a in op.rotations:
+                angles[q] = str(a)
+            return {"angles": angles, "exponent": str(exponent)}
 
         meta: dict = {}
         if self.f is not None:
@@ -227,15 +256,48 @@ class Construction:
         if chain is not None:
             chain = _json_list(chain, "meta.chain")
             chain = tuple(_json_int(k, "meta.chain") for k in chain)
+        n = _json_int(data["n"], "n")
+        method = _json_int(data["method"], "method")
+        phi_o = phase(data["phi_o"], "phi_o")
+        operators = _json_list(data["operators"], "operators")
+        _check_json_size(n, len(operators) + 1)
         return cls(
             d=d,
-            n=_json_int(data["n"], "n"),
-            method=_json_int(data["method"], "method"),
-            phi_o=phase(data["phi_o"], "phi_o"),
-            operators=tuple(map(item, _json_list(data["operators"], "operators"))),
+            n=n,
+            method=method,
+            phi_o=phi_o,
+            operators=tuple(map(item, operators)),
             target=item(data["target"]),
             f=f,
             chain=chain,
+        )
+
+
+class _Encoding(NamedTuple):
+    """A family's rows over D = lcm(d, every factor denominator).
+
+    An angle a is the exponent a*D, an integer in [0, D).  Row i's
+    operator has collective angle totals[i]/D
+    (``ProductOperator.collective_angle``, the eigenphase engine of
+    ``states`` too) and claimed eigenphase claims[i]/d; rows[i] is its
+    support, the (qudit, exponent) pair of each rotated factor in qudit
+    order.  ``variations`` numbers the distinct pairs in first-encounter
+    order: pair (q, e) is the variable y(q, e/D) = x(q, e/D) - x(q, 0).
+    """
+
+    common: int
+    totals: list[int]
+    claims: list[int]
+    rows: list[Support]
+    variations: dict[tuple[int, int], int]
+
+
+def _check_json_size(n: int, count: int) -> None:
+    """Refuse a construction whose JSON holds more than _JSON_CAP angles."""
+    if n * count > _JSON_CAP:
+        raise ValueError(
+            f"a construction of {count} operators on N = {n} qudits has "
+            f"{n * count} angle entries, over the limit of {_JSON_CAP}"
         )
 
 
@@ -476,9 +538,7 @@ def method3(d: int, n: int) -> Construction:
     ladder = _ladder_chain(m)
     if ladder is not None:
         construction = realize(*ladder)
-        # the candidate's angle columns: no congruence system is built
-        columns = zip(*(op.angles for op, _ in construction.all_items()))
-        if _genuinely_d_dimensional(d, columns):
+        if _genuinely_d_dimensional(d, construction.per_qudit_angles()):
             return construction
         # Large ladders can fold two bases on one qudit together; the
         # staircase's tighter multiplier range never does.
@@ -640,22 +700,22 @@ def _genuinely_d_dimensional(
     return all(check_genuine_dimension(d, used) for used in per_qudit)
 
 
-def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
+def _qudit_orbits(rows: list[Support], n: int) -> list[int]:
     """The first qudit of each qudit's orbit under the family's symmetries.
 
-    Each row is one operator's per-qudit exponents over D.  A reduced
-    system reads nothing else of a row: its labels are (qudit, exponent)
-    pairs, and its rhs comes from the exponents' total, not from the
-    claimed eigenphase.  A qudit permutation pi is a symmetry when moving
-    each row's entry on qudit q to pi(q) maps the row multiset onto
-    itself.  It does iff each row's image occurs as often as the row:
-    pi has finite order, so the images of a row cycle back to it and
+    Each row is one operator's support, its (qudit, exponent) pairs over
+    D.  A reduced system reads nothing else of a row: its variables are
+    those pairs, and its rhs comes from the exponents' total, not from
+    the claimed eigenphase.  A qudit permutation pi is a symmetry when
+    moving each row's entry on qudit q to pi(q) maps the row multiset
+    onto itself.  It does iff each row's image occurs as often as the
+    row: pi has finite order, so the images of a row cycle back to it and
     every row on that cycle occurs equally often.  Then the relabelling
-    (q, a) -> (pi(q), a) maps the system with qudit k deleted onto the
+    (q, e) -> (pi(q), e) maps the system with qudit k deleted onto the
     system with pi(k) deleted: a row and its image have the same total
     and the same exponent on k and on pi(k) respectively, so the grid
     filter t % (D/d) keeps both or neither and gives both the rhs
-    t mod D, and their remaining labels correspond.  The two reduced
+    t mod D, and their remaining pairs correspond.  The two reduced
     systems differ only in the names of their variables, so their
     irreducibility flags are equal, and so are the flags of any two
     qudits that a product of symmetries links.
@@ -663,21 +723,48 @@ def _qudit_orbits(rows: list[tuple[int, ...]], n: int) -> list[int]:
     Two kinds of generator are tested.  The cyclic shift q -> q+1 (mod N),
     which every method-1 family has, is one multiset comparison and
     links all N qudits.  Failing that, each adjacent transposition
-    (k, k+1) is tested on only the rows whose entries at k and k+1
-    differ, since it fixes the others; methods 2 and 3 pass it on their
-    runs of interchangeable plain qudits.  A passing transposition
-    merges the orbits of k and k+1, so the union-find over these
-    generators reduces to one scan: the orbits are runs of neighbours.
+    (k, k+1) is tested on only the rows whose exponents at k and k+1
+    differ (an absent qudit has exponent 0), since it fixes the others;
+    those rows are among the ones that rotate k or k+1.  Methods 2 and 3
+    pass it on their runs of interchangeable plain qudits.  A passing
+    transposition merges the orbits of k and k+1, so the union-find over
+    these generators reduces to one scan: the orbits are runs of
+    neighbours.
     """
     counts = Counter(rows)
-    if all(counts[r[-1:] + r[:-1]] == counts[r] for r in rows):
+
+    def shifted(r: Support) -> Support:
+        moved = tuple((q + 1, e) for q, e in r)
+        if r and r[-1][0] == n - 1:
+            return ((0, r[-1][1]),) + moved[:-1]
+        return moved
+
+    if all(counts[shifted(r)] == m for r, m in counts.items()):
         return [0] * n
-    columns = list(zip(*rows))
+    touching: list[list[Support]] = [[] for _ in range(n)]
+    for r in counts:
+        for q, _ in r:
+            touching[q].append(r)
+
+    def swapped(r: Support, k: int) -> Optional[Support]:
+        """r with qudits k and k+1 exchanged, or None if r is fixed."""
+        i = bisect_left(r, (k,))
+        j = bisect_left(r, (k + 2,), i)
+        entries = dict(r[i:j])
+        a, b = entries.get(k, 0), entries.get(k + 1, 0)
+        if a == b:
+            return None
+        middle = tuple((q, e) for q, e in ((k, b), (k + 1, a)) if e)
+        return r[:i] + middle + r[j:]
+
     first = [0]
     for k in range(n - 1):
-        moved = list(compress(rows, map(ne, columns[k], columns[k + 1])))
-        swapped = (r[:k] + (r[k + 1], r[k]) + r[k + 2 :] for r in moved)
-        symmetric = all(counts[s] == counts[r] for r, s in zip(moved, swapped))
+        symmetric = True
+        for r in touching[k] + touching[k + 1]:
+            s = swapped(r, k)
+            if s is not None and counts[s] != counts[r]:
+                symmetric = False
+                break
         first.append(first[k] if symmetric else k + 1)
     return first
 
@@ -690,54 +777,43 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     the flag is True (removal spoils the proof, as irreducibility
     demands) iff the reduced congruence system is satisfiable or empty.
     On the construction's encoding over D, a reduced row has total
-    t = total - e_k, with e_k the exponent of the row's label on qudit k:
-    it is kept iff t % (D/d) == 0, with right-hand side (t mod D)/(D/d),
-    and its congruence is the full row's with qudit k's variable dropped.
-    One reduced system is solved per qudit orbit (``_qudit_orbits``), and
-    its flag is copied to every qudit of the orbit.
+    t = total - e_k, with e_k the exponent of the row's factor on qudit k
+    (0 if the row leaves k unrotated): it is kept iff t % (D/d) == 0,
+    with right-hand side (t mod D)/(D/d), and its congruence is the full
+    row's with qudit k's factor dropped.  One reduced system is solved
+    per qudit orbit (``_qudit_orbits``), and its flag is copied to every
+    qudit of the orbit.
 
-    The reduced systems are solved in variation coordinates.  Each
-    qudit q gets a reference label r_q, the first operator's label on q,
-    and every other label a on q is replaced by the variation
-    y(q, a) = x(q, a) - x(q, r_q), a unimodular change of variables.  A
-    reduced row is then S plus the y of its non-reference labels off
-    qudit k, with S the sum of x(q, r_q) over the kept qudits, which is
-    onto Z_d since some qudit is kept: the reduced system is solvable iff
-    the one in S and the y is.  The references are labels 0..N-1, so one
-    pass over the rows reads each row's labels once and keeps its orbit
-    key (its label exponents) and its variation columns (k, nv-1-j)
-    for j >= N: free = nv - N columns as in ``HVSystem._howell``, then S,
-    then the rhs.  The probe of qudit k reads e_k as the key's entry k.
+    The reduced systems are solved in the encoding's variation
+    coordinates (see ``_variation_system``): a reduced row is S plus the
+    y of its rotated factors off qudit k, with S the sum of x(q, 0) over
+    the kept qudits, which is onto Z_d since some qudit is kept.  So one
+    pass over a row's support gives e_k and the row's columns.
     """
-    system, common, exponents, totals = c._encoding
-    step = common // c.d
-    nv = len(system.variables)
-    free = nv - c.n
-    keyed, off_reference = [], []  # per row: orbit key, variation columns
-    for con in system.constraints:
-        key, labels = [], []
-        for k, (j, _) in enumerate(con.coeffs):
-            key.append(exponents[j])
-            if j >= c.n:
-                labels.append((k, nv - 1 - j))
-        keyed.append(tuple(key))
-        off_reference.append(labels)
-    first = _qudit_orbits(keyed, c.n)
+    enc = c._encoding
+    step = enc.common // c.d
+    nv = len(enc.variations)
+    first = _qudit_orbits(enc.rows, c.n)
     flags: list[bool] = []
     for k in range(c.n):
         if first[k] != k:
             flags.append(flags[first[k]])
             continue
         reduced = []
-        for key, total, labels in zip(keyed, totals, off_reference):
-            t = total - key[k]
+        for total, support in zip(enc.totals, enc.rows):
+            t = total
+            row = {}
+            for label in support:
+                if label[0] == k:
+                    t -= label[1]
+                else:
+                    row[nv - 1 - enc.variations[label]] = 1
             if t % step == 0:
-                row = {j: 1 for q, j in labels if q != k}
-                row[free] = 1
-                if t % common:
-                    row[free + 1] = t % common // step
+                row[nv] = 1
+                if t % enc.common:
+                    row[nv + 1] = t % enc.common // step
                 reduced.append(row)
-        flags.append(_howell_basis(c.d, free + 1, reduced)[-1] is None)
+        flags.append(_howell_basis(c.d, nv + 1, reduced)[-1] is None)
     return tuple(flags)
 
 
@@ -755,29 +831,66 @@ def _dense_recheck(c: Construction) -> None:
     that would mean the exact encoding that the certificate reads is
     broken, not merely the construction.
     """
-    _, common, _, totals = c._encoding
-    step = common // c.d
+    enc = c._encoding
+    step = enc.common // c.d
     vec = dense_state(make_ghz(c.d, c.n, 0))
     tables = _DenseTables(c.d, c.n)
-    for (op, _), total in zip(c.all_items(), totals):
+    for (op, _), total in zip(c.all_items(), enc.totals):
         if total % step:
             continue
         image = op.apply_dense(vec, tables=tables)
-        phase = RationalPhase(total, common).to_complex()
+        phase = RationalPhase(total, enc.common).to_complex()
         if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
             raise CertificationError(
                 "exact eigenphase disagrees with dense tensor numerics"
             )
 
 
+def _variation_system(c: Construction) -> list[dict[int, int]]:
+    """The family's congruences in variation coordinates, as Howell rows.
+
+    Every label x(q, a) with a != 0 becomes y(q, a) = x(q, a) - x(q, 0)
+    (a fresh x(q, 0) if no operator leaves q unrotated), and
+    S = sum over q of x(q, 0).  Then (S, the y, the x(q, 0) of qudits
+    2..N) is a unimodular change of variables, and a row is S plus the y
+    of its rotated factors, with its claimed rhs: the rows never name
+    x(q, 0) for q > 1, so the system is solvable iff this one is.
+    Variation j sits in column nv-1-j, then S, then the rhs: eliminating
+    the latest variations first keeps method 2's fill-in low, where the
+    first-encounter order is some 30 times slower on large cells.
+    """
+    enc = c._encoding
+    nv = len(enc.variations)
+    rows = []
+    for claim, support in zip(enc.claims, enc.rows):
+        row = {nv - 1 - enc.variations[label]: 1 for label in support}
+        row[nv] = 1
+        if claim:
+            row[nv + 1] = claim
+        rows.append(row)
+    return rows
+
+
 def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
-    """quantum_ok and the solver's verdict: what decides ``certified``."""
-    system, common, _, totals = c._encoding
+    """quantum_ok and the solver's verdict: what decides ``certified``.
+
+    UNSAT is decided in variation coordinates.  Only a SAT family builds
+    its system in the labels x(q, a), to give the lexicographically
+    least witness in those.
+    """
+    enc = c._encoding
+    step = enc.common // c.d
     quantum_ok = all(
-        total % common == con.rhs * (common // c.d)
-        for total, con in zip(totals, system.constraints)
+        total % enc.common == claim * step
+        for total, claim in zip(enc.totals, enc.claims)
     )
-    return quantum_ok, solve(system)
+    nv = len(enc.variations)
+    if _howell_basis(c.d, nv + 1, _variation_system(c))[-1] is not None:
+        return quantum_ok, HVVerdict("UNSAT", None)
+    verdict = solve(c._system)
+    if verdict.status != "SAT":
+        raise CertificationError("variation and label systems disagree")
+    return quantum_ok, verdict
 
 
 def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
@@ -786,26 +899,27 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     quantum_ok recomputes every claimed eigenphase exactly (no tolerance):
     on the construction's encoding an operator's collective angle is
     total/D, and it equals the claimed nu/d (the right-hand side of its
-    congruence; the system build rejects a claim off the 1/d grid) iff
+    congruence; the encoding rejects a claim off the 1/d grid) iff
     total % D == nu*(D/d).  Equality also puts total/D on the 1/d grid,
     which makes it an eigenphase of the unrotated state.
-    The verdict solves the congruence system over all operators including
-    the target.  With oracle=True the encoded eigenphases of every
-    operator are re-checked against dense tensors when d^N is at most
-    DEFAULT_DENSE_CAP, and the verdict against exhaustive enumeration
-    when d^#vars is at most DEFAULT_BRUTE_CAP.  Failures of the
+    The verdict decides the congruence system over all operators
+    including the target (``_exact_checks``).  With oracle=True the
+    encoded eigenphases of every operator are re-checked against dense
+    tensors when d^N is at most DEFAULT_DENSE_CAP, and the verdict against
+    exhaustive enumeration of the labels when d^#labels is at most
+    DEFAULT_BRUTE_CAP.  Failures of the
     construction are recorded in the certificate; oracle disagreements
     with the exact engine raise instead.
     """
     quantum_ok, verdict = _exact_checks(c)
-    system = c._encoding[0]
+    per_qudit = c.per_qudit_angles()
 
     oracle_checked = False
     if oracle and c.d**c.n <= DEFAULT_DENSE_CAP:
         _dense_recheck(c)
         oracle_checked = True
-    if oracle and c.d ** len(system.variables) <= DEFAULT_BRUTE_CAP:
-        brute = brute_force_solve(system)
+    if oracle and c.d ** sum(map(len, per_qudit)) <= DEFAULT_BRUTE_CAP:
+        brute = brute_force_solve(c._system)
         if brute.status != verdict.status or brute.witness != verdict.witness:
             raise CertificationError(
                 "Howell-basis solver and exhaustive enumeration disagree"
@@ -816,6 +930,6 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
         quantum_ok=quantum_ok,
         hv_verdict=verdict,
         oracle_checked=oracle_checked,
-        genuinely_d_dimensional=_genuinely_d_dimensional(c.d, c.per_qudit_angles()),
+        genuinely_d_dimensional=_genuinely_d_dimensional(c.d, per_qudit),
         irreducible=check_irreducible(c),
     )

@@ -16,8 +16,9 @@ row pivots in the right-hand-side column; back-substitution gives the
 lexicographically least witness; and a linear functional of the hidden
 variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
-variable columns.  The same elimination decides the irreducibility
-subsystems of ``constructions.check_irreducible``.  A system checks its
+variable columns.  The same elimination decides a construction's
+system in variation coordinates, and the irreducibility subsystems of
+``constructions.check_irreducible``.  A system checks its
 own invariants when it is built (d >= 2, every index names a variable,
 no label listed twice), so the JSON reader only parses.
 """
@@ -50,6 +51,7 @@ from .states import eigenvalue_exponent, make_ghz
 
 __all__ = [
     "Constraint",
+    "DEFAULT_BRUTE_CAP",
     "FactorLabel",
     "HVSystem",
     "HVVerdict",
@@ -208,7 +210,7 @@ def system_from_operators(
     byte-identical systems: the first operator's labels are variables
     0..N-1 in qudit order, and entry k of every constraint is the label
     on qudit k+1.  This is the one place where a family's labels are
-    interned.
+    interned; an operator's unrotated qudits carry the label angle 0.
     """
     items = list(items)
     index: dict[tuple[int, RationalPhase], int] = {}
@@ -220,9 +222,10 @@ def system_from_operators(
             raise ValueError("operators act on differing qudit counts")
         if d % exponent.den:
             raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
+        rotated = dict(op.rotations)
         coeffs = tuple(
-            (index.setdefault((k, a), len(index)), 1)
-            for k, a in enumerate(op.angles, start=1)
+            (index.setdefault((k + 1, rotated.get(k, ZERO_PHASE)), len(index)), 1)
+            for k in range(op.n)
         )
         constraints.append(Constraint(coeffs, exponent.num * (d // exponent.den) % d))
     variables = tuple(FactorLabel(k, a) for k, a in index)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -81,10 +81,12 @@ def _json_phase_reader() -> Callable[[object, str], RationalPhase]:
     """A reader of one JSON document's phase fields.
 
     Each distinct text is parsed, and fully validated, once per reader,
-    so equal angles come back as one shared object.  A value that is not
-    a string is rejected by the field's name before any lookup.
+    so equal angles come back as one shared object: "0/1" as ZERO_PHASE,
+    which a ``ProductOperator`` puts on its unrotated qudits.  A value
+    that is not a string is rejected by the field's name before any
+    lookup.
     """
-    parsed: dict[str, RationalPhase] = {}
+    parsed: dict[str, RationalPhase] = {str(ZERO_PHASE): ZERO_PHASE}
 
     def read(value: object, what: str) -> RationalPhase:
         if not isinstance(value, str):
@@ -181,37 +183,49 @@ def make_rotation(d: int, phi: RationalPhase | Fraction | int) -> MonomialOp:
     return MonomialOp(d, 0, phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductOperator:
     """Tensor product of rotated shift observables, one factor per qudit.
 
-    Only the defining angles are stored; the collective angle and the
-    action on a dense vector are derived on demand.  Constructions reason
-    about angles (periods, circle points), never about matrices.
+    ``ProductOperator(d, angles)`` takes one angle per qudit, but only the
+    rotated factors are stored: ``rotations`` holds a (qudit, angle) pair,
+    qudit counted from 0, for each factor whose angle is not 0, in qudit
+    order.  Every other factor is X(0).  The constructions rotate a few
+    qudits per operator, so an operator costs its rotated factors, not N.
+    The collective angle and the action on a dense vector are derived on
+    demand.  Constructions reason about angles (periods, circle points),
+    never about matrices.
     """
 
     d: int
-    angles: tuple[RationalPhase, ...]
+    n: int
+    rotations: tuple[tuple[int, RationalPhase], ...]
 
-    def __post_init__(self) -> None:
-        _check_dim(self.d)
-        if len(self.angles) < 1:
+    def __init__(self, d: int, angles: Iterable[RationalPhase]) -> None:
+        angles = tuple(angles)
+        _check_dim(d)
+        if len(angles) < 1:
             raise ValueError("need at least one factor")
-        object.__setattr__(self, "angles", tuple(self.angles))
+        rotations = tuple((q, a) for q, a in enumerate(angles) if a.num)
+        _set_fields(self, d, len(angles), rotations)
 
     @property
-    def n(self) -> int:
-        return len(self.angles)
+    def angles(self) -> tuple[RationalPhase, ...]:
+        """One angle per qudit, 0 on the unrotated ones."""
+        angles = [ZERO_PHASE] * self.n
+        for q, a in self.rotations:
+            angles[q] = a
+        return tuple(angles)
 
     @property
     def collective_angle(self) -> RationalPhase:
         """Sum of the factor angles, mod one turn.
 
-        Over D = lcm(factor denominators) each angle num/den is the
-        integer num*(D/den), so the sum is one integer sum over D.
+        Over D = lcm(rotated factor denominators) each angle num/den is
+        the integer num*(D/den), so the sum is one integer sum over D.
         """
-        common = math.lcm(*(a.den for a in self.angles))
-        total = sum(a.num * (common // a.den) for a in self.angles)
+        common = math.lcm(*[a.den for _, a in self.rotations])
+        total = sum([a.num * (common // a.den) for _, a in self.rotations])
         return RationalPhase(total, common)
 
     def apply_dense(
@@ -231,12 +245,22 @@ class ProductOperator:
             tables = _DenseTables(self.d, self.n)
         elif (tables.d, tables.n) != (self.d, self.n):
             raise ValueError("operators in one family must share d and N")
+        rotated = dict(self.rotations)
         phase = np.ones(1, dtype=complex)
-        for angle in self.angles:
-            phase = np.multiply.outer(phase, tables.column_phases(angle)).ravel()
+        for q in range(self.n):
+            columns = tables.column_phases(rotated.get(q, ZERO_PHASE))
+            phase = np.multiply.outer(phase, columns).ravel()
         image = np.empty(phase.size, dtype=complex)
         image[tables.target] = phase * np.asarray(vec, dtype=complex).reshape(phase.size)
         return image
+
+
+def _set_fields(
+    op: ProductOperator, d: int, n: int, rotations: tuple[tuple[int, RationalPhase], ...]
+) -> None:
+    object.__setattr__(op, "d", d)
+    object.__setattr__(op, "n", n)
+    object.__setattr__(op, "rotations", rotations)
 
 
 class _DenseTables:
@@ -274,7 +298,6 @@ def _column_phases(factor: MonomialOp) -> np.ndarray:
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
     """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
-    angles = [ZERO_PHASE] * n
-    for pos, a in placed.items():
-        angles[pos] = a
-    return ProductOperator(d, tuple(angles))
+    op = object.__new__(ProductOperator)
+    _set_fields(op, d, n, tuple(sorted([(q, a) for q, a in placed.items() if a.num])))
+    return op

@@ -21,6 +21,7 @@ from ghzcert import (
     verify_construction,
 )
 from ghzcert.cli import _json_text, main
+from ghzcert.constructions import _check_json_size
 
 
 def run(capsys, *argv):
@@ -568,3 +569,27 @@ def test_method3_staircase_limit_exits_2():
     code, out, err = run_fresh("construct", "--d", "1000003", "--n", "3")
     assert code == 2 and out == ""
     assert "1000000 operators, over the limit of 65536" in err
+
+
+def test_dense_json_is_bounded(tmp_path):
+    # (6, 4001) is method 1 with 4002 operators: 16 012 002 angle entries.
+    # Writing them once ended in MemoryError tracebacks under a 3 GB limit.
+    code, out, err = run_fresh("construct", "--d", "6", "--n", "4001")
+    assert code == 2 and out == ""
+    assert "16012002 angle entries, over the limit of 4194304" in err
+    _check_json_size(2001, 2002)  # (6, 2001): 4 006 002 entries are written
+    # verify refuses a document claiming N * M entries over the limit
+    # before it reads any operator
+    data = {
+        "d": 6,
+        "n": 2**21 + 1,
+        "method": 1,
+        "phi_o": "1/12",
+        "operators": [{"angles": ["0/1"], "exponent": "0/1"}],
+        "target": {"angles": ["0/1"], "exponent": "0/1"},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_fresh("verify", str(path))
+    assert code == 2 and out == ""
+    assert "4194306 angle entries, over the limit of 4194304" in err

@@ -2,6 +2,8 @@
 
 import copy
 import math
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -501,10 +503,10 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
         d=3, n=4, method=1, phi_o=base.phi_o, operators=tuple(items[:-1]), target=items[-1]
     )
     assert verify_construction(c, oracle=True).oracle_checked
-    system, common, exponents, totals = c._encoding
-    shifted = list(totals)
-    shifted[33] += common // c.d  # still on the 1/d grid, one step off
-    c.__dict__["_encoding"] = (system, common, exponents, shifted)
+    encoding = c._encoding
+    shifted = list(encoding.totals)
+    shifted[33] += encoding.common // c.d  # still on the 1/d grid, one step off
+    c.__dict__["_encoding"] = encoding._replace(totals=shifted)
     with pytest.raises(CertificationError, match="dense tensor numerics"):
         verify_construction(c, oracle=True)
 
@@ -751,6 +753,87 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
     uneven = Construction(2, 5, 1, q, tuple(items[:-1]), items[-1], 2)
     expected = (True, True, True, False, True)
     assert check_irreducible(uneven) == reference_irreducible(uneven) == expected
+
+
+def label_path(c):
+    """Certification as it reads the congruence system in the labels
+    x(q, a): exact eigenphases, the solver's verdict on the full system,
+    the literal irreducibility probe and the labels' angles per qudit."""
+    system = system_from_operators(c.d, c.all_items())
+    state = make_ghz(c.d, c.n, 0)
+    quantum_ok = all(eigenvalue_exponent(state, op) == nu for op, nu in c.all_items())
+    used = [set() for _ in range(c.n)]
+    for label in system.variables:
+        used[label.qudit - 1].add(label.angle)
+    genuine = all(check_genuine_dimension(c.d, angles) for angles in used)
+    return quantum_ok, solve(system), reference_irreducible(c), genuine
+
+
+def variation_path(c):
+    cert = verify_construction(c, oracle=False)
+    return (
+        cert.quantum_ok,
+        cert.hv_verdict,
+        cert.irreducible,
+        cert.genuinely_d_dimensional,
+    )
+
+
+def test_variation_coordinates_match_the_label_system_on_every_small_cell():
+    for d in range(2, 25):
+        for n in range(3, 25):
+            c = witness_construction(classify(d, n))
+            assert variation_path(c) == label_path(c), (d, n)
+
+
+def test_variation_coordinates_match_the_label_system_on_mutated_families():
+    bases = [method1(3, 4, 3), method1(6, 5, 2), method2(4, 6), method2(6, 4)]
+    bases += [method3(5, 3), method3(7, 4), method3(13, 5)]
+    families = []
+    for c in bases:
+        items = c.all_items()
+        for i in (0, len(items) // 2, len(items) - 1):
+            # a wrong claim, still on the 1/d grid
+            op, nu = items[i]
+            families.append(with_items(c, items[:i] + [(op, nu + RationalPhase(1, c.d))] + items[i + 1 :]))
+        # the first operator is not X^N
+        families.append(with_items(c, [*c.operators[1:], c.operators[0], c.target]))
+        families.append(with_items(c, [changed_at(items[0], 0, RationalPhase(1, c.d)), *items]))
+        # an idle extra qudit, first and last
+        for position in (0, c.n):
+            families.append(with_extra_qudit(c, position, [ZERO_PHASE] * len(items)))
+    sat = [method1_operator_set(d, n, f) for d, n, f in [(3, 6, 3), (4, 4, 2), (6, 6, 3), (4, 8, 2)]]
+    sat += [method2_operator_set(d, n) for d, n in [(5, 3), (7, 4), (9, 4), (5, 7)]]
+    for supporting, target in sat:
+        op = target[0]
+        families.append(
+            Construction(op.d, op.n, 1, RationalPhase(1, op.d), tuple(supporting), target)
+        )
+    statuses = Counter()
+    for c in families:
+        new, old = variation_path(c), label_path(c)
+        assert new == old
+        statuses[new[1].status] += 1
+    assert statuses["SAT"] >= len(sat) and statuses["UNSAT"] > len(bases)
+
+
+def test_unsat_certification_builds_no_label_system(monkeypatch):
+    # the label system is built only for a SAT family's witness and for
+    # the brute-force oracle
+    from ghzcert import constructions
+
+    def refuse(d, items):
+        raise AssertionError("label system built")
+
+    monkeypatch.setattr(constructions, "system_from_operators", refuse)
+    start = time.perf_counter()
+    cert = verify_construction(witness_construction(classify(6, 4001)), oracle=False)
+    assert time.perf_counter() - start < 2
+    assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
+    supporting, target = method1_operator_set(3, 6, 3)
+    sat = Construction(3, 6, 1, RationalPhase(1, 9), tuple(supporting), target, 3)
+    with pytest.raises(AssertionError, match="label system built"):
+        verify_construction(sat, oracle=False)
 
 
 def test_method3_builds_no_congruence_system(monkeypatch):

@@ -18,7 +18,7 @@ from ghzcert import (
     make_z,
 )
 from ghzcert import operators
-from ghzcert.operators import _DenseTables
+from ghzcert.operators import _DenseTables, _with_angles
 
 
 def random_phase(rng, max_den=40):
@@ -187,6 +187,17 @@ def test_product_operator_basics():
     assert np.allclose(matrix_of(single), make_rotated_x(4, RationalPhase(1, 8)).to_dense())
     with pytest.raises(ValueError):
         ProductOperator(3, ())
+
+
+def test_product_operator_stores_only_rotated_factors():
+    z, a, b = ZERO_PHASE, RationalPhase(1, 9), RationalPhase(2, 3)
+    p = ProductOperator(3, (z, a, z, b, z))
+    assert p.n == 5 and p.rotations == ((1, a), (3, b))
+    assert p.angles == (z, a, z, b, z)
+    assert p == _with_angles(3, 5, {3: b, 1: a, 4: z})
+    assert p.collective_angle == RationalPhase(7, 9)
+    plain = ProductOperator(3, (z,) * 4)
+    assert plain.rotations == () and plain.collective_angle == z
 
 
 def test_product_dense_swap_permutation():

@@ -13,6 +13,7 @@ def test_top_level_reexports_each_module_api():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(ghzcert, name) is getattr(module, name), name
+    assert ghzcert.DEFAULT_BRUTE_CAP == 10**6
     # a helper of the package's own modules, not public API
     assert "as_turns" not in ghzcert.__all__
     assert not hasattr(ghzcert, "as_turns")
