@@ -206,8 +206,9 @@ class ProductOperator:
         _check_dim(d)
         if len(angles) < 1:
             raise ValueError("need at least one factor")
-        rotations = tuple((q, a) for q, a in enumerate(angles) if a.num)
-        _set_fields(self, d, len(angles), rotations)
+        rotations = tuple([(q, a) for q, a in enumerate(angles) if a.num])
+        # frozen: the fields are set once, past the refusing __setattr__
+        vars(self).update(d=d, n=len(angles), rotations=rotations)
 
     @property
     def angles(self) -> tuple[RationalPhase, ...]:
@@ -255,14 +256,6 @@ class ProductOperator:
         return image
 
 
-def _set_fields(
-    op: ProductOperator, d: int, n: int, rotations: tuple[tuple[int, RationalPhase], ...]
-) -> None:
-    object.__setattr__(op, "d", d)
-    object.__setattr__(op, "n", n)
-    object.__setattr__(op, "rotations", rotations)
-
-
 class _DenseTables:
     """The per-angle work of applying (d, N) products to full vectors.
 
@@ -299,5 +292,6 @@ def _column_phases(factor: MonomialOp) -> np.ndarray:
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
     """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
     op = object.__new__(ProductOperator)
-    _set_fields(op, d, n, tuple(sorted([(q, a) for q, a in placed.items() if a.num])))
+    rotations = tuple(sorted([(q, a) for q, a in placed.items() if a.num]))
+    vars(op).update(d=d, n=n, rotations=rotations)
     return op

@@ -795,15 +795,17 @@ def test_variation_coordinates_match_the_label_system_on_mutated_families():
         for i in (0, len(items) // 2, len(items) - 1):
             # a wrong claim, still on the 1/d grid
             op, nu = items[i]
-            families.append(with_items(c, items[:i] + [(op, nu + RationalPhase(1, c.d))] + items[i + 1 :]))
+            wrong = (op, nu + RationalPhase(1, c.d))
+            families.append(with_items(c, items[:i] + [wrong] + items[i + 1 :]))
         # the first operator is not X^N
         families.append(with_items(c, [*c.operators[1:], c.operators[0], c.target]))
         families.append(with_items(c, [changed_at(items[0], 0, RationalPhase(1, c.d)), *items]))
         # an idle extra qudit, first and last
         for position in (0, c.n):
             families.append(with_extra_qudit(c, position, [ZERO_PHASE] * len(items)))
-    sat = [method1_operator_set(d, n, f) for d, n, f in [(3, 6, 3), (4, 4, 2), (6, 6, 3), (4, 8, 2)]]
-    sat += [method2_operator_set(d, n) for d, n in [(5, 3), (7, 4), (9, 4), (5, 7)]]
+    # SAT families: N a multiple of f in method 1, gcd(N, d) = 1 in method 2
+    sat = [method1_operator_set(*a) for a in [(3, 6, 3), (4, 4, 2), (6, 6, 3), (4, 8, 2)]]
+    sat += [method2_operator_set(*a) for a in [(5, 3), (7, 4), (9, 4), (5, 7)]]
     for supporting, target in sat:
         op = target[0]
         families.append(
