@@ -173,7 +173,7 @@ class Construction:
             claims.append(exponent.num * (self.d // exponent.den) % self.d)
             row = tuple([(q, a.num * scale[a.den]) for q, a in op.rotations])
             for label in row:
-                variations.setdefault(label, len(variations))
+                variations.setdefault(label, len(variations) + 1)
             rows.append(row)
         totals = []
         for op, _ in items:
@@ -281,8 +281,12 @@ class _Encoding(NamedTuple):
     (``ProductOperator.collective_angle``, the eigenphase engine of
     ``states`` too) and claimed eigenphase claims[i]/d; rows[i] is its
     support, the (qudit, exponent) pair of each rotated factor in qudit
-    order.  ``variations`` numbers the distinct pairs in first-encounter
-    order: pair (q, e) is the variable y(q, e/D) = x(q, e/D) - x(q, 0).
+    order.  ``variations`` numbers the distinct pairs from 1 in
+    first-encounter order: pair (q, e) is the variable
+    y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the sum of the
+    x(q, 0).  The Howell kernel eliminates its highest variable first, so
+    the latest variations go first, which keeps method 2's fill-in low
+    (the reverse order is some 30 times slower on large cells).
     """
 
     common: int
@@ -785,14 +789,13 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     qudit of the orbit.
 
     The reduced systems are solved in the encoding's variation
-    coordinates (see ``_variation_system``): a reduced row is S plus the
-    y of its rotated factors off qudit k, with S the sum of x(q, 0) over
-    the kept qudits, which is onto Z_d since some qudit is kept.  So one
-    pass over a row's support gives e_k and the row's columns.
+    coordinates (see ``_exact_checks``): a reduced row is S plus the y of
+    its rotated factors off qudit k, with S the sum of x(q, 0) over the
+    kept qudits, which is onto Z_d since some qudit is kept.  So one pass
+    over a row's support gives e_k and the row's variables.
     """
     enc = c._encoding
     step = enc.common // c.d
-    nv = len(enc.variations)
     first = _qudit_orbits(enc.rows, c.n)
     flags: list[bool] = []
     for k in range(c.n):
@@ -807,13 +810,13 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
                 if label[0] == k:
                     t -= label[1]
                 else:
-                    row[nv - 1 - enc.variations[label]] = 1
+                    row[enc.variations[label]] = 1
             if t % step == 0:
-                row[nv] = 1
+                row[0] = 1
                 if t % enc.common:
-                    row[nv + 1] = t % enc.common // step
+                    row[-1] = t % enc.common // step
                 reduced.append(row)
-        flags.append(_howell_basis(c.d, nv + 1, reduced)[-1] is None)
+        flags.append(_howell_basis(c.d, len(enc.variations) + 1, reduced)[-1] is None)
     return tuple(flags)
 
 
@@ -846,37 +849,17 @@ def _dense_recheck(c: Construction) -> None:
             )
 
 
-def _variation_system(c: Construction) -> list[dict[int, int]]:
-    """The family's congruences in variation coordinates, as Howell rows.
-
-    Every label x(q, a) with a != 0 becomes y(q, a) = x(q, a) - x(q, 0)
-    (a fresh x(q, 0) if no operator leaves q unrotated), and
-    S = sum over q of x(q, 0).  Then (S, the y, the x(q, 0) of qudits
-    2..N) is a unimodular change of variables, and a row is S plus the y
-    of its rotated factors, with its claimed rhs: the rows never name
-    x(q, 0) for q > 1, so the system is solvable iff this one is.
-    Variation j sits in column nv-1-j, then S, then the rhs: eliminating
-    the latest variations first keeps method 2's fill-in low, where the
-    first-encounter order is some 30 times slower on large cells.
-    """
-    enc = c._encoding
-    nv = len(enc.variations)
-    rows = []
-    for claim, support in zip(enc.claims, enc.rows):
-        row = {nv - 1 - enc.variations[label]: 1 for label in support}
-        row[nv] = 1
-        if claim:
-            row[nv + 1] = claim
-        rows.append(row)
-    return rows
-
-
 def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     """quantum_ok and the solver's verdict: what decides ``certified``.
 
-    UNSAT is decided in variation coordinates.  Only a SAT family builds
-    its system in the labels x(q, a), to give the lexicographically
-    least witness in those.
+    UNSAT is decided in variation coordinates.  Every label x(q, a) with
+    a != 0 becomes y(q, a) = x(q, a) - x(q, 0) (a fresh x(q, 0) if no
+    operator leaves q unrotated), and S = sum over q of x(q, 0).  Then
+    (S, the y, the x(q, 0) of qudits 2..N) is a unimodular change of
+    variables, and a row is S plus the y of its rotated factors, with its
+    claimed rhs: the rows never name x(q, 0) for q > 1, so the system is
+    solvable iff this one is.  Only a SAT family builds its system in the
+    labels x(q, a), to give the lexicographically least witness in those.
     """
     enc = c._encoding
     step = enc.common // c.d
@@ -884,8 +867,14 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
         total % enc.common == claim * step
         for total, claim in zip(enc.totals, enc.claims)
     )
-    nv = len(enc.variations)
-    if _howell_basis(c.d, nv + 1, _variation_system(c))[-1] is not None:
+    rows = []
+    for claim, support in zip(enc.claims, enc.rows):
+        row = {enc.variations[label]: 1 for label in support}
+        row[0] = 1
+        if claim:
+            row[-1] = claim
+        rows.append(row)
+    if _howell_basis(c.d, len(enc.variations) + 1, rows)[-1] is not None:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)
     if verdict.status != "SAT":

@@ -124,19 +124,14 @@ class HVSystem:
 
     @cached_property
     def _howell(self) -> list[Optional[dict[int, int]]]:
-        """Howell basis of the rows [A | b] mod d (see ``_howell_basis``).
-
-        Variable j sits in column n-1-j, so the basis projects onto every
-        prefix x_0..x_j of the variables.
-        """
-        n = len(self.variables)
+        """Howell basis of the rows [A | b] mod d (see ``_howell_basis``)."""
         augmented = []
         for con in self.constraints:
-            row: dict[int, int] = {n: con.rhs}
+            row: dict[int, int] = {-1: con.rhs}
             for idx, coeff in con.coeffs:
-                row[n - 1 - idx] = row.get(n - 1 - idx, 0) + coeff
+                row[idx] = row.get(idx, 0) + coeff
             augmented.append({k: v % self.d for k, v in row.items() if v % self.d})
-        return _howell_basis(self.d, n, augmented)
+        return _howell_basis(self.d, len(self.variables), augmented)
 
     def dense_rows(self) -> tuple[list[list[int]], list[int]]:
         n = len(self.variables)
@@ -237,26 +232,27 @@ def _howell_basis(
 ) -> list[Optional[dict[int, int]]]:
     """Howell basis mod d of sparse augmented rows over n variables.
 
-    A row is {column: value} with every value in [1, d): the variables
-    sit in columns 0..n-1 in the caller's elimination order and the
-    right-hand side in column n.  Entry c of the result is the row whose
-    first column, holding a divisor of d, is c, or None.  Each pivot row
-    p with pivot h leaves (d/h)*p for the later columns, so the rows from
-    any column c on span every consequence of the system that is zero
-    before c: in particular the exact projection of the solution set onto
-    the variables of the columns from c on.  The system is unsolvable
-    iff entry n is not None.  Pending rows wait in buckets keyed by their
-    first column, so a column that no row starts in costs nothing.
+    A row is {column: value} with every value in [1, d): variable j sits
+    in column j and the right-hand side in column -1.  Columns are
+    eliminated from n-1 down to -1, so a row's leading column is its
+    highest, and entry c of the result (entry -1 the rhs, the last) is
+    the row whose leading column, holding a divisor of d, is c, or None.
+    Each pivot row p with pivot h leaves (d/h)*p for the lower columns,
+    so the rows of any column c and below span every consequence of the
+    system that is zero above c: in particular the exact projection of
+    the solution set onto the variables x_0..x_c.  The system is
+    unsolvable iff entry -1 is not None.  Pending rows wait in buckets
+    keyed by their leading column, so a column that no row leads costs
+    nothing, and a column below -1 is never popped.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
-            buckets.setdefault(min(row), []).append(row)
-    basis: list[Optional[dict[int, int]]] = []
-    for c in range(n + 1):
+            buckets.setdefault(max(row), []).append(row)
+    basis: list[Optional[dict[int, int]]] = [None] * (n + 1)
+    for c in range(n - 1, -2, -1):
         live = buckets.pop(c, None)
         if live is None:
-            basis.append(None)
             continue
         pivot = live[0]
         for row in live[1:]:
@@ -270,7 +266,7 @@ def _howell_basis(
                     _row_sum(d, a // g, row, -(b // g), pivot),
                 )
             if row:
-                buckets.setdefault(min(row), []).append(row)
+                buckets.setdefault(max(row), []).append(row)
         h = math.gcd(pivot[c], d)
         if pivot[c] != h:
             unit = _normalizing_unit(pivot[c], d)
@@ -278,8 +274,8 @@ def _howell_basis(
         if h != 1:
             annihilated = {k: w for k, v in pivot.items() if (w := d // h * v % d)}
             if annihilated:
-                buckets.setdefault(min(annihilated), []).append(annihilated)
-        basis.append(pivot)
+                buckets.setdefault(max(annihilated), []).append(annihilated)
+        basis[c] = pivot
     return basis
 
 
@@ -350,15 +346,15 @@ def solve(system: HVSystem) -> HVVerdict:
     """
     if not satisfiable(system):
         return HVVerdict("UNSAT", None)
-    d, n = system.d, len(system.variables)
+    d = system.d
     basis = system._howell
-    x = [0] * n  # by basis column; variable j is column n-1-j
-    for c in reversed(range(n)):
-        row = basis[c]
+    x = [0] * len(system.variables)
+    for j in range(len(x)):
+        row = basis[j]
         if row is not None:
-            resid = row.get(n, 0) - sum(v * x[k] for k, v in row.items() if c < k < n)
-            x[c] = resid % d // row[c]
-    verdict = HVVerdict("SAT", tuple(reversed(x)))
+            resid = row.get(-1, 0) - sum(v * x[k] for k, v in row.items() if 0 <= k < j)
+            x[j] = resid % d // row[j]
+    verdict = HVVerdict("SAT", tuple(x))
     assert _satisfies(system, verdict.witness)
     return verdict
 
@@ -399,31 +395,31 @@ def forced_value(
 
     Exact criterion: the functional is constant on the solution coset iff
     it lies in the row space of the constraint matrix modulo d.  Reducing
-    (functional | 0) by the Howell basis, first column first, leaves
-    (0 | -value) exactly then, and a nonzero variable entry otherwise.
+    (functional | 0) by the Howell basis leaves (0 | -value) exactly
+    then, and a nonzero variable entry otherwise.
     Returns None when not forced.  That includes a functional that puts a
     coefficient nonzero mod d on a variable the system never constrains:
     such a functional can take several values, so it is certainly not
     forced, whether or not the system is satisfiable.  Raises ValueError
     on an unsatisfiable system (nothing to compare).
     """
-    d, n = system.d, len(system.variables)
-    v: dict[int, int] = {}  # the functional as a sparse row in basis columns
+    d = system.d
+    v: dict[int, int] = {}  # the functional as a sparse row
     for label, coeff in functional.items():
         if coeff % d:
             idx = system._index.get(label)
             if idx is None:
                 return None
-            v[n - 1 - idx] = coeff % d
+            v[idx] = coeff % d
     if not satisfiable(system):
         raise ValueError("system is unsatisfiable; no solutions to compare")
     basis = system._howell
-    while v and (c := min(v)) < n:
+    while v and (c := max(v)) >= 0:
         row = basis[c]
         if row is None or v[c] % row[c]:
             return None
         v = _subtract(d, v, v[c] // row[c], row)
-    return -v.get(n, 0) % d
+    return -v.get(-1, 0) % d
 
 
 @dataclass(frozen=True)

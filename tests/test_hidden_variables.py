@@ -248,11 +248,16 @@ def test_howell_basis_entries_stay_in_range():
         systems.append(system_from_operators(d, cell.all_items()))
     for system in systems:
         d = system.d
-        for c, row in enumerate(system._howell):
+        basis = system._howell
+        assert len(basis) == len(system.variables) + 1
+        for c, row in enumerate(basis):
             if row is not None:
+                # entry c leads on variable c; the last entry, basis[-1],
+                # leads on the rhs column -1
+                lead = c if c < len(system.variables) else -1
                 assert all(0 < v < d for v in row.values())
-                assert min(row) == c
-                assert d % row[c] == 0
+                assert max(row) == lead
+                assert d % row[lead] == 0
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():
