@@ -30,7 +30,7 @@ from .constructions import (
     witness_construction,
 )
 from .hidden_variables import HVSystem, invariance_demo, solve
-from .operators import _check_dim
+from .operators import DEFAULT_DENSE_CAP, _check_dim, _check_json_size
 from .phases import RationalPhase
 
 __all__ = ["main"]
@@ -93,6 +93,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.f is not None and args.method != "1":
         print("error: --f only applies to method 1", file=sys.stderr)
         return 2
+    if args.n > 0:  # every family has N+1 operators or more: refuse before building
+        _check_json_size(args.n, args.n + 1, "a construction of at least")
     if args.method == "auto":
         result: Construction | NoContradiction = witness_construction(
             classify(args.d, args.n)
@@ -114,8 +116,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     certificate = verify_construction(construction, oracle=use_oracle)
     if use_oracle and not certificate.oracle_checked:
         print(
-            f"warning: dense oracle skipped, d^N = "
-            f"{construction.d**construction.n} exceeds the cap",
+            f"warning: dense oracle skipped, d^N = {construction.d}^{construction.n}"
+            f" exceeds the cap of {DEFAULT_DENSE_CAP}",
             file=sys.stderr,
         )
     _emit(certificate.to_json_dict(), None)

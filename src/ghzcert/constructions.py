@@ -68,6 +68,7 @@ from .operators import (
     _DenseTables,
     _check_cell,
     _check_dim,
+    _check_json_size,
     _json_int,
     _json_list,
     _json_object,
@@ -101,7 +102,6 @@ Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated fa
 
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
 _STAIRCASE_CAP = 2**16  # method 3: most staircase operators it builds
-_JSON_CAP = 2**22  # most angle entries, N per operator, in a construction's JSON
 
 
 class CertificationError(RuntimeError):
@@ -294,15 +294,6 @@ class _Encoding(NamedTuple):
     claims: list[int]
     rows: list[Support]
     variations: dict[tuple[int, int], int]
-
-
-def _check_json_size(n: int, count: int) -> None:
-    """Refuse a construction whose JSON holds more than _JSON_CAP angles."""
-    if n * count > _JSON_CAP:
-        raise ValueError(
-            f"a construction of {count} operators on N = {n} qudits has "
-            f"{n * count} angle entries, over the limit of {_JSON_CAP}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +873,16 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     return quantum_ok, verdict
 
 
+def _within(base: int, exponent: int, cap: int) -> bool:
+    """base**exponent <= cap for base >= 2, without a power above cap."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > cap:
+            return False
+    return True
+
+
 def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     """Certify a construction end to end.
 
@@ -904,10 +905,10 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     per_qudit = c.per_qudit_angles()
 
     oracle_checked = False
-    if oracle and c.d**c.n <= DEFAULT_DENSE_CAP:
+    if oracle and _within(c.d, c.n, DEFAULT_DENSE_CAP):
         _dense_recheck(c)
         oracle_checked = True
-    if oracle and c.d ** sum(map(len, per_qudit)) <= DEFAULT_BRUTE_CAP:
+    if oracle and _within(c.d, sum(map(len, per_qudit)), DEFAULT_BRUTE_CAP):
         brute = brute_force_solve(c._system)
         if brute.status != verdict.status or brute.witness != verdict.witness:
             raise CertificationError(

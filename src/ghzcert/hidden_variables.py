@@ -40,6 +40,7 @@ from .operators import (
     ProductOperator,
     _check_cell,
     _check_dim,
+    _check_json_size,
     _json_int,
     _json_list,
     _json_object,
@@ -488,9 +489,15 @@ def invariance_demo(
     variations c*dX_i(a), and it holds when the congruences force that
     sum to 0 mod d.  A finite set of observables can only pin these
     relations at the sampled angles; nothing here claims the continuum
-    statement for every phi.
+    statement for every phi.  The label system has N labels on each
+    operator, so a demo over the construction JSON's limit of N times
+    the operator count is refused before any operator is built.
     """
     _check_cell(d, n)
+    count = 1 + n * (n - 1)  # X^N and one operator per ordered pair of qudits
+    if partition is not None:
+        count *= 2  # the pairs at the scaled angle, and the group operator
+    _check_json_size(n, count, "an invariance demo of")
     phi = RationalPhase.from_fraction(as_turns(angle))
     pairs = list(itertools.permutations(range(n), 2))
     items = [(_with_angles(d, n, {}), ZERO_PHASE)]

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
+_JSON_CAP = 2**22  # most angle entries, N per operator, in a construction's JSON
 
 
 class CapExceededError(ValueError):
@@ -49,6 +50,15 @@ def _check_cell(d: int, n: int) -> None:
     _check_dim(d)
     if n < 3:
         raise ValueError(f"GHZ contradictions need at least three qudits, got N = {n}")
+
+
+def _check_json_size(n: int, count: int, what: str = "a construction of") -> None:
+    """Refuse a family of count operators on n qudits: N*count over _JSON_CAP."""
+    if n * count > _JSON_CAP:
+        raise ValueError(
+            f"{what} {count} operators on N = {n} qudits has "
+            f"{n * count} angle entries, over the limit of {_JSON_CAP}"
+        )
 
 
 def _json_object(data: object, what: str, *keys: str) -> dict:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -561,6 +562,16 @@ def test_huge_dimension_constructs_and_certifies(tmp_path):
     certificate = json.loads(out)
     assert certificate["certified"] and certificate["construction"]["method"] == 2
     assert len(certificate["construction"]["operators"]) + 1 == 7
+    # d^N = 10^4800 has more digits than Python converts to text: the
+    # dense-oracle skip warning printed it and verify exited 2
+    code, _, err = run_fresh(
+        "construct", "--d", "1000000000000", "--n", "400", "--output", str(path)
+    )
+    assert code == 0, err
+    code, out, err = run_fresh("verify", str(path))
+    assert code == 0, err
+    assert json.loads(out)["certified"] is True
+    assert err.startswith("warning: dense oracle skipped")
 
 
 def test_method3_staircase_limit_exits_2():
@@ -577,6 +588,13 @@ def test_dense_json_is_bounded(tmp_path):
     code, out, err = run_fresh("construct", "--d", "6", "--n", "4001")
     assert code == 2 and out == ""
     assert "16012002 angle entries, over the limit of 4194304" in err
+    # every family has at least N+1 operators, so construct refuses
+    # N(N+1) > 2^22 before it builds the family
+    start = time.perf_counter()
+    code, out, err = run_fresh("construct", "--d", "6", "--n", "1000001")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "1000003000002 angle entries, over the limit of 4194304" in err
     _check_json_size(2001, 2002)  # (6, 2001): 4 006 002 entries are written
     # verify refuses a document claiming N * M entries over the limit
     # before it reads any operator
@@ -593,3 +611,12 @@ def test_dense_json_is_bounded(tmp_path):
     code, out, err = run_fresh("verify", str(path))
     assert code == 2 and out == ""
     assert "4194306 angle entries, over the limit of 4194304" in err
+
+
+def test_invariance_demo_over_the_limit_exits_2():
+    start = time.perf_counter()
+    argv = ("invariance-demo", "--d", "3", "--n", "400", "--angle", "1/12")
+    code, out, err = run_fresh(*argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "63840400 angle entries, over the limit of 4194304" in err

@@ -36,6 +36,7 @@ from ghzcert import (
     witness_construction,
 )
 from ghzcert import hidden_variables, operators
+from ghzcert.constructions import _within
 from ghzcert.hidden_variables import _howell_basis
 
 
@@ -492,6 +493,14 @@ def test_oracle_flag_reflects_dense_cap():
     assert cert.oracle_checked
     cert = verify_construction(method2(2, 4), oracle=False)
     assert not cert.oracle_checked
+    # d^N = 4096 sits exactly on the cap, and each cap is decided exactly
+    for d, n in [(2, 12), (4, 6), (16, 3)]:
+        assert verify_construction(witness_construction(classify(d, n))).oracle_checked
+    assert not verify_construction(witness_construction(classify(17, 3))).oracle_checked
+    assert _within(10, 6, 10**6) and not _within(10, 7, 10**6)
+    start = time.perf_counter()
+    assert not _within(10**12, 10**9, 4096)  # decided without the power
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dense_oracle_checks_every_encoded_eigenphase():

@@ -486,6 +486,21 @@ def test_invariance_demo_zero_angle_is_trivial():
     assert report.all_forced
 
 
+def test_invariance_demo_is_refused_above_the_json_limit(monkeypatch):
+    # 1 + N(N-1) operators of N labels each, twice as many with a partition;
+    # an over-limit demo is refused before any operator is built
+    def build(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(hidden_variables, "_with_angles", build)
+    for n, partition in [(162, None), (129, (64, 65))]:
+        with pytest.raises(ValueError, match="angle entries, over the limit of 4194304"):
+            invariance_demo(3, n, RationalPhase(1, 12), partition)
+    for n, partition in [(161, None), (128, (63, 65))]:  # the largest accepted N
+        with pytest.raises(AssertionError, match="an operator was built"):
+            invariance_demo(3, n, RationalPhase(1, 12), partition)
+
+
 def test_invariance_demo_validation():
     with pytest.raises(ValueError):
         invariance_demo(3, 2, RationalPhase(1, 12))
