@@ -4,10 +4,10 @@ Subcommands: construct, verify, classify, hv-solve, invariance-demo,
 circle.  Payloads are deterministic JSON on stdout (CSV for the regime
 grid), diagnostics go to stderr.  Exit codes: 0 = certified contradiction
 or successful query, 1 = valid run without a contradiction
-(no-contradiction result or a satisfiable system), 2 = usage or input
-error.  The parser is built once per process, at import, because
-in-process callers (the tests and the benchmark) call ``main()`` many
-times.
+(no-contradiction result or a satisfiable system), 2 = any failure:
+usage, input, a limit or an internal error, all decided in ``main``.
+The parser is built once per process, at import, because in-process
+callers (the tests and the benchmark) call ``main()`` many times.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .constructions import (
-    CertificationError,
     Construction,
     NoContradiction,
     classify,
@@ -91,8 +90,7 @@ def _emit(payload: dict | list, output: str | None) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.f is not None and args.method != "1":
-        print("error: --f only applies to method 1", file=sys.stderr)
-        return 2
+        raise ValueError("--f only applies to method 1")
     if args.n > 0:  # every family has N+1 operators or more: refuse before building
         _check_json_size(args.n, args.n + 1, "a construction of at least")
     if args.method == "auto":
@@ -238,14 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-        CertificationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure is exit 2, never a verdict
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

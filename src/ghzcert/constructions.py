@@ -74,6 +74,7 @@ from .operators import (
     _json_object,
     _json_phase_reader,
     _with_angles,
+    _within,
 )
 from .phases import RationalPhase, ZERO_PHASE
 from .states import dense_state, make_ghz
@@ -871,16 +872,6 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     if verdict.status != "SAT":
         raise CertificationError("variation and label systems disagree")
     return quantum_ok, verdict
-
-
-def _within(base: int, exponent: int, cap: int) -> bool:
-    """base**exponent <= cap for base >= 2, without a power above cap."""
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power > cap:
-            return False
-    return True
 
 
 def verify_construction(c: Construction, oracle: bool = True) -> Certificate:

@@ -46,6 +46,7 @@ from .operators import (
     _json_object,
     _json_phase_reader,
     _with_angles,
+    _within,
 )
 from .phases import RationalPhase, ZERO_PHASE, as_turns
 from .states import eigenvalue_exponent, make_ghz
@@ -371,9 +372,8 @@ def brute_force_solve(system: HVSystem) -> HVVerdict:
     """
     d = system.d
     nv = len(system.variables)
-    total = d**nv
-    if total > DEFAULT_BRUTE_CAP:
-        raise CapExceededError(f"{total} assignments exceed {DEFAULT_BRUTE_CAP}")
+    if not _within(d, nv, DEFAULT_BRUTE_CAP):
+        raise CapExceededError(f"d^n = {d}^{nv} assignments exceed {DEFAULT_BRUTE_CAP}")
     rows, rhs = system.dense_rows()
     digits = np.arange(d, dtype=np.int64)
     ok = np.ones((d,) * nv, dtype=bool)

@@ -40,6 +40,16 @@ class CapExceededError(ValueError):
     """A dense or enumerative cross-check would exceed its configured cap."""
 
 
+def _within(base: int, exponent: int, cap: int) -> bool:
+    """base**exponent <= cap for base >= 2, without a power above cap."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > cap:
+            return False
+    return True
+
+
 def _check_dim(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")

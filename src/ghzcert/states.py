@@ -25,6 +25,7 @@ from .operators import (
     CapExceededError,
     ProductOperator,
     _check_dim,
+    _within,
 )
 from .phases import RationalPhase, as_turns
 
@@ -180,13 +181,13 @@ def expectation(state: GhzState, op: ProductOperator) -> Expectation:
 
 def dense_state(state: GhzState) -> np.ndarray:
     """Full d^N amplitude vector (numeric oracle); refuses above DEFAULT_DENSE_CAP."""
-    size = state.d**state.n
-    if size > DEFAULT_DENSE_CAP:
+    if not _within(state.d, state.n, DEFAULT_DENSE_CAP):
         raise CapExceededError(
-            f"dense state would have {size} entries, cap is {DEFAULT_DENSE_CAP}"
+            f"dense state would have d^N = {state.d}^{state.n} entries, "
+            f"cap is {DEFAULT_DENSE_CAP}"
         )
-    vec = np.zeros(size, dtype=complex)
-    stride = (size - 1) // (state.d - 1)  # index of |kk...k> is k * stride
+    vec = np.zeros(state.d**state.n, dtype=complex)
+    stride = (vec.size - 1) // (state.d - 1)  # index of |kk...k> is k * stride
     norm = 1.0 / math.sqrt(state.d)
     for k, phase in enumerate(state.amplitude_phases):
         vec[k * stride] = norm * phase.to_complex()

@@ -21,6 +21,7 @@ from ghzcert import (
     system_from_operators,
     verify_construction,
 )
+from ghzcert import cli
 from ghzcert.cli import _json_text, main
 from ghzcert.constructions import _check_json_size
 
@@ -78,7 +79,7 @@ def test_construct_usage_errors(capsys):
     code, out, err = run(
         capsys, "construct", "--d", "12", "--n", "5", "--method", "auto", "--f", "2"
     )
-    assert code == 2 and out == "" and "--f only applies to method 1" in err
+    assert code == 2 and out == "" and err == "error: --f only applies to method 1\n"
 
 
 def test_construct_writes_output_file(tmp_path, capsys):
@@ -173,6 +174,28 @@ def test_verify_parse_failure(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 2
     path.write_text(json.dumps(method1(3, 4, 3).to_json_dict()))
     assert run(capsys, "verify", str(path), "--brute-cap", "10")[0] == 2
+
+
+def test_readers_exit_2_on_json_nested_too_deep(tmp_path, capsys):
+    # 3000 nested arrays overflow the JSON decoder's recursion limit: the
+    # RecursionError is a failure (exit 2), not a verdict (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    for argv in (("verify", str(path)), ("hv-solve", str(path))):
+        for code, out, err in (run(capsys, *argv), run_fresh(*argv)):
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+
+def test_internal_failure_exits_2_with_its_type_name(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(method1(3, 4, 3).to_json_dict()))
+    monkeypatch.setattr(cli, "verify_construction", fail)
+    assert run(capsys, "verify", str(path)) == (2, "", "error: MemoryError\n")
 
 
 def test_verify_rejects_non_object_meta(tmp_path, capsys):

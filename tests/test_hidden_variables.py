@@ -134,6 +134,11 @@ def test_brute_force_cap(monkeypatch):
     monkeypatch.setattr(hidden_variables, "DEFAULT_BRUTE_CAP", 100)
     with pytest.raises(CapExceededError):
         brute_force_solve(method1_system(3, 4, 3))  # 3^8 assignments
+    # 6^6000 has 4669 digits, too many for Python to write in a message:
+    # the cap is decided, and the message written, without the power
+    labels = tuple(FactorLabel(q, ZERO_PHASE) for q in range(1, 6001))
+    with pytest.raises(CapExceededError, match=r"d\^n = 6\^6000 assignments"):
+        brute_force_solve(HVSystem(6, labels, ()))
 
 
 def test_solver_agrees_with_brute_force_on_random_systems():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,13 @@ def test_dense_state_examples():
         assert np.linalg.norm(dense_state(state)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(CapExceededError):
         dense_state(make_ghz(2, 13, 0))
+    assert dense_state(make_ghz(4, 6, 0)).size == 4096  # exactly on the cap
+    # d^N = 10^4800 is refused without the power, whose 4801 digits
+    # Python would not convert to text for a message
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=r"d\^N = 1000000000000\^400 entries"):
+        dense_state(make_ghz(10**12, 400, 0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dense_overlaps_match_inner_product():
