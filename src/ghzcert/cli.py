@@ -29,7 +29,7 @@ from .constructions import (
     witness_construction,
 )
 from .hidden_variables import HVSystem, invariance_demo, solve
-from .operators import DEFAULT_DENSE_CAP, _check_dim, _check_json_size
+from .operators import DEFAULT_DENSE_CAP, _JSON_CAP, _check_dim, _check_json_size
 from .phases import RationalPhase
 
 __all__ = ["main"]
@@ -164,6 +164,10 @@ def _cmd_invariance_demo(args: argparse.Namespace) -> int:
 
 def _cmd_circle(args: argparse.Namespace) -> int:
     _check_dim(args.d)
+    if args.d > _JSON_CAP:  # one JSON entry per point
+        raise ValueError(
+            f"a circle of {args.d} points is over the limit of {_JSON_CAP}"
+        )
     points = [str(RationalPhase(nu, args.d)) for nu in range(args.d)]
     _emit({"d": args.d, "points": points}, None)
     return 0

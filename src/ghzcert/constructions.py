@@ -64,6 +64,7 @@ from .hidden_variables import (
 )
 from .operators import (
     DEFAULT_DENSE_CAP,
+    _JSON_CAP,
     ProductOperator,
     _DenseTables,
     _check_cell,
@@ -617,9 +618,13 @@ def classify_plane(d_max: int, n_max: int, verify: bool = False) -> list[RegimeC
     checks that decide ``Certificate.certified``; any failure raises
     CertificationError.  The certificate's other flags (genuine
     dimension, irreducibility) are not computed here, since the plane
-    reports none of them.
+    reports none of them.  A plane of more than 2^22 cells is refused
+    before any cell is classified.
     """
     _check_cell(d_max, n_max)
+    size = (d_max - 1) * (n_max - 2)
+    if size > _JSON_CAP:
+        raise ValueError(f"a plane of {size} cells is over the limit of {_JSON_CAP}")
     cells = [
         classify(d, n) for d in range(2, d_max + 1) for n in range(3, n_max + 1)
     ]

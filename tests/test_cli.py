@@ -15,6 +15,7 @@ from ghzcert import (
     Construction,
     RationalPhase,
     brute_force_solve,
+    classify_plane,
     method1,
     method1_operator_set,
     method3,
@@ -416,6 +417,14 @@ def test_classify_json_and_verify(capsys):
 def test_classify_bad_bounds(capsys):
     assert run(capsys, "classify", "--d-max", "1", "--n-max", "5")[0] == 2
     assert run(capsys, "classify", "--d-max", "4", "--n-max", "2")[0] == 2
+    # a plane over 2^22 cells is refused before any cell is classified
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--d-max", "100000", "--n-max", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: a plane of 9999700002 cells is over the limit of 4194304\n"
+    with pytest.raises(ValueError, match="4196352 cells is over the limit"):
+        classify_plane(2049, 2051)  # 2048 x 2049 cells, one row over
 
 
 def test_hv_solve_sat_and_unsat(tmp_path, capsys):
@@ -498,6 +507,13 @@ def test_circle_command(capsys):
     assert code == 0
     assert json.loads(out) == {"d": 3, "points": ["0/1", "1/3", "2/3"]}
     assert run(capsys, "circle", "--d", "1")[0] == 2
+    # one JSON entry per point: over 2^22 is refused before any point is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "circle", "--d", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: a circle of 100000000 points is over the limit of 4194304\n"
+    assert run(capsys, "circle", "--d", "4194305")[0] == 2
 
 
 def test_output_is_deterministic(capsys):

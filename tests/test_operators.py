@@ -135,6 +135,10 @@ def test_compose_examples():
     assert (y @ y).shift == 2
     with pytest.raises(ValueError):
         make_x(2) @ make_x(3)
+    with pytest.raises(TypeError):
+        make_x(3) @ 3
+    with pytest.raises(ValueError, match="one phase per basis column"):
+        MonomialOp(3, 0, (ZERO_PHASE,) * 2)
 
 
 def test_unitarity_exact():

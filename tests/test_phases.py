@@ -24,12 +24,16 @@ def test_scaling_examples():
     assert RationalPhase(1, 9) * 3 == RationalPhase(1, 3)
     assert RationalPhase(1, 9) * -1 == RationalPhase(8, 9)
     assert RationalPhase(1, 25) * 5 == RationalPhase(1, 5)
+    with pytest.raises(TypeError):  # only whole multiples are angles
+        RationalPhase(1, 9) * 0.5
 
 
 def test_is_multiple_of_unit_examples():
     assert RationalPhase(2, 3).is_multiple_of_unit(3)
     assert not RationalPhase(1, 9).is_multiple_of_unit(3)
     assert ZERO_PHASE.is_multiple_of_unit(5)
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        RationalPhase(1, 3).is_multiple_of_unit(1)
 
 
 def test_to_complex_examples():
@@ -103,4 +107,5 @@ def test_signed_fraction_mixing():
     # signed rationals are accepted on the right of +/-
     assert RationalPhase(1, 9) + Fraction(-1, 9) == ZERO_PHASE
     assert RationalPhase(1, 9) - Fraction(1, 9) == ZERO_PHASE
+    assert Fraction(1, 2) - RationalPhase(1, 3) == RationalPhase(1, 6)
     assert 0 + RationalPhase(1, 9) == RationalPhase(1, 9)
