@@ -241,8 +241,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # any failure is exit 2, never a verdict
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        message = str(exc) or type(exc).__name__
+    # printed after the handler, which drops the failed command's frames:
+    # after a MemoryError they may hold the memory the print needs
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

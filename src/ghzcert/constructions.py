@@ -64,9 +64,9 @@ from .hidden_variables import (
 )
 from .operators import (
     DEFAULT_DENSE_CAP,
-    _JSON_CAP,
     ProductOperator,
     _DenseTables,
+    _JSON_CAP,
     _check_cell,
     _check_dim,
     _check_json_size,

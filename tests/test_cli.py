@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -190,12 +191,25 @@ def test_readers_exit_2_on_json_nested_too_deep(tmp_path, capsys):
 
 
 def test_internal_failure_exits_2_with_its_type_name(tmp_path, capsys, monkeypatch):
+    class Held:
+        pass
+
+    held = []
+
     def fail(*args, **kwargs):
+        payload = Held()  # stands for the memory a failed command holds
+        held.append(weakref.ref(payload))
         raise MemoryError()
+
+    def print_after_release(*args, **kwargs):
+        # the failed command's frames are gone before the error is written
+        assert held[0]() is None
+        print(*args, **kwargs)
 
     path = tmp_path / "c.json"
     path.write_text(json.dumps(method1(3, 4, 3).to_json_dict()))
     monkeypatch.setattr(cli, "verify_construction", fail)
+    monkeypatch.setattr(cli, "print", print_after_release, raising=False)
     assert run(capsys, "verify", str(path)) == (2, "", "error: MemoryError\n")
 
 

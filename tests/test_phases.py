@@ -104,7 +104,7 @@ def test_parse_rejects_non_canonical(bad):
 
 
 def test_signed_fraction_mixing():
-    # signed rationals are accepted on the right of +/-
+    # signed rationals are accepted on either side of +/-
     assert RationalPhase(1, 9) + Fraction(-1, 9) == ZERO_PHASE
     assert RationalPhase(1, 9) - Fraction(1, 9) == ZERO_PHASE
     assert Fraction(1, 2) - RationalPhase(1, 3) == RationalPhase(1, 6)
