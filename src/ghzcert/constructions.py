@@ -826,7 +826,7 @@ def _dense_recheck(c: Construction) -> None:
     the vector; the other rows are skipped.  Each checked operator goes
     through its own ``apply_dense`` on one ``_DenseTables`` for the
     family, which takes each distinct angle's matrix entries from
-    ``make_rotated_x`` once and holds the one scatter target.  Only one
+    ``make_rotated_x`` once and holds the one gather index.  Only one
     operator's image is held at a time.  Raises on any disagreement:
     that would mean the exact encoding that the certificate reads is
     broken, not merely the construction.
@@ -840,7 +840,7 @@ def _dense_recheck(c: Construction) -> None:
             continue
         image = op.apply_dense(vec, tables=tables)
         phase = RationalPhase(total, enc.common).to_complex()
-        if np.max(np.abs(image - phase * vec)) > _DENSE_TOLERANCE:
+        if np.abs(image - phase * vec).max() > _DENSE_TOLERANCE:
             raise CertificationError(
                 "exact eigenphase disagrees with dense tensor numerics"
             )

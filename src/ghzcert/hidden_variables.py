@@ -362,31 +362,56 @@ def solve(system: HVSystem) -> HVVerdict:
 
 
 def brute_force_solve(system: HVSystem) -> HVVerdict:
-    """Independent oracle: exhaust Z_d^n in lexicographic order.
+    """Independent oracle: decide every point of Z_d^n, meeting in the middle.
 
-    Every constraint is evaluated on the whole grid Z_d^n at once, one
-    axis per variable, so the C-order flat index of a grid point is its
-    rank in lexicographic order and the first hit is the least witness.
-    Shares no code with the Howell-basis solver; agreement of the two is
-    a standing cross-check.  Raises CapExceededError when d^n > DEFAULT_BRUTE_CAP.
+    The n variables are split at h = n//2.  Every row's value mod d is
+    tabulated once over the prefix grid Z_d^h and once over the suffix
+    grid Z_d^(n-h), both in C order, so grid index is lexicographic rank.
+    A prefix a and a suffix b satisfy the system iff the residue vector
+    rhs - A_pre*a (mod d) equals A_suf*b (mod d), so one sort-and-search
+    join on those vectors (Horowitz & Sahni, JACM 1974) decides all d^n
+    assignments at the cost of d^h + d^(n-h) of them.  The first prefix
+    with a match, followed by its least matching suffix, is the
+    lexicographically least witness.  Rows are joined a block at a time:
+    each block's residues extend an exact integer key per grid point,
+    and the keys are ranked again before the next block, so they stay
+    below 2^62 and memory stays linear in the grids.  Shares no code with
+    the Howell-basis solver; agreement of the two is a standing
+    cross-check.  Raises CapExceededError when d^n > DEFAULT_BRUTE_CAP.
     """
     d = system.d
     nv = len(system.variables)
     if not _within(d, nv, DEFAULT_BRUTE_CAP):
         raise CapExceededError(f"d^n = {d}^{nv} assignments exceed {DEFAULT_BRUTE_CAP}")
     rows, rhs = system.dense_rows()
-    digits = np.arange(d, dtype=np.int64)
-    ok = np.ones((d,) * nv, dtype=bool)
-    for row, r in zip(rows, rhs):
-        acc = np.zeros((), dtype=np.int64)
-        for c in row:  # a zero coefficient adds a broadcast axis, not d^k work
-            acc = np.add.outer(acc, c * digits) % d if c else acc[..., np.newaxis]
-        ok &= acc == r
-    hits = np.flatnonzero(ok)
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), nv)
+    rhs = np.array(rhs, dtype=np.int64)
+    h = nv // 2
+    prefix, suffix = _grid(d, h), _grid(d, nv - h)
+    size = len(prefix) + len(suffix)
+    # a rank is below size <= 2*DEFAULT_BRUTE_CAP < 2^b and a block adds a
+    # factor d^block < 2^(62-b), so every key stays below 2^62
+    block = (62 - (2 * DEFAULT_BRUTE_CAP).bit_length()) // d.bit_length()
+    key = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(rows), block):
+        part = matrix[start : start + block]
+        need = (rhs[start : start + block] - prefix @ part[:, :h].T) % d
+        residues = np.concatenate([need, suffix @ part[:, h:].T % d])
+        rank = np.unique(key, return_inverse=True)[1]
+        key = rank * d ** len(part) + residues @ d ** np.arange(len(part))
+    known, first = np.unique(key[len(prefix) :], return_index=True)
+    at = np.searchsorted(known, key[: len(prefix)]).clip(max=len(known) - 1)
+    hits = np.flatnonzero(known[at] == key[: len(prefix)])
     if hits.size == 0:
         return HVVerdict("UNSAT", None)
-    witness = np.unravel_index(int(hits[0]), ok.shape)
+    a = hits[0]
+    witness = (*prefix[a], *suffix[first[at[a]]])
     return HVVerdict("SAT", tuple(int(x) for x in witness))
+
+
+def _grid(d: int, k: int) -> np.ndarray:
+    """Every point of Z_d^k as a row, in C order (lexicographic rank)."""
+    return np.indices((d,) * k, dtype=np.int64).reshape(k, d**k).T
 
 
 def forced_value(

@@ -184,7 +184,7 @@ def make_rotated_x(d: int, phi: RationalPhase | Fraction | int) -> MonomialOp:
     carries (1-d)*phi.  Advancing phi by 1/d therefore multiplies the
     whole operator by omega, so X(phi) spans one period per 1/d turn.
     """
-    angle = RationalPhase.from_fraction(as_turns(phi))
+    angle = phi if isinstance(phi, RationalPhase) else RationalPhase.from_fraction(phi)
     return MonomialOp(d, 1, (angle,) * (d - 1) + (angle * (1 - d),))
 
 
@@ -256,24 +256,29 @@ class ProductOperator:
 
         Every factor is a monomial operator, so the product sends the
         basis ket |n_1 ... n_N> to the product of the factors' column
-        phases times |n_1+s_1 ... n_N+s_N>: one outer-product phase build,
-        one multiply and one scatter.  ``tables`` holds what the operators
-        on one (d, N) share, the factors' column phases and the scatter
-        target; a caller checking several operators builds one and passes
-        it to each call.  Without it this operator gets its own.
+        phases times |n_1+s_1 ... n_N+s_N>: one phase build, one multiply
+        and one gather.  The phase is built from the last factor back,
+        so each broadcast product runs along the longer vector, with one
+        product per rotated factor and one per run of plain factors X(0),
+        whose tensor power of X(0)'s column phases the table holds.
+        ``tables`` holds what the operators on one (d, N) share, the
+        factors' column phases and the gather index; a caller checking
+        several operators builds one and passes it to each call.  Without
+        it this operator gets its own.
         """
         if tables is None:
             tables = _DenseTables(self.d, self.n)
         elif (tables.d, tables.n) != (self.d, self.n):
             raise ValueError("operators in one family must share d and N")
-        rotated = dict(self.rotations)
-        phase = np.ones(1, dtype=complex)
-        for q in range(self.n):
-            columns = tables.column_phases(rotated.get(q, ZERO_PHASE))
-            phase = np.multiply.outer(phase, columns).ravel()
-        image = np.empty(phase.size, dtype=complex)
-        image[tables.target] = phase * np.asarray(vec, dtype=complex).reshape(phase.size)
-        return image
+        phase, rest = tables.plain[0], self.n  # phase covers qudits rest..N-1
+        for q, angle in reversed(self.rotations):
+            if q + 1 < rest:
+                phase = _kron(tables.plain[rest - q - 1], phase)
+            phase = _kron(tables.column_phases(angle), phase)
+            rest = q
+        if rest:
+            phase = _kron(tables.plain[rest], phase)
+        return (phase * np.asarray(vec, dtype=complex).reshape(phase.size))[tables.source]
 
 
 class _DenseTables:
@@ -281,21 +286,26 @@ class _DenseTables:
 
     Each distinct angle's column phases are read from ``make_rotated_x``
     once.  Every rotated X shifts by the same amount as X(0), so the
-    target index of all d^N kets is built once, from that shift, when
-    the table is made: the first factor is the most significant digit.
-    X(0)'s column phases are kept too, since plain factors are the most
-    common ones.
+    source of every ket of the image, the ket shifted back on every
+    qudit, is indexed once, from that shift, when the table is made:
+    the first factor is the most significant digit.
+    X(0)'s column phases are read once too, and ``plain[k]`` holds their
+    k-fold tensor power (``plain[0]`` is [1]), since runs of plain
+    factors are the most common factors.
     """
 
     def __init__(self, d: int, n: int) -> None:
         self.d, self.n = d, n
         plain = make_rotated_x(d, ZERO_PHASE)
-        rows = (np.arange(d) + plain.shift) % d
-        target = np.zeros(1, dtype=np.intp)
-        for _ in range(n):
-            target = np.add.outer(target * d, rows).ravel()
-        self.target = target
-        self._columns = {ZERO_PHASE: _column_phases(plain)}
+        rows = (np.arange(d) - plain.shift) % d
+        columns = _column_phases(plain)
+        source = np.zeros(1, dtype=np.intp)
+        self.plain = [np.ones(1, dtype=complex)]
+        for _ in range(n):  # least significant digit first
+            source = np.add.outer(rows * source.size, source).ravel()
+            self.plain.append(_kron(columns, self.plain[-1]))
+        self.source = source
+        self._columns: dict[RationalPhase, np.ndarray] = {}
 
     def column_phases(self, angle: RationalPhase) -> np.ndarray:
         columns = self._columns.get(angle)
@@ -303,6 +313,11 @@ class _DenseTables:
             factor = make_rotated_x(self.d, angle)
             columns = self._columns[angle] = _column_phases(factor)
         return columns
+
+
+def _kron(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two vectors, first the more significant."""
+    return (first[:, None] * second).ravel()
 
 
 def _column_phases(factor: MonomialOp) -> np.ndarray:

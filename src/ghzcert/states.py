@@ -63,9 +63,10 @@ class GhzState:
         what makes inner products between states at different angles real,
         and it carries the even-d sign flip under full turns.
         """
-        spin = Fraction(self.d - 1, 2)
+        # (k - S)*Phi = (2k - d + 1)*num / (2*den) turns, in integers
+        num, den = self.phi.numerator, 2 * self.phi.denominator
         return tuple(
-            RationalPhase.from_fraction((k - spin) * self.phi) for k in range(self.d)
+            RationalPhase((2 * k - self.d + 1) * num, den) for k in range(self.d)
         )
 
     @property
