@@ -37,9 +37,10 @@ __all__ = ["main"]
 
 _quote = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
+_CHUNK = 2**14  # fragments of the JSON text joined into one piece
 
 
-def _indented(value: object, out: list[str], newline: str) -> None:
+def _indented(value: object, out: list[str], pieces: list[str], newline: str) -> None:
     """Append ``json.dumps(value, indent=2)`` to out, nested at newline.
 
     ``json.dumps`` with an indent runs the pure-Python encoder; this
@@ -47,7 +48,13 @@ def _indented(value: object, out: list[str], newline: str) -> None:
     booleans, None and lists and objects of them are written directly;
     any other value (a float, a tuple, an object with non-string keys)
     goes to ``json.dumps``, whose lines are re-indented to this depth.
+    Once out holds ``_CHUNK`` fragments they are joined onto pieces and
+    out is emptied, so the fragments cost memory of the order of the
+    text they spell, not of one object per fragment.
     """
+    if len(out) >= _CHUNK:
+        pieces.append("".join(out))
+        out.clear()
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -57,35 +64,46 @@ def _indented(value: object, out: list[str], newline: str) -> None:
         out.append(_LITERALS[value])
     elif kind is list and value:
         inner = newline + "  "
+        separator = "," + inner
         out.append("[")
         for i, item in enumerate(value):
-            out.append(inner if i == 0 else "," + inner)
-            _indented(item, out, inner)
+            out.append(separator if i else inner)
+            _indented(item, out, pieces, inner)
         out.append(newline + "]")
     elif kind is dict and value and all(type(key) is str for key in value):
         inner = newline + "  "
+        separator = "," + inner
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
-            out.append((inner if i == 0 else "," + inner) + _quote(key) + ": ")
-            _indented(item, out, inner)
+            out.append((separator if i else inner) + _quote(key) + ": ")
+            _indented(item, out, pieces, inner)
         out.append(newline + "}")
     else:
         out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
-def _json_text(payload: object) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte."""
+def _json_pieces(payload: object) -> list[str]:
+    """``json.dumps(payload, indent=2)``, byte for byte, as consecutive pieces."""
     out: list[str] = []
-    _indented(payload, out, "\n")
-    return "".join(out)
+    pieces: list[str] = []
+    _indented(payload, out, pieces, "\n")
+    pieces.append("".join(out))
+    return pieces
 
 
 def _emit(payload: dict | list, output: str | None) -> None:
-    """Print the payload as indented JSON, after writing it to output."""
-    text = _json_text(payload)
+    """Print the payload as indented JSON, after writing it to output.
+
+    The text is written piece by piece, so it is held once, as its
+    pieces, and never joined or encoded whole.
+    """
+    pieces = _json_pieces(payload)
     if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        with open(output, "w", encoding="utf-8") as file:
+            file.writelines(pieces)
+            file.write("\n")
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

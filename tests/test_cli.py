@@ -24,7 +24,7 @@ from ghzcert import (
     verify_construction,
 )
 from ghzcert import cli
-from ghzcert.cli import _json_text, main
+from ghzcert.cli import _json_pieces, main
 from ghzcert.constructions import _check_json_size
 
 
@@ -125,7 +125,23 @@ _json_trees = st.recursive(
 def test_json_text_matches_json_dumps(tree):
     # empty containers, nesting, non-ASCII text, escapes and large ints
     # come out exactly as json.dumps(indent=2) writes them
-    assert _json_text(tree) == json.dumps(tree, indent=2)
+    assert "".join(_json_pieces(tree)) == json.dumps(tree, indent=2)
+
+
+def test_emit_writes_pieces_that_spell_json_dumps(tmp_path, capsys, monkeypatch):
+    # with a few fragments per piece, every piece boundary falls inside
+    # nested lists and objects, and file and stdout still read exactly
+    # json.dumps(indent=2) plus a newline
+    payload = {"d": 7, "points": ["0/1", "1/7"], "rows": [[1, [2, {"k": None}]], {}, []]}
+    expected = json.dumps(payload, indent=2) + "\n"
+    for chunk in (1, 2, 3, 5, 2**14):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / f"out-{chunk}.json"
+        cli._emit(payload, str(path))
+        assert capsys.readouterr().out == expected
+        assert path.read_text(encoding="utf-8") == expected
+        if chunk < 5:
+            assert len(_json_pieces(payload)) > 5
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
