@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ghzcert import (
     CertificationError,
     Construction,
+    HVVerdict,
     NoContradiction,
     PhaseParseError,
     ProductOperator,
@@ -35,7 +36,7 @@ from ghzcert import (
     verify_construction,
     witness_construction,
 )
-from ghzcert import hidden_variables, operators
+from ghzcert import constructions, hidden_variables, operators
 from ghzcert.constructions import _within
 from ghzcert.hidden_variables import _howell_basis
 
@@ -504,20 +505,50 @@ def test_oracle_flag_reflects_dense_cap():
 
 
 def test_dense_oracle_checks_every_encoded_eigenphase():
-    # 70 operators and a tampered total at an odd index: an oracle that
-    # sampled at most 64 operators would check only the even ones
+    # 70 operators and a tampered total at the first, an odd and the last
+    # index: an oracle that sampled at most 64 operators would check only
+    # the even ones, and one that dropped an end of the family would miss
+    # the first operator or the target
     base = method1(3, 4, 3)
     items = (base.all_items() * 14)[:70]
-    c = Construction(
-        d=3, n=4, method=1, phi_o=base.phi_o, operators=tuple(items[:-1]), target=items[-1]
+    for index in (0, 33, 69):
+        c = Construction(
+            d=3, n=4, method=1, phi_o=base.phi_o, operators=tuple(items[:-1]), target=items[-1]
+        )
+        assert verify_construction(c, oracle=True).oracle_checked
+        encoding = c._encoding
+        shifted = list(encoding.totals)
+        shifted[index] += encoding.common // c.d  # still on the 1/d grid, one step off
+        c.__dict__["_encoding"] = encoding._replace(totals=shifted)
+        with pytest.raises(CertificationError, match="dense tensor numerics"):
+            verify_construction(c, oracle=True)
+
+
+def test_exhaustive_oracle_disagreement_raises(monkeypatch):
+    # the solver's verdict stands only if the enumeration returns the same
+    # status and the same least witness: another status on an UNSAT and on
+    # a SAT family, or another witness on the SAT family, stops certification
+    unsat = method1(3, 4, 3)
+    supporting, target = method1_operator_set(3, 6, 3)  # N a multiple of f
+    sat = Construction(
+        d=3, n=6, method=1, phi_o=RationalPhase(1, 9), operators=tuple(supporting),
+        target=target, f=3,
     )
-    assert verify_construction(c, oracle=True).oracle_checked
-    encoding = c._encoding
-    shifted = list(encoding.totals)
-    shifted[33] += encoding.common // c.d  # still on the 1/d grid, one step off
-    c.__dict__["_encoding"] = encoding._replace(totals=shifted)
-    with pytest.raises(CertificationError, match="dense tensor numerics"):
-        verify_construction(c, oracle=True)
+    least = verify_construction(sat).hv_verdict.witness
+    assert least == (0,) * 8 + (1, 0, 0, 1)
+    forged = [
+        (unsat, HVVerdict("SAT", (0,) * len(unsat._system.variables))),
+        (sat, HVVerdict("UNSAT", None)),
+        (sat, HVVerdict("SAT", least[:-1] + (2,))),
+        (sat, HVVerdict("SAT", (0,) * len(least))),
+    ]
+    for c, verdict in forged:
+        monkeypatch.setattr(constructions, "brute_force_solve", lambda system, v=verdict: v)
+        with pytest.raises(
+            CertificationError, match="Howell-basis solver and exhaustive enumeration disagree"
+        ):
+            verify_construction(c, oracle=True)
+        assert not verify_construction(c, oracle=False).oracle_checked
 
 
 def test_dense_oracle_skips_an_operator_off_the_grid():

@@ -266,7 +266,8 @@ def test_howell_basis_entries_stay_in_range():
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():
-    # a 65536-point sweep whose least witness sets only the last variable
+    # 65536 assignments, met as two grids of 256 points: the least witness
+    # has the zero prefix and sets only the last variable of the suffix
     system = raw_system(2, [[1] * 16], [1])  # 65536 assignments
     fast = brute_force_solve(system)
     assert fast.status == "SAT"
@@ -305,6 +306,100 @@ def test_brute_force_matches_itertools_enumeration():
     empty = HVSystem(5, (), (Constraint((), 0), Constraint((), 10)))
     assert brute_force_solve(empty) == HVVerdict("SAT", ())
     assert brute_force_solve(HVSystem(5, (), (Constraint((), 3),))).status == "UNSAT"
+
+
+def least_by_itertools(system):
+    """The first assignment of itertools.product that meets every row."""
+    rows, rhs = system.dense_rows()
+    d = system.d
+    return next(
+        (
+            x
+            for x in itertools.product(range(d), repeat=len(system.variables))
+            if all(
+                sum(c * v for c, v in zip(row, x)) % d == r
+                for row, r in zip(rows, rhs)
+            )
+        ),
+        None,
+    )
+
+
+def test_brute_force_at_exactly_the_cap():
+    # 10^6 assignments: the split is 10^3 + 10^3 points at (10, 6) and
+    # (1000, 2), and 1 + 10^6 at (10^6, 1); the Howell solver, which shares
+    # no code with the enumeration, gives the same least witness
+    rng = random.Random(101)
+    for d, n in [(10, 6), (1000, 2), (10**6, 1)]:
+        assert d**n == DEFAULT_BRUTE_CAP
+        systems = [random_sat_system(rng, d, n, rng.randint(1, 4)) for _ in range(3)]
+        # 2*x_1 + d/2*x_n = 1 (mod d) has no solution for even d
+        unsat = [2] + [0] * (n - 2) + [d // 2] if n > 1 else [2]
+        systems.append(raw_system(d, [unsat], [1]))
+        # 3*x_n = 6 (mod d): the least witness is 0 but for x_n = 2
+        systems.append(raw_system(d, [[0] * (n - 1) + [3]], [6]))
+        for system in systems:
+            verdict = brute_force_solve(system)
+            assert verdict == solve(system), (d, n)
+        assert verdict.witness == (0,) * (n - 1) + (2,)
+        too_many = HVSystem(d, system.variables + (FactorLabel(n + 1, ZERO_PHASE),), ())
+        with pytest.raises(CapExceededError):
+            brute_force_solve(too_many)
+
+
+def test_brute_force_split_boundaries():
+    # odd n (prefix shorter than suffix), variables no row names on either
+    # side of the split, and least witnesses that are zero on exactly one
+    # side of it, each against itertools.product
+    cases = [
+        # n = 5, split 2 + 3: x_2 + 2*x_5 = 1 and x_4 = 2 (mod 3)
+        raw_system(3, [[0, 1, 0, 0, 2], [0, 0, 0, 1, 0]], [1, 2]),
+        # n = 7, split 3 + 4, rows over x_1, x_4 and x_7 only
+        raw_system(2, [[1, 0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0, 1]], [1, 1]),
+        # zero prefix, nonzero suffix: x_3 + x_4 = 1 (mod 3)
+        raw_system(3, [[0, 0, 1, 1]], [1]),
+        # nonzero prefix, zero suffix: x_1 = 1 (mod 3), x_3 and x_4 free
+        raw_system(3, [[1, 0, 0, 0]], [1]),
+        # the first prefix with a match is (1, 0), and its least suffix is
+        # (2, 3): x_1 + x_3 = 3, 2*x_1 = 2 and x_1 + x_4 = 0 (mod 4)
+        raw_system(4, [[1, 0, 1, 0], [2, 0, 0, 0], [1, 0, 0, 1]], [3, 2, 0]),
+        # n = 3 with only the middle variable named: split 1 + 2
+        raw_system(5, [[0, 2, 0]], [3]),
+        # unsatisfiable across the split: x_1 + x_4 = 1 and x_1 + x_4 = 2
+        raw_system(3, [[1, 0, 0, 1], [1, 0, 0, 1]], [1, 2]),
+    ]
+    expected = [
+        (0, 0, 0, 2, 2),
+        (0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 1),
+        (1, 0, 0, 0),
+        (1, 0, 2, 3),
+        (0, 4, 0),
+        None,
+    ]
+    for system, least in zip(cases, expected):
+        assert least_by_itertools(system) == least
+        verdict = brute_force_solve(system)
+        assert verdict == HVVerdict("UNSAT" if least is None else "SAT", least)
+
+
+def test_brute_force_joins_rows_in_blocks():
+    # more rows than one block holds at every d: each block's residues
+    # extend the key of every grid point, and a row of any block can
+    # decide the verdict or move the least witness
+    rng = random.Random(103)
+    for d in (2, 3, 10, 97):
+        n = 4 if d < 97 else 2
+        rows = [[rng.randrange(d) for _ in range(n)] for _ in range(45)]
+        planted = [rng.randrange(d) for _ in range(n)]
+        rhs = [sum(c * x for c, x in zip(row, planted)) % d for row in rows]
+        system = raw_system(d, rows, rhs)
+        assert brute_force_solve(system) == HVVerdict("SAT", least_by_itertools(system))
+        for k in (0, 21, 44):  # a bad row in the first, a middle and the last block
+            bad = rhs[:k] + [(rhs[k] + 1) % d] + rhs[k + 1 :]
+            system = raw_system(d, rows, bad)
+            verdict = brute_force_solve(system)
+            assert verdict == solve(system) and verdict.witness == least_by_itertools(system)
 
 
 def test_system_from_operators_matches_reference_builder():
