@@ -257,10 +257,11 @@ class ProductOperator:
         Every factor is a monomial operator, so the product sends the
         basis ket |n_1 ... n_N> to the product of the factors' column
         phases times |n_1+s_1 ... n_N+s_N>: one phase build, one multiply
-        and one gather.  The phase is built from the last factor back,
-        so each broadcast product runs along the longer vector, with one
-        product per rotated factor and one per run of plain factors X(0),
-        whose tensor power of X(0)'s column phases the table holds.
+        and one gather.  The phase is built from the last factor back, so
+        a broadcast product's inner loop runs along the phase built so
+        far, with one product per rotated factor and one per run of plain
+        factors X(0), whose tensor power of X(0)'s column phases the
+        table holds.
         ``tables`` holds what the operators on one (d, N) share, the
         factors' column phases and the gather index; a caller checking
         several operators builds one and passes it to each call.  Without
@@ -286,12 +287,12 @@ class _DenseTables:
 
     Each distinct angle's column phases are read from ``make_rotated_x``
     once.  Every rotated X shifts by the same amount as X(0), so the
-    source of every ket of the image, the ket shifted back on every
+    source of every ket of the image, that ket shifted back on every
     qudit, is indexed once, from that shift, when the table is made:
-    the first factor is the most significant digit.
-    X(0)'s column phases are read once too, and ``plain[k]`` holds their
-    k-fold tensor power (``plain[0]`` is [1]), since runs of plain
-    factors are the most common factors.
+    the first factor is the most significant digit.  X(0)'s column
+    phases are read once too, and ``plain[k]`` holds their k-fold tensor
+    power (``plain[0]`` is [1]), since runs of plain factors are the
+    most common factors.
     """
 
     def __init__(self, d: int, n: int) -> None:
