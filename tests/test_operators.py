@@ -270,8 +270,9 @@ def test_shared_tables_match_per_axis_reference_on_every_oracle_shape():
 
 
 def test_apply_dense_scatters_by_the_factors_own_shift(monkeypatch):
-    # the scatter target is read from the factors make_rotated_x builds,
-    # so a factor with another shift moves the oracle with it
+    # the image's gather index is read from the shift of the factors
+    # make_rotated_x builds, so a factor with another shift moves the
+    # oracle with it
     real = operators.make_rotated_x
     monkeypatch.setattr(
         operators, "make_rotated_x", lambda d, phi: MonomialOp(d, 2, real(d, phi).phases)
