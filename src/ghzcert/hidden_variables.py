@@ -243,24 +243,38 @@ def _howell_basis(
     so the rows of any column c and below span every consequence of the
     system that is zero above c: in particular the exact projection of
     the solution set onto the variables x_0..x_c.  The system is
-    unsolvable iff entry -1 is not None.  Pending rows wait in buckets
-    keyed by their leading column, so a column that no row leads costs
-    nothing, and a column below -1 is never popped.
+    unsolvable iff entry -1 is not None.  Pending rows wait in buckets, so
+    a column that no row leads costs nothing, and a column below -1 is
+    never popped.  Each input row is copied once on entry, and from then
+    on the kernel reduces its own copies in place, so the callers' rows
+    are never changed.  A row is placed lazily: one reduced at column c
+    goes into bucket c-1 unscanned, since it is zero from c up, and a row
+    found there without column c-1 moves on to the bucket of its real
+    leading column, found with one ``max``.  A row that loses one column
+    per step, as a long row reduced by short pivots does, is therefore
+    never copied or rescanned, and its reduction costs the pivots' size.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
-            buckets.setdefault(max(row), []).append(row)
+            buckets.setdefault(max(row), []).append(dict(row))
     basis: list[Optional[dict[int, int]]] = [None] * (n + 1)
     for c in range(n - 1, -2, -1):
         live = buckets.pop(c, None)
-        if live is None:
+        if not live:
             continue
-        pivot = live[0]
-        for row in live[1:]:
+        pivot = None
+        below = buckets.setdefault(c - 1, [])
+        for row in live:
+            if c not in row:
+                buckets.setdefault(max(row), []).append(row)
+                continue
+            if pivot is None:
+                pivot = row
+                continue
             a, b = pivot[c], row[c]
             if b % a == 0:
-                row = _subtract(d, row, b // a, pivot)
+                _subtract(d, row, b // a, pivot)
             else:
                 g, s, t = _xgcd(a, b)
                 pivot, row = (
@@ -268,15 +282,18 @@ def _howell_basis(
                     _row_sum(d, a // g, row, -(b // g), pivot),
                 )
             if row:
-                buckets.setdefault(max(row), []).append(row)
+                below.append(row)
+        if pivot is None:
+            continue
         h = math.gcd(pivot[c], d)
         if pivot[c] != h:
             unit = _normalizing_unit(pivot[c], d)
-            pivot = {k: unit * v % d for k, v in pivot.items()}
+            for k, v in pivot.items():
+                pivot[k] = unit * v % d
         if h != 1:
             annihilated = {k: w for k, v in pivot.items() if (w := d // h * v % d)}
             if annihilated:
-                buckets.setdefault(max(annihilated), []).append(annihilated)
+                below.append(annihilated)
         basis[c] = pivot
     return basis
 
@@ -291,16 +308,18 @@ def _row_sum(
     return {k: v % d for k, v in out.items() if v % d}
 
 
-def _subtract(d: int, r: dict[int, int], q: int, p: dict[int, int]) -> dict[int, int]:
-    """The sparse row r - q*p mod d, for rows with entries in [1, d)."""
-    out = dict(r)
+def _subtract(d: int, r: dict[int, int], q: int, p: dict[int, int]) -> None:
+    """Reduce the sparse row r to r - q*p mod d in place, entries in [1, d).
+
+    The work is p's size, whatever r's: only r's entries on p's columns
+    are touched, and none is copied.
+    """
     for k, v in p.items():
-        w = (out.get(k, 0) - q * v) % d
+        w = (r.get(k, 0) - q * v) % d
         if w:
-            out[k] = w
+            r[k] = w
         else:
-            out.pop(k, None)
-    return out
+            r.pop(k, None)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -422,7 +441,10 @@ def forced_value(
     Exact criterion: the functional is constant on the solution coset iff
     it lies in the row space of the constraint matrix modulo d.  Reducing
     (functional | 0) by the Howell basis leaves (0 | -value) exactly
-    then, and a nonzero variable entry otherwise.
+    then, and a nonzero variable entry otherwise.  The functional is
+    copied once into a sparse row that is reduced in place, by the same
+    step as the basis rows (``_subtract``), so a step costs the basis
+    row's size.
     Returns None when not forced.  That includes a functional that puts a
     coefficient nonzero mod d on a variable the system never constrains:
     such a functional can take several values, so it is certainly not
@@ -444,7 +466,7 @@ def forced_value(
         row = basis[c]
         if row is None or v[c] % row[c]:
             return None
-        v = _subtract(d, v, v[c] // row[c], row)
+        _subtract(d, v, v[c] // row[c], row)
     return -v.get(-1, 0) % d
 
 

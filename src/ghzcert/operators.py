@@ -257,11 +257,11 @@ class ProductOperator:
         Every factor is a monomial operator, so the product sends the
         basis ket |n_1 ... n_N> to the product of the factors' column
         phases times |n_1+s_1 ... n_N+s_N>: one phase build, one multiply
-        and one gather.  The phase is built from the last factor back, so
-        a broadcast product's inner loop runs along the phase built so
-        far, with one product per rotated factor and one per run of plain
-        factors X(0), whose tensor power of X(0)'s column phases the
-        table holds.
+        and one gather.  The phase is the Kronecker product of its parts,
+        one per rotated factor and one per run of plain factors X(0),
+        whose tensor power of X(0)'s column phases the table holds.  It
+        is built from the last part back, so the last part is taken as it
+        is and each product puts one more part in front (``_kron``).
         ``tables`` holds what the operators on one (d, N) share, the
         factors' column phases and the gather index; a caller checking
         several operators builds one and passes it to each call.  Without
@@ -271,14 +271,17 @@ class ProductOperator:
             tables = _DenseTables(self.d, self.n)
         elif (tables.d, tables.n) != (self.d, self.n):
             raise ValueError("operators in one family must share d and N")
-        phase, rest = tables.plain[0], self.n  # phase covers qudits rest..N-1
+        parts, rest = [], self.n  # the parts of qudits rest..N-1, last first
         for q, angle in reversed(self.rotations):
             if q + 1 < rest:
-                phase = _kron(tables.plain[rest - q - 1], phase)
-            phase = _kron(tables.column_phases(angle), phase)
+                parts.append(tables.plain[rest - q - 1])
+            parts.append(tables.column_phases(angle))
             rest = q
         if rest:
-            phase = _kron(tables.plain[rest], phase)
+            parts.append(tables.plain[rest])
+        phase = parts[0]
+        for part in parts[1:]:
+            phase = _kron(part, phase)
         return (phase * np.asarray(vec, dtype=complex).reshape(phase.size))[tables.source]
 
 
@@ -317,8 +320,23 @@ class _DenseTables:
 
 
 def _kron(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two vectors, first the more significant."""
-    return (first[:, None] * second).ravel()
+    """The Kronecker product of two vectors, first the more significant.
+
+    A broadcast product runs one inner loop along ``second`` per entry of
+    ``first``.  When ``second`` has at most 3 entries and ``first`` at
+    least 128, as when a long run of plain factors goes in front of one
+    factor's column phases, those loops are too short to pay for
+    themselves, so the loops run along ``first`` instead, one per entry
+    of ``second``, each storing every ``second.size``-th entry: the same
+    products in the same digit order.  With a longer ``second`` the
+    strided stores cost more than the short loops they save.
+    """
+    if second.size > 3 or first.size < 128:
+        return (first[:, None] * second).ravel()
+    out = np.empty(first.size * second.size, dtype=complex)
+    grid = out.reshape(first.size, second.size)
+    np.multiply(first, second[:, None], out=grid.T, order="C")
+    return out
 
 
 def _column_phases(factor: MonomialOp) -> np.ndarray:

@@ -24,30 +24,30 @@ class PhaseParseError(ValueError):
     """Input string is not a canonical ``num/den`` turn fraction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalPhase:
     """An angle on the unit circle as a reduced fraction of a turn.
 
-    Instances are normalized on construction: ``0 <= num < den`` and
-    ``gcd(num, den) == 1``.  Equality and hashing are structural on the
-    normalized pair, so equal angles are always equal values.  Arbitrary
-    precision integers keep chained scaling exact (denominators like d**2
-    appear routinely).
+    Instances are normalized once, in ``__init__``: ``0 <= num < den``
+    and ``gcd(num, den) == 1``.  Equality and hashing are structural on
+    the normalized pair, so equal angles are always equal values.
+    Arbitrary precision integers keep chained scaling exact (denominators
+    like d**2 appear routinely), and sums and differences are taken on
+    the integer pairs, then normalized by the same ``__init__``.
     """
 
-    num: int = 0
-    den: int = 1
+    num: int
+    den: int
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int = 0, den: int = 1) -> None:
         if den == 0:
             raise ValueError("denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
         num %= den
         g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        # frozen: the fields are set once, past the refusing __setattr__
+        vars(self).update(num=num // g, den=den // g)
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "RationalPhase":
@@ -75,15 +75,18 @@ class RationalPhase:
         return Fraction(self.num, self.den)
 
     def __add__(self, other: "RationalPhase | Fraction | int") -> "RationalPhase":
-        return RationalPhase.from_fraction(self.as_fraction() + as_turns(other))
+        num, den = _pair(other)
+        return RationalPhase(self.num * den + num * self.den, self.den * den)
 
     __radd__ = __add__
 
     def __sub__(self, other: "RationalPhase | Fraction | int") -> "RationalPhase":
-        return RationalPhase.from_fraction(self.as_fraction() - as_turns(other))
+        num, den = _pair(other)
+        return RationalPhase(self.num * den - num * self.den, self.den * den)
 
     def __rsub__(self, other: "RationalPhase | Fraction | int") -> "RationalPhase":
-        return RationalPhase.from_fraction(as_turns(other) - self.as_fraction())
+        num, den = _pair(other)
+        return RationalPhase(num * self.den - self.num * den, self.den * den)
 
     def __neg__(self) -> "RationalPhase":
         return RationalPhase(-self.num, self.den)
@@ -125,6 +128,20 @@ def as_turns(value: "RationalPhase | Fraction | int") -> Fraction:
     if isinstance(value, RationalPhase):
         return value.as_fraction()
     return Fraction(value)
+
+
+def _pair(value: "RationalPhase | Fraction | int") -> tuple[int, int]:
+    """An angle-like value as an integer pair (num, den), den > 0.
+
+    The same value that ``as_turns`` gives, without building a Fraction
+    for a phase or an int.
+    """
+    if isinstance(value, RationalPhase):
+        return value.num, value.den
+    if isinstance(value, int):
+        return value, 1
+    turns = Fraction(value)
+    return turns.numerator, turns.denominator
 
 
 ZERO_PHASE = RationalPhase()

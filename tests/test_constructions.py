@@ -195,6 +195,23 @@ def test_method2_criterion_matches_gcd():
             assert isinstance(method2(d, n), Construction) == (math.gcd(n, d) > 1)
 
 
+def test_method2_solve_grows_linearly_in_n():
+    # The target row has N entries and is reduced once per qudit by short
+    # pivot rows.  A kernel that copies or rescans the row at each step
+    # grows as N^2: four times N then costs about sixteen times as much.
+    def best_of_3(n):
+        c = method2(10, n)
+        c._encoding  # built once, outside the timed calls
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert constructions._exact_checks(c)[1].status == "UNSAT"
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(4000) / best_of_3(1000) < 8
+
+
 # ---------------------------------------------------------------------------
 # method 3
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Congruence systems over Z_d: solver, oracle agreement, forced relations."""
 
+import copy
 import itertools
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -263,6 +266,79 @@ def test_howell_basis_entries_stay_in_range():
                 assert all(0 < v < d for v in row.values())
                 assert max(row) == lead
                 assert d % row[lead] == 0
+
+
+def test_howell_basis_leaves_the_callers_rows_unchanged():
+    # non-unit pivots, a gcd combination, and one row object passed twice
+    shared = {2: 4, 1: 6, -1: 3}
+    rows = [{2: 6, 0: 3}, shared, {2: 9, 1: 1, 0: 2, -1: 5}, shared, {1: 8, -1: 4}]
+    before = copy.deepcopy(rows)
+    basis = hidden_variables._howell_basis(12, 3, rows)
+    assert rows == before
+    assert not any(row is b for row in rows for b in basis)
+    assert [row[c] for c, row in zip((0, 1, 2, -1), basis)] == [1, 2, 1, 6]
+
+
+def test_howell_kernel_paths_agree_with_enumeration(monkeypatch):
+    # Composite d and coefficients rich in zero divisors give non-unit
+    # pivots and the gcd combination (_row_sum).  A row built from an
+    # earlier one plus a low-column tail shares its leading entries, so
+    # one reduction can drop its leading column by several steps, and the
+    # kernel must move it from bucket c-1 to its real bucket.
+    rng = random.Random(89)
+    reached: Counter[str] = Counter()
+    building = False
+    row_sum, subtract = hidden_variables._row_sum, hidden_variables._subtract
+
+    def counted_row_sum(*args):
+        reached["gcd"] += building
+        return row_sum(*args)
+
+    def counted_subtract(d, r, q, p):
+        subtract(d, r, q, p)
+        reached["drop"] += building and bool(r) and max(r) < max(p) - 1
+
+    monkeypatch.setattr(hidden_variables, "_row_sum", counted_row_sum)
+    monkeypatch.setattr(hidden_variables, "_subtract", counted_subtract)
+    for _ in range(300):
+        d = rng.choice([4, 6, 8, 9, 10, 12])
+        nvars = rng.randint(2, 5)
+        divisors = [f for f in range(2, d) if d % f == 0]
+        rows: list[list[int]] = []
+        for _ in range(rng.randint(1, 6)):
+            if rows and rng.random() < 0.5:
+                q = rng.randrange(1, d)
+                row = [q * c % d for c in rng.choice(rows)]
+                for j in range(rng.randint(1, 2)):
+                    row[j] = rng.randrange(d)
+            else:
+                row = [rng.choice([0, rng.randrange(d), *divisors]) for _ in range(nvars)]
+            rows.append(row)
+        planted = [rng.randrange(d) for _ in range(nvars)]
+        if rng.random() < 0.5:
+            rhs = [sum(c * x for c, x in zip(row, planted)) % d for row in rows]
+        else:
+            rhs = [rng.randrange(d) for _ in rows]
+        system = raw_system(d, rows, rhs)
+        building = True
+        basis = system._howell
+        building = False
+        leads = [*range(nvars), -1]
+        reached["non-unit"] += any(row and row[c] != 1 for c, row in zip(leads, basis))
+
+        fast, slow = solve(system), brute_force_solve(system)
+        assert fast == slow
+        if fast.status == "UNSAT":
+            continue
+        grid = np.indices((d,) * nvars).reshape(nvars, -1).T
+        matrix = np.array(rows).reshape(len(rows), nvars)
+        solutions = grid[(grid @ matrix.T % d == np.array(rhs)).all(axis=1)]
+        for _ in range(3):
+            coeffs = [rng.choice([0, rng.randrange(d), *divisors]) for _ in range(nvars)]
+            values = set((solutions @ np.array(coeffs) % d).tolist())
+            expected = values.pop() if len(values) == 1 else None
+            assert forced_value(system, dict(zip(system.variables, coeffs))) == expected
+    assert min(reached["gcd"], reached["drop"], reached["non-unit"]) > 0, reached
 
 
 def test_brute_force_vectorized_path_matches_scalar_path():

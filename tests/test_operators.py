@@ -249,6 +249,13 @@ def test_apply_dense_matches_per_axis_reference_on_every_oracle_shape():
         p = ProductOperator(d, tuple(rng.choice(pool) for _ in range(n)))
         vec = random_vector(rng, d**n)
         assert np.max(np.abs(p.apply_dense(vec) - per_axis_image(p, vec))) < 1e-12, (d, n)
+    # a run of 2^9 or 3^5 plain factors in front of the last qudit's d
+    # column phases: the product whose loops run along the long run
+    for d, n in [(2, 12), (3, 7)]:
+        angle = random_phase(rng)
+        p = ProductOperator(d, (angle,) + (ZERO_PHASE,) * (n - 2) + (angle,))
+        vec = random_vector(rng, d**n)
+        assert np.max(np.abs(p.apply_dense(vec) - per_axis_image(p, vec))) < 1e-12, (d, n)
 
 
 def test_shared_tables_match_per_axis_reference_on_every_oracle_shape():

@@ -1,6 +1,9 @@
 """Exact turn-fraction arithmetic."""
 
 import cmath
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,30 @@ from ghzcert import PhaseParseError, RationalPhase, ZERO_PHASE
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000
 )
+# every operand type that + and - accept: a phase, an int, and a signed or
+# whole-turn Fraction
+operands = st.one_of(
+    rationals.map(RationalPhase.from_fraction),
+    st.integers(min_value=-50, max_value=50),
+    rationals,
+    st.integers(min_value=-5, max_value=5).map(Fraction),
+)
+
+
+def turns(value):
+    """The exact value in turns, read with Fraction alone."""
+    if isinstance(value, RationalPhase):
+        return Fraction(value.num, value.den)
+    return Fraction(value)
+
+
+def pair(value):
+    return value.num, value.den
+
+
+def reference(value):
+    value %= 1
+    return value.numerator, value.denominator
 
 
 def test_addition_examples():
@@ -109,3 +136,38 @@ def test_signed_fraction_mixing():
     assert RationalPhase(1, 9) - Fraction(1, 9) == ZERO_PHASE
     assert Fraction(1, 2) - RationalPhase(1, 3) == RationalPhase(1, 6)
     assert 0 + RationalPhase(1, 9) == RationalPhase(1, 9)
+
+
+@given(rationals, operands)
+def test_sums_and_differences_match_fractions(x, other):
+    a = RationalPhase.from_fraction(x)
+    assert pair(a + other) == reference(turns(a) + turns(other))
+    assert pair(other + a) == reference(turns(other) + turns(a))
+    assert pair(a - other) == reference(turns(a) - turns(other))
+    assert pair(other - a) == reference(turns(other) - turns(a))
+
+
+def test_normalized_once_on_construction():
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        RationalPhase(1, 0)
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        RationalPhase(0, 0)
+    assert pair(RationalPhase(1, -3)) == (2, 3)
+    assert pair(RationalPhase(-4, -6)) == (2, 3)
+    assert pair(RationalPhase(6, -3)) == (0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RationalPhase(1, 3).num = 2
+
+
+def test_copies_keep_value_and_hash():
+    a = RationalPhase(-7, 12)
+    copies = [
+        dataclasses.replace(a),
+        copy.copy(a),
+        copy.deepcopy(a),
+        pickle.loads(pickle.dumps(a)),
+    ]
+    for b in copies:
+        assert b == a and hash(b) == hash(a) and pair(b) == (5, 12)
+    changed = dataclasses.replace(a, num=-1)
+    assert changed == RationalPhase(11, 12) and hash(changed) == hash(RationalPhase(11, 12))
