@@ -15,9 +15,9 @@ induce a congruence system over Z_d with no solution:
   rotated product demands N*delta = 1 (mod d), impossible whenever
   gcd(N, d) > 1.  N+3 operators, three bases on two qudits.
 * method 3 - for the remaining cells (gcd(N, d) = 1, N < d) extend
-  method 2 at the finer angle 1/d**2 with a ladder of scaled factors
-  whose multipliers grow Fibonacci-fashion until they bridge the gap to
-  a net angle of 1/d.  At least N+4 operators.
+  method 2 at the finer angle 1/d**2 with a chain of scaled factors, a
+  Fibonacci ladder or a binary addition chain, whose multipliers bridge
+  the gap to a net angle of 1/d.  At least N+4 operators.
 
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
@@ -103,7 +103,6 @@ OperatorItem = tuple[ProductOperator, RationalPhase]
 Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated factor
 
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
-_STAIRCASE_CAP = 2**16  # method 3: most staircase operators it builds
 
 
 class CertificationError(RuntimeError):
@@ -422,7 +421,7 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
 
 
 # ---------------------------------------------------------------------------
-# method 3: multiplier ladder at phi_o = 1/d**2
+# method 3: multiplier chains at phi_o = 1/d**2
 # ---------------------------------------------------------------------------
 
 ChainOp = tuple[dict[int, int], int]  # ({active position: multiplier}, new value)
@@ -472,23 +471,30 @@ def _ladder_chain(m: int) -> Optional[tuple[list[ChainOp], int]]:
     return ops, pos(top)
 
 
-def _staircase_chain(m: int) -> tuple[list[ChainOp], int]:
-    """Unit-step fallback chain reaching any multiplier m >= 2.
+def _binary_chain(m: int) -> tuple[list[ChainOp], int]:
+    """Binary addition chain reaching any multiplier m >= 2 on position 0.
 
-    Values alternate between active positions 0 and 1, each step adding a
-    unit factor on position 2; the parity of m decides which variant ends
-    on a positive value.  Always valid, at most m-1 operators, and its
-    per-position multipliers span less than d, so it never collapses two
-    measurement bases.
+    With positions 0, 1, 2 as L, Q, R, the conjugate pairs seed +1 on each
+    and -1 on Q and R.  For each bit of m after the leading one, L doubles
+    v from {Q: -v, R: -v}; a 1 bit then moves -2v to Q and adds R's -1 on
+    L; the new v moves to Q and R as -v before the next bit.  This is the
+    binary method of addition chains (Knuth, TAOCP vol. 2, 4.6.3), at most
+    5*log2(m) operators.  The multipliers lie in [0, m] on L and in
+    [-(m-1), 1] on Q and R, so every qudit's span is at most m = d-N+1 < d.
+    Angles k*phi_o and k'*phi_o share a basis only when k-k' is a nonzero
+    multiple of d, so the chain never folds two measurement bases.
     """
-    s = 1 if m % 2 == 0 else -1  # even m: +even on position 0; odd m: +odd on 1
     ops: list[ChainOp] = []
-    for k in range(2, m + 1):
-        if k % 2 == 0:
-            ops.append(({0: s * k, 1: -s * (k - 1), 2: -s}, s * k))
-        else:
-            ops.append(({0: s * (k - 1), 1: -s * k, 2: s}, -s * k))
-    return ops, m % 2
+    v = 1
+    for bit in bin(m)[3:]:
+        if v > 1:
+            ops += [({0: v, 1: -v}, -v), ({0: v, 2: -v}, -v)]
+        ops.append(({0: 2 * v, 1: -v, 2: -v}, 2 * v))
+        if bit == "1":
+            ops.append(({0: 2 * v, 1: -2 * v}, -2 * v))
+            ops.append(({0: 2 * v + 1, 1: -2 * v, 2: -1}, 2 * v + 1))
+        v = 2 * v + int(bit)
+    return ops, 0
 
 
 def method3(d: int, n: int) -> Construction:
@@ -503,9 +509,8 @@ def method3(d: int, n: int) -> Construction:
     assigns eigenvalue omega, while the forced variations predict
     omega^(d*delta) = 1.
 
-    The ladder is tried first at any d.  The staircase fallback needs
-    m-1 operators, so more than ``_STAIRCASE_CAP`` of them raise
-    ValueError before any is built.
+    The Fibonacci ladder is used when m is on it and it keeps every
+    qudit's bases apart; otherwise the binary chain, which always does.
     """
     _check_dim(d)
     if not 3 <= n < d:
@@ -538,13 +543,8 @@ def method3(d: int, n: int) -> Construction:
         if _genuinely_d_dimensional(d, construction.per_qudit_angles()):
             return construction
         # Large ladders can fold two bases on one qudit together; the
-        # staircase's tighter multiplier range never does.
-    if m - 1 > _STAIRCASE_CAP:
-        raise ValueError(
-            f"method 3 at (d={d}, N={n}) needs a staircase of {m - 1} operators,"
-            f" over the limit of {_STAIRCASE_CAP}"
-        )
-    return realize(*_staircase_chain(m))
+        # binary chain's tighter multiplier range never does.
+    return realize(*_binary_chain(m))
 
 
 # ---------------------------------------------------------------------------

@@ -643,12 +643,21 @@ def test_huge_dimension_constructs_and_certifies(tmp_path):
     assert err.startswith("warning: dense oracle skipped")
 
 
-def test_method3_staircase_limit_exits_2():
+def test_method3_certifies_a_million_dimensional_cell(tmp_path):
     # d = 1000003 is prime, so the cell is regime 3, and m = d-2 is off the
-    # ladder: its staircase would need a million operators
-    code, out, err = run_fresh("construct", "--d", "1000003", "--n", "3")
-    assert code == 2 and out == ""
-    assert "1000000 operators, over the limit of 65536" in err
+    # ladder: the binary chain reaches it in 70 operators, where a unit-step
+    # chain would need a million
+    path = tmp_path / "million.json"
+    code, _, err = run_fresh(
+        "construct", "--d", "1000003", "--n", "3", "--output", str(path)
+    )
+    assert code == 0, err
+    code, out, err = run_fresh("verify", str(path), "--oracle", "none")
+    assert code == 0, err
+    certificate = json.loads(out)
+    assert certificate["certified"] and all(certificate["irreducible"])
+    assert certificate["genuinely_d_dimensional"]
+    assert len(certificate["construction"]["operators"]) + 1 == 75
 
 
 def test_dense_json_is_bounded(tmp_path):

@@ -301,12 +301,11 @@ def test_method3_basis_minimums():
 
 def test_method3_ladder_fallback_keeps_certifying():
     # m = 13 is on the ladder, but at d = 16 the ladder would put +13 and
-    # -3 on one qudit (difference exactly d, a folded basis); the unit-step
-    # chain takes over and the certificate still goes through
+    # -3 on one qudit (difference exactly d, a folded basis); the binary
+    # chain for 13 = 0b1101 takes over and the certificate still goes through
     c = method3(16, 4)
-    assert c.chain == tuple(
-        v for k in range(2, 14) for v in ([-k] if k % 2 == 0 else [k])
-    )
+    assert c.chain == (2, -2, 3, -3, -3, 6, -6, -6, 12, -12, 13)
+    assert c.target[0].angles[0] == RationalPhase(13, 256)
     cert = verify_construction(c, oracle=False)
     assert cert.certified and cert.genuinely_d_dimensional
 
@@ -315,16 +314,14 @@ def test_method3_ladder_fallback_keeps_certifying():
     assert cert.certified and cert.genuinely_d_dimensional
 
 
-def test_method3_bounds_the_staircase(monkeypatch):
-    from ghzcert import constructions
-
-    def unbuilt(m):
-        raise AssertionError(f"staircase of {m - 1} operators built")
-
-    monkeypatch.setattr(constructions, "_staircase_chain", unbuilt)
-    # m = 2**16 + 2 is off the ladder; its staircase needs 2**16 + 1 operators
-    with pytest.raises(ValueError, match="65537 operators, over the limit of 65536"):
-        method3(2**16 + 4, 3)
+def test_method3_bounds_the_binary_chain():
+    # m = 2**16 + 2 is off the ladder; the binary chain needs at most five
+    # operators per bit of m, on top of the N + 2 conjugate-pair items and
+    # the target
+    d, n = 2**16 + 4, 3
+    c = method3(d, n)
+    assert c.operator_count() <= n + 3 + 5 * math.log2(d - n + 1)
+    assert verify_construction(c, oracle=False).certified
     # a genuinely d-dimensional ladder is built at any d: m = 121393
     c = method3(121395, 3)
     assert c.operator_count() == 52
@@ -461,7 +458,7 @@ def test_folded_ladder_is_not_genuinely_d_dimensional(monkeypatch, d, n, chain):
         patched.setattr(constructions, "_genuinely_d_dimensional", lambda d, used: True)
         ladder = method3(d, n)
     assert ladder.chain == chain
-    assert method3(d, n).chain != chain  # the staircase replaces it
+    assert method3(d, n).chain != chain  # the binary chain replaces it
     cert = verify_construction(ladder)
     assert cert.certified and all(cert.irreducible)
     assert cert.genuinely_d_dimensional is False
@@ -910,11 +907,11 @@ def test_method3_builds_no_congruence_system(monkeypatch):
 
 
 def test_method3_large_dimension():
-    # the staircase chain grows with d: at most d - N chain operators on
-    # top of the N + 2 conjugate-pair items and the target
+    # the binary chain grows with log d: at most five operators per bit
+    # of m on top of the N + 2 conjugate-pair items and the target
     for d, n in [(211, 3), (211, 5)]:
         c = method3(d, n)
-        assert c.operator_count() <= d + 3
+        assert c.operator_count() <= n + 3 + 5 * math.log2(d - n + 1)
         cert = verify_construction(c, oracle=False)
         assert cert.certified
         assert cert.genuinely_d_dimensional
