@@ -433,8 +433,11 @@ def _ladder_chain(m: int) -> Optional[tuple[list[ChainOp], int]]:
     Level j holds value F_j (F_1 = 2, F_2 = 3, F_3 = 5, ...) on active
     position (j-1) mod 3; the seeds F_0 = F_{-1} = 1 sit on positions 2
     and 1, where conjugate factors are available.  Getting sign s at
-    level j requires sign -s at levels j-1 and j-2, so both signs of the
-    intermediate values are emitted exactly when needed.
+    level j requires sign -s at levels j-1 and j-2, so the top level's +1
+    needs sign (-1)**(top-j) at every level j, and the levels below top-1
+    need the other sign too.  Going up, each level is emitted with its
+    sign and then the level below it with the same sign: both need only
+    what the steps before have emitted.
     """
     value = {-1: 1, 0: 1, 1: 2}
     top = 1
@@ -447,27 +450,23 @@ def _ladder_chain(m: int) -> Optional[tuple[list[ChainOp], int]]:
     def pos(j: int) -> int:
         return (j - 1) % 3
 
-    ops: list[ChainOp] = []
-    have: set[tuple[int, int]] = set()
-
-    def need(j: int, sign: int) -> None:
-        if j <= 0 or (j, sign) in have:
-            return
-        need(j - 1, -sign)
-        need(j - 2, -sign)
-        ops.append(
-            (
-                {
-                    pos(j): sign * value[j],
-                    pos(j - 1): -sign * value[j - 1],
-                    pos(j - 2): -sign * value[j - 2],
-                },
-                sign * value[j],
-            )
+    def op(j: int, sign: int) -> ChainOp:
+        return (
+            {
+                pos(j): sign * value[j],
+                pos(j - 1): -sign * value[j - 1],
+                pos(j - 2): -sign * value[j - 2],
+            },
+            sign * value[j],
         )
-        have.add((j, sign))
 
-    need(top, +1)
+    sign = (-1) ** (top - 1)
+    ops = [op(1, sign)]
+    for j in range(2, top + 1):
+        sign = -sign
+        ops.append(op(j, sign))
+        if j < top:
+            ops.append(op(j - 1, sign))
     return ops, pos(top)
 
 

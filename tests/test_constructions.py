@@ -328,6 +328,56 @@ def test_method3_bounds_the_binary_chain():
     assert verify_construction(c, oracle=False).certified
 
 
+def recursive_ladder(m):
+    # reference: emit each (level, sign) the top's +1 needs, depth first
+    value = {-1: 1, 0: 1, 1: 2}
+    top = 1
+    while value[top] < m:
+        top += 1
+        value[top] = value[top - 1] + value[top - 2]
+    ops, have = [], set()
+
+    def need(j, sign):
+        if j <= 0 or (j, sign) in have:
+            return
+        need(j - 1, -sign)
+        need(j - 2, -sign)
+        placed = {
+            (j - 1) % 3: sign * value[j],
+            (j - 2) % 3: -sign * value[j - 1],
+            (j - 3) % 3: -sign * value[j - 2],
+        }
+        ops.append((placed, sign * value[j]))
+        have.add((j, sign))
+
+    need(top, +1)
+    return ops, (top - 1) % 3
+
+
+def test_ladder_matches_the_recursive_ladder():
+    fib = [1, 2]
+    while len(fib) < 81:
+        fib.append(fib[-1] + fib[-2])
+    for level, m in enumerate(fib[1:], start=1):
+        ops, landing = constructions._ladder_chain(m)
+        assert (ops, landing) == recursive_ladder(m), level
+        assert len(ops) == max(1, 2 * level - 2)
+    assert constructions._ladder_chain(fib[40] + 1) is None
+
+
+def test_method3_certifies_a_thousand_level_ladder():
+    # m = F_1001, 210 digits: the recursive ladder overflowed Python's
+    # recursion limit here, and construct exited 2
+    value = [1, 2]  # F_0, F_1, ...
+    while len(value) < 1002:
+        value.append(value[-1] + value[-2])
+    c = method3(value[-1] + 2, 3)
+    assert c.operator_count() == 2006
+    assert len(c.chain) == 2000 and c.chain[-1] == value[-1]
+    cert = verify_construction(c, oracle=False)
+    assert cert.certified and cert.genuinely_d_dimensional and all(cert.irreducible)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
