@@ -264,10 +264,18 @@ def test_method3_non_fibonacci_gap():
 
 
 def test_method3_all_regime3_cells_certify():
-    for d, n in [(5, 4), (7, 5), (11, 3), (11, 6), (11, 10)]:
+    cells = [
+        (d, n)
+        for d in range(2, 201)
+        for n in range(3, 9)
+        if classify(d, n).regime == 3
+    ]
+    assert len(cells) == 330
+    for d, n in cells + [(10**12 + 39, 3), (2**61 - 1, 3)]:
         cert = verify_construction(method3(d, n), oracle=False)
         assert cert.certified, (d, n)
         assert cert.genuinely_d_dimensional, (d, n)
+        assert all(cert.irreducible), (d, n)
 
 
 def test_method3_validation():
@@ -312,6 +320,44 @@ def test_method3_ladder_fallback_keeps_certifying():
     c = method3(26, 6)  # m = 21, same story
     cert = verify_construction(c, oracle=False)
     assert cert.certified and cert.genuinely_d_dimensional
+
+
+def check_chain(m, chain):
+    # each op sits at net angle zero and adds one multiplier to the seeds
+    # of the conjugate pairs, the one it records
+    ops, landing = chain
+    held = [{1}, {1, -1}, {1, -1}]
+    for placed, new in ops:
+        assert sum(placed.values()) == 0
+        added = [(p, k) for p, k in placed.items() if k not in held[p]]
+        assert [k for _, k in added] == [new]
+        held[added[0][0]].add(new)
+    assert m in held[landing]
+    return held
+
+
+def test_binary_chain_spans_less_than_d():
+    ms = set(range(2, 2**12))
+    for k in range(1, 63):
+        ms |= {2**k - 1, 2**k, 2**k + 1}
+    for m in sorted(ms - {1}):
+        chain = constructions._binary_chain(m)
+        assert chain[1] == 0
+        on_l, on_q, on_r = check_chain(m, chain)
+        # with 0 for a plain factor and the target's m and 1, every qudit's
+        # multipliers span at most m = d-N+1 < d
+        assert 0 < min(on_l) and max(on_l) == m
+        assert min(on_q) >= -(m - 1) and max(on_q) == 1
+        assert min(on_r) >= -(m - 1) and max(on_r) == 1
+        assert len(chain[0]) <= 5 * math.log2(m)
+
+
+def test_ladder_chain_adds_one_multiplier_per_op():
+    fib = [1, 2]
+    while len(fib) < 81:
+        fib.append(fib[-1] + fib[-2])
+    for m in fib[1:]:
+        check_chain(m, constructions._ladder_chain(m))
 
 
 def test_method3_bounds_the_binary_chain():
