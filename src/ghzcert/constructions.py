@@ -474,9 +474,9 @@ def _binary_chain(m: int) -> tuple[list[ChainOp], int]:
     """Binary addition chain reaching any multiplier m >= 2 on position 0.
 
     With positions 0, 1, 2 as L, Q, R, the conjugate pairs seed +1 on each
-    and -1 on Q and R.  For each bit of m after the leading one, L doubles
-    v from {Q: -v, R: -v}; a 1 bit then moves -2v to Q and adds R's -1 on
-    L; the new v moves to Q and R as -v before the next bit.  This is the
+    and -1 on Q and R.  For each bit of m after the leading one, L gets
+    +2v from {Q: -v, R: -v}; a 1 bit then moves -2v to Q and adds R's -1
+    on L; the new v moves to Q and R as -v before the next bit.  This is the
     binary method of addition chains (Knuth, TAOCP vol. 2, 4.6.3), at most
     5*log2(m) operators.  The multipliers lie in [0, m] on L and in
     [-(m-1), 1] on Q and R, so every qudit's span is at most m = d-N+1 < d.
@@ -486,7 +486,7 @@ def _binary_chain(m: int) -> tuple[list[ChainOp], int]:
     ops: list[ChainOp] = []
     v = 1
     for bit in bin(m)[3:]:
-        if v > 1:
+        if v > 1:  # at first Q and R hold the seeds' -1
             ops += [({0: v, 1: -v}, -v), ({0: v, 2: -v}, -v)]
         ops.append(({0: 2 * v, 1: -v, 2: -v}, 2 * v))
         if bit == "1":
