@@ -645,7 +645,7 @@ def test_huge_dimension_constructs_and_certifies(tmp_path):
 
 def test_method3_certifies_a_million_dimensional_cell(tmp_path):
     # d = 1000003 is prime, so the cell is regime 3, and m = d-2 is off the
-    # ladder: the binary chain reaches it in 70 operators, where a unit-step
+    # ladder: the binary chain reaches it in 69 operators, where a unit-step
     # chain would need a million
     path = tmp_path / "million.json"
     code, _, err = run_fresh(
