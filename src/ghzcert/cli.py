@@ -141,12 +141,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    """The plane as CSV rows or a JSON array, written cell by cell.
+
+    The JSON text is ``json.dumps`` of the list of cells, byte for byte,
+    but only one cell's dict and at most one piece of text are held at a
+    time.  A plane always has a cell, so the array is never ``[]``.
+    """
     cells = classify_plane(args.d_max, args.n_max, verify=args.verify)
     if args.format == "csv":
         for cell in cells:
             print(f"{cell.d},{cell.n},{cell.regime},{cell.witness_method}")
-    else:
-        _emit([cell.to_json_dict() for cell in cells], None)
+        return 0
+    out: list[str] = []
+    pieces: list[str] = []
+    separator = "[\n  "
+    for cell in cells:
+        out.append(separator)
+        separator = ",\n  "
+        _indented(cell.to_json_dict(), out, pieces, "\n  ")
+        if pieces:
+            sys.stdout.writelines(pieces)
+            pieces.clear()
+    out.append("\n]\n")
+    sys.stdout.write("".join(out))
     return 0
 
 

@@ -49,7 +49,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -58,7 +58,11 @@ from .hidden_variables import (
     brute_force_solve,
     HVSystem,
     HVVerdict,
+    _Encoding,
+    _claims_hold,
+    _encode,
     _howell_basis,
+    _variation_rows,
     solve,
     system_from_operators,
 )
@@ -158,29 +162,9 @@ class Construction:
                 raise ValueError(f"operator has {op.n} factors but n = {self.n}")
 
     @cached_property
-    def _encoding(self) -> "_Encoding":
-        """The family (target last) as integer rows over a common denominator.
-
-        Rejects a claimed eigenphase off the 1/d grid, in item order.
-        """
-        items = self.all_items()
-        dens = {a.den for op, _ in items for _, a in op.rotations}
-        common = math.lcm(self.d, *dens)
-        scale = {den: common // den for den in dens}
-        claims, rows, variations = [], [], {}
-        for op, exponent in items:
-            if self.d % exponent.den:
-                raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
-            claims.append(exponent.num * (self.d // exponent.den) % self.d)
-            row = tuple([(q, a.num * scale[a.den]) for q, a in op.rotations])
-            for label in row:
-                variations.setdefault(label, len(variations) + 1)
-            rows.append(row)
-        totals = []
-        for op, _ in items:
-            total = op.collective_angle
-            totals.append(total.num * (common // total.den))
-        return _Encoding(common, totals, claims, rows, variations)
+    def _encoding(self) -> _Encoding:
+        """The family (target last) as integer rows over a common denominator."""
+        return _encode(self.d, self.all_items())
 
     @cached_property
     def _system(self) -> HVSystem:
@@ -272,29 +256,6 @@ class Construction:
             f=f,
             chain=chain,
         )
-
-
-class _Encoding(NamedTuple):
-    """A family's rows over D = lcm(d, every factor denominator).
-
-    An angle a is the exponent a*D, an integer in [0, D).  Row i's
-    operator has collective angle totals[i]/D
-    (``ProductOperator.collective_angle``, the eigenphase engine of
-    ``states`` too) and claimed eigenphase claims[i]/d; rows[i] is its
-    support, the (qudit, exponent) pair of each rotated factor in qudit
-    order.  ``variations`` numbers the distinct pairs from 1 in
-    first-encounter order: pair (q, e) is the variable
-    y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the sum of the
-    x(q, 0).  The Howell kernel eliminates its highest variable first, so
-    the latest variations go first, which keeps method 2's fill-in low
-    (the reverse order is some 30 times slower on large cells).
-    """
-
-    common: int
-    totals: list[int]
-    claims: list[int]
-    rows: list[Support]
-    variations: dict[tuple[int, int], int]
 
 
 # ---------------------------------------------------------------------------
@@ -858,19 +819,8 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     labels x(q, a), to give the lexicographically least witness in those.
     """
     enc = c._encoding
-    step = enc.common // c.d
-    quantum_ok = all(
-        total % enc.common == claim * step
-        for total, claim in zip(enc.totals, enc.claims)
-    )
-    rows = []
-    for claim, support in zip(enc.claims, enc.rows):
-        row = {enc.variations[label]: 1 for label in support}
-        row[0] = 1
-        if claim:
-            row[-1] = claim
-        rows.append(row)
-    if _howell_basis(c.d, len(enc.variations) + 1, rows)[-1] is not None:
+    quantum_ok = _claims_hold(c.d, enc)
+    if _howell_basis(c.d, len(enc.variations) + 1, _variation_rows(enc))[-1] is not None:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)
     if verdict.status != "SAT":

@@ -16,9 +16,10 @@ row pivots in the right-hand-side column; back-substitution gives the
 lexicographically least witness; and a linear functional of the hidden
 variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
-variable columns.  The same elimination decides a construction's
-system in variation coordinates, and the irreducibility subsystems of
-``constructions.check_irreducible``.  A system checks its
+variable columns.  The same elimination decides a family's system in
+variation coordinates (``_encode``): a construction's UNSAT verdict, the
+irreducibility subsystems of ``constructions.check_irreducible`` and
+the relations of ``invariance_demo``.  A system checks its
 own invariants when it is built (d >= 2, every index names a variable,
 no label listed twice), so the JSON reader only parses.
 """
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .operators import (
     _within,
 )
 from .phases import RationalPhase, ZERO_PHASE, as_turns
-from .states import eigenvalue_exponent, make_ghz
 
 __all__ = [
     "Constraint",
@@ -227,6 +226,85 @@ def system_from_operators(
         constraints.append(Constraint(coeffs, exponent.num * (d // exponent.den) % d))
     variables = tuple(FactorLabel(k, a) for k, a in index)
     return HVSystem(d, variables, tuple(constraints))
+
+
+class _Encoding(NamedTuple):
+    """A family's rows over D = lcm(d, every factor denominator).
+
+    An angle a is the exponent a*D, an integer in [0, D).  Row i's
+    operator has collective angle totals[i]/D
+    (``ProductOperator.collective_angle``, the eigenphase engine of
+    ``states`` too) and claimed eigenphase claims[i]/d; rows[i] is its
+    support, the (qudit, exponent) pair of each rotated factor in qudit
+    order.  ``variations`` numbers the distinct pairs from 1 in
+    first-encounter order: pair (q, e) is the variable
+    y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the sum of the
+    x(q, 0).  The Howell kernel eliminates its highest variable first, so
+    the latest variations go first, which keeps method 2's fill-in low
+    (the reverse order is some 30 times slower on large cells).
+    """
+
+    common: int
+    totals: list[int]
+    claims: list[int]
+    rows: list[tuple[tuple[int, int], ...]]
+    variations: dict[tuple[int, int], int]
+
+
+def _encode(
+    d: int, items: Sequence[tuple[ProductOperator, RationalPhase]]
+) -> _Encoding:
+    """The (operator, eigenphase nu/d) items as integer rows over one D.
+
+    The one encoder of a family: certification (``Construction._encoding``,
+    target last) and ``invariance_demo`` both read it.  Rejects a claimed
+    eigenphase off the 1/d grid, in item order.
+    """
+    dens = {a.den for op, _ in items for _, a in op.rotations}
+    common = math.lcm(d, *dens)
+    scale = {den: common // den for den in dens}
+    totals, claims, rows, variations = [], [], [], {}
+    for op, exponent in items:
+        if d % exponent.den:
+            raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
+        claims.append(exponent.num * (d // exponent.den) % d)
+        row = tuple([(q, a.num * scale[a.den]) for q, a in op.rotations])
+        for label in row:
+            variations.setdefault(label, len(variations) + 1)
+        rows.append(row)
+        total = op.collective_angle
+        totals.append(total.num * (common // total.den))
+    return _Encoding(common, totals, claims, rows, variations)
+
+
+def _claims_hold(d: int, enc: _Encoding) -> bool:
+    """Is every claimed eigenphase exact: total % D == claim*(D/d)?
+
+    Equality also puts total/D on the 1/d grid, which makes it an
+    eigenphase of the unrotated GHZ state.
+    """
+    step = enc.common // d
+    return all(
+        total % enc.common == claim * step
+        for total, claim in zip(enc.totals, enc.claims)
+    )
+
+
+def _variation_rows(enc: _Encoding) -> list[dict[int, int]]:
+    """The family's congruences in variation coordinates, for ``_howell_basis``.
+
+    A row is S plus the y of its operator's rotated factors, equal to its
+    claim: column 0 is S, column k the variation numbered k, and column
+    -1 the right-hand side.
+    """
+    rows = []
+    for claim, support in zip(enc.claims, enc.rows):
+        row = {enc.variations[label]: 1 for label in support}
+        row[0] = 1
+        if claim:
+            row[-1] = claim
+        rows.append(row)
+    return rows
 
 
 def _howell_basis(
@@ -438,18 +516,15 @@ def forced_value(
 ) -> Optional[int]:
     """Value of sum(coeff * x[label]) mod d if equal across ALL solutions.
 
-    Exact criterion: the functional is constant on the solution coset iff
-    it lies in the row space of the constraint matrix modulo d.  Reducing
-    (functional | 0) by the Howell basis leaves (0 | -value) exactly
-    then, and a nonzero variable entry otherwise.  The functional is
-    copied once into a sparse row that is reduced in place, by the same
-    step as the basis rows (``_subtract``), so a step costs the basis
-    row's size.
+    The functional is copied once into a sparse row over the system's
+    variables and reduced by its Howell basis (``_reduce``).
     Returns None when not forced.  That includes a functional that puts a
     coefficient nonzero mod d on a variable the system never constrains:
     such a functional can take several values, so it is certainly not
     forced, whether or not the system is satisfiable.  Raises ValueError
-    on an unsatisfiable system (nothing to compare).
+    on an unsatisfiable system (nothing to compare).  ``invariance_demo``
+    asks the same question of a family in variation coordinates, without
+    this label system.
     """
     d = system.d
     v: dict[int, int] = {}  # the functional as a sparse row
@@ -461,7 +536,22 @@ def forced_value(
             v[idx] = coeff % d
     if not satisfiable(system):
         raise ValueError("system is unsatisfiable; no solutions to compare")
-    basis = system._howell
+    return _reduce(d, system._howell, v)
+
+
+def _reduce(
+    d: int, basis: list[Optional[dict[int, int]]], v: dict[int, int]
+) -> Optional[int]:
+    """The forced value mod d of the functional v, or None; v is consumed.
+
+    Exact criterion: the functional is constant on the solution coset of
+    a satisfiable system iff it lies in the row space of the constraint
+    matrix modulo d.  Reducing (v | 0) by the system's Howell basis
+    (``_howell_basis``) leaves (0 | -value) exactly then, and a nonzero
+    variable entry otherwise.  v, a sparse row with entries in [1, d) on
+    variable columns, is reduced in place by the same step as the basis
+    rows (``_subtract``), so a step costs the basis row's size.
+    """
     while v and (c := max(v)) >= 0:
         row = basis[c]
         if row is None or v[c] % row[c]:
@@ -536,9 +626,20 @@ def invariance_demo(
     variations c*dX_i(a), and it holds when the congruences force that
     sum to 0 mod d.  A finite set of observables can only pin these
     relations at the sampled angles; nothing here claims the continuum
-    statement for every phi.  The label system has N labels on each
-    operator, so a demo over the construction JSON's limit of N times
-    the operator count is refused before any operator is built.
+    statement for every phi.
+
+    The relations are decided in the family's variation coordinates, as
+    certification decides UNSAT (``constructions._exact_checks``): the
+    items are encoded once (``_encode``), every claimed eigenphase is
+    checked exactly against its collective angle (ValueError if one is
+    off), the variation rows S + y(i, phi) + y(j, -phi) are factored once,
+    and a relation, the functional sum of c*y(i, a), is reduced by that
+    basis (``_reduce``).  The change of variables is unimodular, so each
+    value equals ``forced_value`` of the same sum of variations on the
+    label system, which the report keeps as ``system``.  That system has
+    N labels on each operator, so a demo over the construction JSON's
+    limit of N times the operator count is refused before any operator
+    is built.
     """
     _check_cell(d, n)
     count = 1 + n * (n - 1)  # X^N and one operator per ordered pair of qudits
@@ -563,36 +664,48 @@ def invariance_demo(
         group.update({i: -lam_phi for i in range(n1, n)})
         items.append((_with_angles(d, n, group), ZERO_PHASE))
 
-    state = make_ghz(d, n, 0)
-    for op, claimed in items:
-        assert eigenvalue_exponent(state, op) == claimed
-
+    enc = _encode(d, items)
+    if not _claims_hold(d, enc):
+        raise ValueError("a demo operator's claimed eigenphase is not its exact one")
     system = system_from_operators(d, items)
+    basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
 
-    def probe(description: str, *terms: tuple[int, int, RationalPhase]) -> Relation:
-        # a term (c, i, a) is c*dX_i(a) on qudit position i (from 0), where
-        # dX_i(a) = x(i, a) - x(i, 0) is the zero functional at a = 0
-        functional: Counter[FactorLabel] = Counter()
-        for c, i, a in terms:
-            functional[FactorLabel(i + 1, a)] += c
-            functional[FactorLabel(i + 1, ZERO_PHASE)] -= c
-        return Relation(description, forced_value(system, functional))
+    def exponent(a: RationalPhase) -> int:
+        return a.num * (enc.common // a.den)
 
+    def probe(description: str, *terms: tuple[int, int, int]) -> Relation:
+        # a term (c, i, e) is c*dX_i(e/D) on qudit position i (from 0), where
+        # dX_i(e/D) is the variation y(i, e/D), and the zero functional at e = 0
+        functional: dict[tuple[int, int], int] = {}
+        for c, i, e in terms:
+            if e:
+                functional[i, e] = functional.get((i, e), 0) + c
+        v: dict[int, int] = {}  # the functional as a sparse row
+        for label, c in functional.items():
+            if c % d:
+                column = enc.variations.get(label)
+                if column is None:
+                    return Relation(description, None)
+                v[column] = c % d
+        return Relation(description, _reduce(d, basis, v))
+
+    plus, minus = str(phi), str(-phi)
+    up, down = exponent(phi), exponent(-phi)
     relations = [
-        probe(f"dX_{i + 1}({phi}) + dX_{j + 1}({-phi})", (1, i, phi), (1, j, -phi))
+        probe(f"dX_{i + 1}({plus}) + dX_{j + 1}({minus})", (1, i, up), (1, j, down))
         for i, j in pairs
     ]
     relations += [
-        probe(f"dX_{i + 1}({phi}) - dX_1({phi})", (1, i, phi), (-1, 0, phi))
+        probe(f"dX_{i + 1}({plus}) - dX_1({plus})", (1, i, up), (-1, 0, up))
         for i in range(1, n)
     ]
-    relations.append(probe(f"dX_1({phi}) + dX_1({-phi})", (1, 0, phi), (1, 0, -phi)))
+    relations.append(probe(f"dX_1({plus}) + dX_1({minus})", (1, 0, up), (1, 0, down)))
     if partition is not None:
         relations.append(
             probe(
-                f"{n1}*dX_1({phi}) - {n2}*dX_1({lam_phi})",
-                (n1, 0, phi),
-                (-n2, 0, lam_phi),
+                f"{n1}*dX_1({plus}) - {n2}*dX_1({lam_phi})",
+                (n1, 0, up),
+                (-n2, 0, exponent(lam_phi)),
             )
         )
 

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -442,6 +443,19 @@ def test_classify_json_and_verify(capsys):
     cells = json.loads(out)
     assert len(cells) == 9
     assert all(cell["regime"] in (1, 2, 3) for cell in cells)
+
+
+def test_classify_json_streams_the_text_of_json_dumps(capsys, monkeypatch):
+    # written cell by cell, with piece boundaries inside and between cells,
+    # the plane still reads exactly json.dumps(indent=2) plus a newline
+    for d_max, n_max in [(2, 3), (4, 5), (7, 6)]:
+        cells = [cell.to_json_dict() for cell in classify_plane(d_max, n_max)]
+        expected = json.dumps(cells, indent=2) + "\n"
+        for chunk, verify in itertools.product((1, 2, 3, 2**14), ([], ["--verify"])):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            argv = ("classify", "--d-max", str(d_max), "--n-max", str(n_max))
+            code, out, err = run(capsys, *argv, "--format", "json", *verify)
+            assert (code, out, err) == (0, expected, "")
 
 
 def test_classify_bad_bounds(capsys):

@@ -3,8 +3,13 @@
 import copy
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -684,6 +689,148 @@ def test_invariance_demo_validation():
         invariance_demo(3, 4, RationalPhase(1, 12), partition=(2, 2))
     with pytest.raises(ValueError):
         invariance_demo(3, 4, RationalPhase(1, 12), partition=(1, 2))
+
+
+def demo_terms(report):
+    """Each relation of a demo as its terms (c, qudit from 0, angle), in order."""
+    n, phi = report.n, report.angle
+    pairs = itertools.permutations(range(n), 2)
+    terms = [[(1, i, phi), (1, j, -phi)] for i, j in pairs]
+    terms += [[(1, i, phi), (-1, 0, phi)] for i in range(1, n)]
+    terms.append([(1, 0, phi), (1, 0, -phi)])
+    if report.partition is not None:
+        n1, n2 = report.partition
+        lam = RationalPhase.from_fraction(phi.as_fraction() * Fraction(n1, n2))
+        terms.append([(n1, 0, phi), (-n2, 0, lam)])
+    return terms
+
+
+def label_variations(terms):
+    """The sum of c*dX_i(a) = c*(x(i, a) - x(i, 0)) as a functional of labels."""
+    functional = Counter()
+    for c, i, a in terms:
+        functional[FactorLabel(i + 1, a)] += c
+        functional[FactorLabel(i + 1, ZERO_PHASE)] -= c
+    return functional
+
+
+def test_invariance_demo_matches_forced_value_on_the_label_system():
+    # every relation, decided in variation coordinates, against the label
+    # system's forced_value: at angle 0, at 1/2 (where phi = -phi), at 2/3
+    # with partition 1:2 at N = 3 (where lambda*phi = -phi), and at every
+    # partition of each small cell
+    lam_is_minus_phi = 0
+    for d in range(2, 10):
+        for n in range(3, 7):
+            partitions = [None] + [(k, n - k) for k in range(1, n) if n - k > k]
+            angles = [ZERO_PHASE, RationalPhase(1, 2), RationalPhase(2, 3)]
+            angles += [RationalPhase(1, 12), RationalPhase(5, 2 * d * n)]
+            for angle, partition in itertools.product(angles, partitions):
+                report = invariance_demo(d, n, angle, partition)
+                terms = demo_terms(report)
+                assert len(report.relations) == len(terms)
+                for relation, relation_terms in zip(report.relations, terms):
+                    functional = label_variations(relation_terms)
+                    assert relation.forced == forced_value(report.system, functional)
+                if partition is not None and terms[-1][1][2] == -angle:
+                    lam_is_minus_phi += 1
+    assert lam_is_minus_phi >= 8  # (2/3, N = 3, 1:2) for every d
+
+
+def test_reduce_in_variation_coordinates_matches_forced_value():
+    # random functionals s*S + sum of c*y(q, a) over a demo's family,
+    # forced or not, reduced by the family's variation basis, against
+    # forced_value of s*sum_q x(q, 0) + sum of c*(x(q, a) - x(q, 0))
+    rng = random.Random(23)
+    outcomes = Counter()
+    cases = [
+        (4, 3, RationalPhase(1, 12), None),
+        (2, 3, RationalPhase(2, 3), (1, 2)),
+        (6, 4, RationalPhase(1, 2), (1, 3)),
+        (8, 5, RationalPhase(3, 16), (2, 3)),
+        (9, 4, RationalPhase(1, 6), None),
+        (12, 3, RationalPhase(1, 8), (1, 2)),
+    ]
+    for d, n, angle, partition in cases:
+        system = invariance_demo(d, n, angle, partition).system
+        items = [
+            (
+                ProductOperator(d, [system.variables[i].angle for i, _ in con.coeffs]),
+                RationalPhase(con.rhs, d),
+            )
+            for con in system.constraints
+        ]
+        enc = hidden_variables._encode(d, items)
+        rows = hidden_variables._variation_rows(enc)
+        basis = hidden_variables._howell_basis(d, len(enc.variations) + 1, rows)
+        labels = list(enc.variations)
+        for _ in range(40):
+            s = rng.randrange(d)
+            row = {0: s} if s else {}
+            functional = Counter({FactorLabel(q + 1, ZERO_PHASE): s for q in range(n)})
+            for q, e in rng.sample(labels, min(len(labels), rng.randint(1, 3))):
+                c = rng.randrange(1, d)
+                row[enc.variations[q, e]] = c
+                functional[FactorLabel(q + 1, RationalPhase(e, enc.common))] += c
+                functional[FactorLabel(q + 1, ZERO_PHASE)] -= c
+            value = hidden_variables._reduce(d, basis, row)
+            assert value == forced_value(system, functional)
+            outcomes[value is None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20
+
+
+def test_invariance_demo_builds_no_label_basis(monkeypatch):
+    # the relations are decided in variation coordinates: no forced_value
+    # query and no Howell basis of the label system
+    def refuse(*args):
+        raise AssertionError("label basis built")
+
+    monkeypatch.setattr(hidden_variables, "forced_value", refuse)
+    monkeypatch.setattr(HVSystem, "_howell", property(refuse))
+    cases = [
+        (12, 12, RationalPhase(5, 144), None),
+        (8, 8, RationalPhase(7, 64), (3, 5)),
+        (4, 3, ZERO_PHASE, None),
+    ]
+    for d, n, angle, partition in cases:
+        report = invariance_demo(d, n, angle, partition)
+        assert report.all_forced and len(report.system.constraints) > n
+
+
+TAMPERED_DEMO = """
+from ghzcert import RationalPhase, hidden_variables
+
+real = hidden_variables._with_angles
+
+
+def tampered(d, n, placed):
+    # X^N gains a factor at 1/d: an eigenoperator at 1/d, claimed at 0
+    return real(d, n, placed or {0: RationalPhase(1, d)})
+
+
+hidden_variables._with_angles = tampered
+try:
+    hidden_variables.invariance_demo(4, 3, RationalPhase(1, 12))
+except ValueError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_invariance_demo_rejects_a_tampered_eigenphase():
+    # a check, not an assert: it still raises under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", TAMPERED_DEMO],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        debug = "False" if flags else "True"
+        assert done.stdout == f"{debug} a demo operator's claimed eigenphase is not its exact one\n"
 
 
 def test_system_json_round_trip():
