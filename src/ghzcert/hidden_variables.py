@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -126,13 +126,17 @@ class HVSystem:
     @cached_property
     def _howell(self) -> list[Optional[dict[int, int]]]:
         """Howell basis of the rows [A | b] mod d (see ``_howell_basis``)."""
+        d = self.d
         augmented = []
         for con in self.constraints:
-            row: dict[int, int] = {-1: con.rhs}
-            for idx, coeff in con.coeffs:
-                row[idx] = row.get(idx, 0) + coeff
-            augmented.append({k: v % self.d for k, v in row.items() if v % self.d})
-        return _howell_basis(self.d, len(self.variables), augmented)
+            row: dict[int, int] = {-1: con.rhs % d} if con.rhs % d else {}
+            for idx, coeff in con.coeffs:  # an index may repeat
+                if v := (row.get(idx, 0) + coeff) % d:
+                    row[idx] = v
+                else:
+                    row.pop(idx, None)
+            augmented.append(row)
+        return _howell_basis(d, len(self.variables), augmented)
 
     def dense_rows(self) -> tuple[list[list[int]], list[int]]:
         n = len(self.variables)
@@ -167,6 +171,11 @@ class HVSystem:
             return FactorLabel(qudit, phase(entry["angle"], "angle"))
 
         def pair(entry: object) -> tuple[int, int]:
+            if type(entry) is list and len(entry) == 2:
+                idx, coeff = entry
+                if type(idx) is type(coeff) is int:  # not a float or bool
+                    return idx, coeff
+            # a malformed pair: name its first fault
             entry = _json_list(entry, "coeffs pair")
             if len(entry) != 2:
                 raise ValueError(f"coeffs pair must be [index, coeff], got {entry!r}")
@@ -453,9 +462,9 @@ def solve(system: HVSystem) -> HVVerdict:
         if row is not None:
             resid = row.get(-1, 0) - sum(v * x[k] for k, v in row.items() if 0 <= k < j)
             x[j] = resid % d // row[j]
-    verdict = HVVerdict("SAT", tuple(x))
-    assert _satisfies(system, verdict.witness)
-    return verdict
+    if not _satisfies(system, x):
+        raise RuntimeError("the solver's witness fails a congruence of the system")
+    return HVVerdict("SAT", tuple(x))
 
 
 def brute_force_solve(system: HVSystem) -> HVVerdict:
@@ -574,12 +583,25 @@ class Relation:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """A demo's relations, and its label system built on first read.
+
+    ``system`` is ``system_from_operators`` of the demo's own (operator,
+    eigenphase) items, kept privately in ``_items``: no answer reads it,
+    so a demo builds it only if asked.
+    """
+
     d: int
     n: int
     angle: RationalPhase
-    system: HVSystem
     relations: tuple[Relation, ...]
     partition: Optional[tuple[int, int]]
+    _items: tuple[tuple[ProductOperator, RationalPhase], ...] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def system(self) -> HVSystem:
+        return system_from_operators(self.d, self._items)
 
     @property
     def all_forced(self) -> bool:
@@ -636,9 +658,10 @@ def invariance_demo(
     and a relation, the functional sum of c*y(i, a), is reduced by that
     basis (``_reduce``).  The change of variables is unimodular, so each
     value equals ``forced_value`` of the same sum of variations on the
-    label system, which the report keeps as ``system``.  That system has
-    N labels on each operator, so a demo over the construction JSON's
-    limit of N times the operator count is refused before any operator
+    label system ``report.system``.  The demo builds that system only
+    when it is first read, from the report's own items.  It has N labels
+    on each operator, so a demo over the construction JSON's limit of N
+    times the operator count is refused, as before, before any operator
     is built.
     """
     _check_cell(d, n)
@@ -647,27 +670,27 @@ def invariance_demo(
         count *= 2  # the pairs at the scaled angle, and the group operator
     _check_json_size(n, count, "an invariance demo of")
     phi = RationalPhase.from_fraction(as_turns(angle))
+    neg_phi = -phi
     pairs = list(itertools.permutations(range(n), 2))
     items = [(_with_angles(d, n, {}), ZERO_PHASE)]
-    items += [(_with_angles(d, n, {i: phi, j: -phi}), ZERO_PHASE) for i, j in pairs]
+    items += [(_with_angles(d, n, {i: phi, j: neg_phi}), ZERO_PHASE) for i, j in pairs]
 
     if partition is not None:
         n1, n2 = partition
         if n1 < 1 or n2 <= n1 or n1 + n2 != n:
             raise ValueError("partition must split all qudits with n2 > n1 >= 1")
         lam_phi = RationalPhase.from_fraction(as_turns(angle) * Fraction(n1, n2))
+        neg_lam = -lam_phi
         items += [
-            (_with_angles(d, n, {i: lam_phi, j: -lam_phi}), ZERO_PHASE)
-            for i, j in pairs
+            (_with_angles(d, n, {i: lam_phi, j: neg_lam}), ZERO_PHASE) for i, j in pairs
         ]
         group = {i: phi for i in range(n1)}
-        group.update({i: -lam_phi for i in range(n1, n)})
+        group.update({i: neg_lam for i in range(n1, n)})
         items.append((_with_angles(d, n, group), ZERO_PHASE))
 
     enc = _encode(d, items)
     if not _claims_hold(d, enc):
         raise ValueError("a demo operator's claimed eigenphase is not its exact one")
-    system = system_from_operators(d, items)
     basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
 
     def exponent(a: RationalPhase) -> int:
@@ -689,8 +712,8 @@ def invariance_demo(
                 v[column] = c % d
         return Relation(description, _reduce(d, basis, v))
 
-    plus, minus = str(phi), str(-phi)
-    up, down = exponent(phi), exponent(-phi)
+    plus, minus = str(phi), str(neg_phi)
+    up, down = exponent(phi), exponent(neg_phi)
     relations = [
         probe(f"dX_{i + 1}({plus}) + dX_{j + 1}({minus})", (1, i, up), (1, j, down))
         for i, j in pairs
@@ -709,4 +732,4 @@ def invariance_demo(
             )
         )
 
-    return InvarianceReport(d, n, phi, system, tuple(relations), partition)
+    return InvarianceReport(d, n, phi, tuple(relations), partition, tuple(items))

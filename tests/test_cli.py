@@ -257,7 +257,8 @@ def test_readers_reject_non_integer_fields(tmp_path, capsys):
         "constraints": [{"coeffs": [[0, 1]], "rhs": 1}],
     }
     bad_systems = [{**system, "d": 3.5}, {**system, "d": True}]
-    bad_systems.append({**system, "constraints": [{"coeffs": [[0, 1.0]], "rhs": 1}]})
+    for coeffs in ([[0, 1.0]], [[True, 1]], [[0, True]]):
+        bad_systems.append({**system, "constraints": [{"coeffs": coeffs, "rhs": 1}]})
     bad_systems.append({**system, "vars": [{"qudit": 1.5, "angle": "0/1"}]})
     for data in bad_systems:
         path.write_text(json.dumps(data))

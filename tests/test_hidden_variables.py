@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import os
 import random
@@ -37,6 +38,7 @@ from ghzcert import (
 )
 from ghzcert import hidden_variables
 from ghzcert.hidden_variables import DEFAULT_BRUTE_CAP
+from ghzcert.phases import as_turns
 
 
 def raw_system(d, rows, rhs):
@@ -519,6 +521,34 @@ def test_witness_satisfies_every_constraint():
                 assert sum(c * w for c, w in zip(row, verdict.witness)) % d == r % d
 
 
+def test_solver_agrees_with_brute_force_on_unreduced_coefficients():
+    # rows as a JSON file may write them: an index listed more than once,
+    # negative coefficients, coefficients and right-hand sides that are
+    # 0 mod d or above d
+    rng = random.Random(79)
+    shapes = Counter()
+    for _ in range(300):
+        d = rng.randint(2, 9)
+        nvars = rng.randint(1, 5)
+        constraints = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = tuple(
+                (rng.randrange(nvars), rng.choice([rng.randrange(-2 * d, 2 * d), -d, d, 2 * d]))
+                for _ in range(rng.randint(1, 6))
+            )
+            constraints.append(Constraint(coeffs, rng.randrange(-2 * d, 2 * d)))
+            indices = [idx for idx, _ in coeffs]
+            shapes["repeated"] += len(set(indices)) < len(indices)
+            shapes["negative"] += any(c < 0 for _, c in coeffs)
+            shapes["zero mod d"] += any(c % d == 0 for _, c in coeffs)
+        labels = tuple(FactorLabel(i + 1, ZERO_PHASE) for i in range(nvars))
+        system = HVSystem(d, labels, tuple(constraints))
+        fast, slow = solve(system), brute_force_solve(system)
+        assert fast == slow
+        shapes[fast.status] += 1
+    assert min(shapes.values()) > 20, shapes
+
+
 def test_adding_constraints_never_rescues_unsat():
     rng = random.Random(73)
     for _ in range(120):
@@ -780,10 +810,11 @@ def test_reduce_in_variation_coordinates_matches_forced_value():
 
 
 def test_invariance_demo_builds_no_label_basis(monkeypatch):
-    # the relations are decided in variation coordinates: no forced_value
-    # query and no Howell basis of the label system
+    # the relations are decided in variation coordinates: no label system
+    # while the demo runs, and no forced_value query or Howell basis of it
+    # when it is read afterwards
     def refuse(*args):
-        raise AssertionError("label basis built")
+        raise AssertionError("label system or basis built")
 
     monkeypatch.setattr(hidden_variables, "forced_value", refuse)
     monkeypatch.setattr(HVSystem, "_howell", property(refuse))
@@ -792,9 +823,60 @@ def test_invariance_demo_builds_no_label_basis(monkeypatch):
         (8, 8, RationalPhase(7, 64), (3, 5)),
         (4, 3, ZERO_PHASE, None),
     ]
+    builder = hidden_variables.system_from_operators
+    for d, n, angle, partition in cases:
+        monkeypatch.setattr(hidden_variables, "system_from_operators", refuse)
+        report = invariance_demo(d, n, angle, partition)
+        assert report.all_forced
+        monkeypatch.setattr(hidden_variables, "system_from_operators", builder)
+        assert len(report.system.constraints) > n
+        assert report.system is report.system  # built once, on first read
+
+
+def demo_family(d, n, angle, partition):
+    """A demo's (operator, eigenphase) items, built factor by factor from
+    the caller's signed angle."""
+    phi = as_turns(angle)
+    turns = [phi]
+    if partition is not None:
+        turns.append(phi * Fraction(partition[0], partition[1]))
+
+    def operator(placed):
+        angles = [RationalPhase.from_fraction(placed.get(k, 0)) for k in range(n)]
+        return ProductOperator(d, angles), ZERO_PHASE
+
+    items = [operator({})]
+    for a in turns:
+        items += [operator({i: a, j: -a}) for i, j in itertools.permutations(range(n), 2)]
+    if partition is not None:
+        n1 = partition[0]
+        items.append(operator({k: phi if k < n1 else -turns[1] for k in range(n)}))
+    return items
+
+
+def test_lazy_demo_system_equals_the_eagerly_built_one():
+    # the label system read from a report is the one built eagerly from
+    # the same family, byte for byte; the scaled angle comes from the
+    # signed angle, so 9/8 and 1/8 of a turn give different systems
+    cases = [
+        (3, 3, RationalPhase(1, 12), None),
+        (12, 12, RationalPhase(5, 144), None),
+        (8, 8, RationalPhase(7, 64), (3, 5)),
+        (8, 8, Fraction(9, 8), (3, 5)),
+        (8, 8, Fraction(1, 8), (3, 5)),
+        (6, 4, Fraction(-1, 12), (1, 3)),
+        (4, 3, ZERO_PHASE, (1, 2)),
+    ]
+    texts = {}
     for d, n, angle, partition in cases:
         report = invariance_demo(d, n, angle, partition)
-        assert report.all_forced and len(report.system.constraints) > n
+        eager = system_from_operators(d, demo_family(d, n, angle, partition))
+        text = json.dumps(report.system.to_json_dict())
+        assert text == json.dumps(eager.to_json_dict())
+        texts[angle] = text
+    assert texts[Fraction(9, 8)] != texts[Fraction(1, 8)]
+    assert '"27/40"' in texts[Fraction(9, 8)] and '"27/40"' not in texts[Fraction(1, 8)]
+    assert '"3/40"' in texts[Fraction(1, 8)]
 
 
 TAMPERED_DEMO = """
@@ -831,6 +913,37 @@ def test_invariance_demo_rejects_a_tampered_eigenphase():
         assert done.returncode == 0 and done.stderr == ""
         debug = "False" if flags else "True"
         assert done.stdout == f"{debug} a demo operator's claimed eigenphase is not its exact one\n"
+
+
+TAMPERED_SOLVE = """
+import sys
+
+from ghzcert import cli, hidden_variables
+
+# a basis with no rows: every system is SAT with the all-zero witness
+hidden_variables._howell_basis = lambda d, n, rows: [None] * (n + 1)
+print(__debug__, cli.main(["hv-solve", sys.argv[1]]))
+"""
+
+
+def test_solve_rejects_a_witness_from_a_tampered_basis(tmp_path):
+    # a check, not an assert: it still raises under python -O, and the
+    # CLI turns it into exit code 2 with no verdict
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(raw_system(3, [[1]], [2]).to_json_dict()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", TAMPERED_SOLVE, str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=60,
+        )
+        debug = "False" if flags else "True"
+        assert done.returncode == 0 and done.stdout == f"{debug} 2\n"
+        assert done.stderr == "error: the solver's witness fails a congruence of the system\n"
 
 
 def test_system_json_round_trip():
