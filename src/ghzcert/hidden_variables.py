@@ -129,7 +129,7 @@ class HVSystem:
         d = self.d
         augmented = []
         for con in self.constraints:
-            row: dict[int, int] = {-1: con.rhs % d} if con.rhs % d else {}
+            row: dict[int, int] = {-1: rhs} if (rhs := con.rhs % d) else {}
             for idx, coeff in con.coeffs:  # an index may repeat
                 if v := (row.get(idx, 0) + coeff) % d:
                     row[idx] = v
