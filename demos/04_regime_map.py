@@ -17,7 +17,7 @@ D_MAX, N_MAX = 12, 20
 verify = "--verify" in sys.argv[1:]
 
 start = time.perf_counter()
-cells = classify_plane(D_MAX, N_MAX, verify=verify)
+cells = list(classify_plane(D_MAX, N_MAX, verify=verify))  # an iterator of cells
 elapsed = time.perf_counter() - start
 
 grid = {(c.d, c.n): c for c in cells}

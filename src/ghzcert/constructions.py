@@ -19,13 +19,24 @@ induce a congruence system over Z_d with no solution:
   Fibonacci ladder or a binary addition chain, whose multipliers bridge
   the gap to a net angle of 1/d.  At least N+4 operators.
 
+Each method builds its family first as integer rows over one common
+denominator D (f*d, N*d or d**2): per operator, the support of its
+rotated factors, (qudit, exponent) pairs in qudit order with exponents
+in [1, D), and its claimed eigenphase nu of nu/d.  ``_construction``
+turns the rows into the encoding that certification reads and into the
+operator view of ``ProductOperator``s and ``RationalPhase`` angles, which
+the JSON output, the dense oracle and the public API read.  A
+construction read from JSON is encoded from its operators instead.
+
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility
-probe.  All of them read one cached encoding of the construction over a
-common denominator D: one collective angle per operator, and one sparse
+probe.  All of them read one cached encoding of the construction over
+D: one total per operator, its collective angle times D, and one sparse
 row per operator of the (qudit, exponent) pairs of its rotated factors.
+The verified regime plane builds no operators: it decides each cell on
+the encoding of its witness's rows.
 The hidden variable x(q, a) of each (qudit, angle) label enters only as
 the variation y(q, a) = x(q, a) - x(q, 0), with S the sum of the x(q, 0):
 a unimodular change of variables, in which a congruence is S plus the y
@@ -49,7 +60,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,7 +90,7 @@ from .operators import (
     _json_list,
     _json_object,
     _json_phase_reader,
-    _with_angles,
+    _with_rotations,
     _within,
 )
 from .phases import RationalPhase, ZERO_PHASE
@@ -105,7 +117,9 @@ __all__ = [
 
 OperatorItem = tuple[ProductOperator, RationalPhase]
 Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated factor
+Row = tuple[Support, int]  # an operator's support and its claimed eigenphase nu/d
 
+_exponent = itemgetter(1)  # of a (qudit, exponent) pair
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
 
 
@@ -163,7 +177,12 @@ class Construction:
 
     @cached_property
     def _encoding(self) -> _Encoding:
-        """The family (target last) as integer rows over a common denominator."""
+        """The family (target last) as integer rows over a common denominator.
+
+        A method seeds it with the encoding of the rows it was built from
+        (``_construction``), so it is computed here only for a family read
+        from JSON or assembled from operators.
+        """
         return _encode(self.d, self.all_items())
 
     @cached_property
@@ -183,17 +202,11 @@ class Construction:
         A qudit's plain factor X(0) counts when some operator leaves the
         qudit unrotated.
         """
-        used: list[set[RationalPhase]] = [set() for _ in range(self.n)]
-        rotated = [0] * self.n
-        for op, _ in self.all_items():
-            for q, a in op.rotations:
-                used[q].add(a)
-                rotated[q] += 1
-        count = self.operator_count()
-        for angles, times in zip(used, rotated):
-            if times < count:
-                angles.add(ZERO_PHASE)
-        return used
+        enc = self._encoding
+        return [
+            {RationalPhase(e, enc.common) for e in used}
+            for used in _qudit_exponents(self.n, enc.rows)
+        ]
 
     def to_json_dict(self) -> dict:
         _check_json_size(self.n, self.operator_count())
@@ -259,8 +272,108 @@ class Construction:
 
 
 # ---------------------------------------------------------------------------
+# families as integer rows over a common denominator
+# ---------------------------------------------------------------------------
+
+
+def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
+    """The family's rows (target last) as the encoding that certification reads.
+
+    It equals ``_encode`` of the rows' operator view: a row's total is
+    the sum of its exponents mod D, which is its collective angle times
+    D, and the variations are numbered in first-encounter order.
+    """
+    supports = [support for support, _ in rows]
+    variations: dict[tuple[int, int], int] = {}
+    for support in supports:
+        for label in support:
+            if label not in variations:
+                variations[label] = len(variations) + 1
+    return _Encoding(
+        common,
+        [sum(map(_exponent, support)) % common for support in supports],
+        [claim for _, claim in rows],
+        supports,
+        variations,
+    )
+
+
+def _operator_items(
+    d: int, n: int, common: int, rows: Sequence[Row]
+) -> list[OperatorItem]:
+    """The rows' operator view: one (operator, eigenphase) item per row.
+
+    Each distinct exponent e becomes one ``RationalPhase(e, D)``, and each
+    distinct claim nu one eigenphase nu/d, shared by every row using it.
+    """
+    angles: dict[int, RationalPhase] = {}
+    phases: dict[int, RationalPhase] = {0: ZERO_PHASE}
+    items = []
+    for support, claim in rows:
+        rotations = []
+        for q, e in support:
+            a = angles.get(e)
+            if a is None:
+                a = angles[e] = RationalPhase(e, common)
+            rotations.append((q, a))
+        nu = phases.get(claim)
+        if nu is None:
+            nu = phases[claim] = RationalPhase(claim, d)
+        items.append((_with_rotations(d, n, tuple(rotations)), nu))
+    return items
+
+
+def _construction(
+    d: int,
+    n: int,
+    method: int,
+    common: int,
+    rows: Sequence[Row],
+    f: Optional[int] = None,
+    chain: Optional[tuple[int, ...]] = None,
+) -> Construction:
+    """The construction of a method's rows, its encoding seeded from them.
+
+    Every method's angles are multiples of phi_o = 1/D.
+    """
+    items = _operator_items(d, n, common, rows)
+    c = Construction(
+        d=d,
+        n=n,
+        method=method,
+        phi_o=RationalPhase(1, common),
+        operators=tuple(items[:-1]),
+        target=items[-1],
+        f=f,
+        chain=chain,
+    )
+    vars(c)["_encoding"] = _encode_rows(common, rows)
+    return c
+
+
+# ---------------------------------------------------------------------------
 # method 1: cyclic blocks of f rotated factors
 # ---------------------------------------------------------------------------
+
+
+def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row]]:
+    """The method-1 rows over D = f*d: X^N at eigenphase 0, then the N
+    cyclic placements of f consecutive factors at exponent 1 (1/(f*d) of
+    a turn), each at eigenphase 1/d.  The last placement is the target.
+    """
+    _check_cell(d, n)
+    if f <= 1 or d % f != 0:
+        raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
+    if n <= f:
+        raise ValueError(f"need more qudits than the block length (N > f = {f})")
+    pairs = [(q, 1) for q in range(n)]  # shared by the blocks
+    rows: list[Row] = [((), 0)]
+    rows += [(tuple(pairs[start : start + f]), 1) for start in range(n - f + 1)]
+    rows += [
+        (tuple(pairs[: start + f - n] + pairs[start:]), 1)  # the wrapped blocks
+        for start in range(n - f + 1, n)
+    ]
+    return f * d, rows
 
 
 def method1_operator_set(
@@ -271,19 +384,8 @@ def method1_operator_set(
     1/(f*d), each at eigenphase 1/d.  Returned as (supporting, target)
     with the last cyclic placement distinguished as the target.
     """
-    _check_cell(d, n)
-    if f <= 1 or d % f != 0:
-        raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
-    if n <= f:
-        raise ValueError(f"need more qudits than the block length (N > f = {f})")
-    phi_o = RationalPhase(1, f * d)
-    nu = RationalPhase(1, d)
-    blocks = []
-    for start in range(n):
-        placed = {(start + t) % n: phi_o for t in range(f)}
-        blocks.append((_with_angles(d, n, placed), nu))
-    supporting = [(_with_angles(d, n, {}), ZERO_PHASE)] + blocks[:-1]
-    return supporting, blocks[-1]
+    items = _operator_items(d, n, *_method1_rows(d, n, f))
+    return items[:-1], items[-1]
 
 
 def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContradiction:
@@ -301,7 +403,7 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
                 "every factor of d below N divides N, so the summed value "
                 "equations are solvable",
             )
-    supporting, target = method1_operator_set(d, n, f)
+    common, rows = _method1_rows(d, n, f)
     if n % f == 0:
         return NoContradiction(
             d,
@@ -310,15 +412,7 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
             f"N = {n} is a multiple of f = {f}: f*sum(Y-exponents) = N "
             f"(mod {d}) has solutions",
         )
-    return Construction(
-        d=d,
-        n=n,
-        method=1,
-        phi_o=RationalPhase(1, f * d),
-        operators=tuple(supporting),
-        target=target,
-        f=f,
-    )
+    return _construction(d, n, 1, common, rows, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +420,29 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_pair_items(d: int, n: int, phi_o: RationalPhase) -> list[OperatorItem]:
-    """X^N plus the N+1 net-angle-zero operators pairing a factor at +phi_o
-    with one at -phi_o.  Their value equations force every per-qudit
-    variation to a common delta (and the conjugate variation to -delta):
-    the first N-1 operators chain qudits 1..N-1 to qudit N, and the last
-    two close the loop through qudit N-1.
+def _conjugate_pair_rows(n: int, common: int) -> list[Row]:
+    """X^N plus the N+1 net-angle-zero rows pairing a factor at exponent 1
+    (phi_o = 1/D) with one at D-1 (-phi_o).  Their value equations force
+    every per-qudit variation to a common delta (and the conjugate
+    variation to -delta): the first N-1 rows chain qudits 1..N-1 to qudit
+    N, and the last two close the loop through qudit N-1.
     """
-    y = phi_o
-    yt = -phi_o
-    items: list[OperatorItem] = [(_with_angles(d, n, {}), ZERO_PHASE)]
-    for k in range(n - 1):  # rotated factor on qudit k+1, conjugate on qudit N
-        items.append((_with_angles(d, n, {k: y, n - 1: yt}), ZERO_PHASE))
-    items.append((_with_angles(d, n, {n - 2: yt, n - 1: y}), ZERO_PHASE))
-    items.append((_with_angles(d, n, {0: y, n - 2: yt}), ZERO_PHASE))
-    return items
+    conj = common - 1
+    rows: list[Row] = [((), 0)]
+    rows += [(((k, 1), (n - 1, conj)), 0) for k in range(n - 1)]
+    rows.append((((n - 2, conj), (n - 1, 1)), 0))
+    rows.append((((0, 1), (n - 2, conj)), 0))
+    return rows
+
+
+def _method2_rows(d: int, n: int) -> tuple[int, list[Row]]:
+    """The method-2 rows over D = N*d: the conjugate pairs, then the fully
+    rotated product at eigenphase 1/d as the target.
+    """
+    _check_cell(d, n)
+    common = n * d
+    target = (tuple([(q, 1) for q in range(n)]), 1)
+    return common, _conjugate_pair_rows(n, common) + [target]
 
 
 def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorItem]:
@@ -348,11 +450,8 @@ def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorIt
     set at phi_o = 1/(N*d) plus the fully rotated product at eigenphase
     1/d as the target.
     """
-    _check_cell(d, n)
-    phi_o = RationalPhase(1, n * d)
-    supporting = _conjugate_pair_items(d, n, phi_o)
-    target = (ProductOperator(d, (phi_o,) * n), RationalPhase(1, d))
-    return supporting, target
+    items = _operator_items(d, n, *_method2_rows(d, n))
+    return items[:-1], items[-1]
 
 
 def method2(d: int, n: int) -> Construction | NoContradiction:
@@ -362,7 +461,7 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
     target demands N*delta = 1 (mod d); that has a solution exactly when
     N is invertible mod d.
     """
-    supporting, target = method2_operator_set(d, n)
+    common, rows = _method2_rows(d, n)
     if math.gcd(n, d) == 1:
         return NoContradiction(
             d,
@@ -371,14 +470,7 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
             f"gcd(N, d) = 1: N*delta = 1 (mod {d}) is solvable, e.g. "
             f"delta = {pow(n, -1, d)}",
         )
-    return Construction(
-        d=d,
-        n=n,
-        method=2,
-        phi_o=RationalPhase(1, n * d),
-        operators=tuple(supporting),
-        target=target,
-    )
+    return _construction(d, n, 2, common, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +549,44 @@ def _binary_chain(m: int) -> tuple[list[ChainOp], int]:
     return ops, 0
 
 
+def _method3_rows(d: int, n: int) -> tuple[int, list[Row], tuple[int, ...]]:
+    """The method-3 rows over D = d**2 and the chain's new values.
+
+    The conjugate pairs at exponent 1 (phi_o = 1/d**2), one net-zero row
+    per chain step with multiplier k at exponent k mod D (every |k| < d,
+    so none is 0), and the target: exponent m = d-N+1 on the qudit where
+    the chain lands and 1 elsewhere.  The chain's positions 0, 1, 2 are
+    the qudits 0, N-2 and N-1, in qudit order.  The Fibonacci ladder is
+    used when m is on it and its bases stay apart on every qudit
+    (``_bases_apart``); otherwise the binary chain, which always does.
+    """
+    _check_dim(d)
+    if not 3 <= n < d:
+        raise ValueError(f"the ladder construction needs 3 <= N < d, got N={n}, d={d}")
+    common = d * d
+    m = d - n + 1
+    actives = (0, n - 2, n - 1)
+
+    def realize(chain: list[ChainOp], landing: int) -> tuple[list[Row], tuple[int, ...]]:
+        rows = _conjugate_pair_rows(n, common)
+        for placed, _ in chain:
+            support = [(actives[pos], k % common) for pos, k in sorted(placed.items())]
+            rows.append((tuple(support), 0))
+        target = [(q, 1) for q in range(n)]
+        target[actives[landing]] = (actives[landing], m)
+        rows.append((tuple(target), 1))
+        return rows, tuple(new for _, new in chain)
+
+    ladder = _ladder_chain(m)
+    if ladder is not None:
+        rows, chain = realize(*ladder)
+        if _bases_apart(d, common, _qudit_exponents(n, [s for s, _ in rows])):
+            return common, rows, chain
+        # Large ladders can fold two bases on one qudit together; the
+        # binary chain's tighter multiplier range never does.
+    return (common, *realize(*_binary_chain(m)))
+
+
 def method3(d: int, n: int) -> Construction:
     """Multiplier-ladder contradiction for 3 <= N < d.
 
@@ -472,39 +602,8 @@ def method3(d: int, n: int) -> Construction:
     The Fibonacci ladder is used when m is on it and it keeps every
     qudit's bases apart; otherwise the binary chain, which always does.
     """
-    _check_dim(d)
-    if not 3 <= n < d:
-        raise ValueError(f"the ladder construction needs 3 <= N < d, got N={n}, d={d}")
-    m = d - n + 1
-    phi_o = RationalPhase(1, d * d)
-    actives = (0, n - 2, n - 1)
-
-    def realize(chain: list[ChainOp], landing: int) -> Construction:
-        supporting = _conjugate_pair_items(d, n, phi_o)
-        for placed, _ in chain:
-            angles = {actives[pos]: phi_o * mult for pos, mult in placed.items()}
-            supporting.append((_with_angles(d, n, angles), ZERO_PHASE))
-        target_angles = [phi_o] * n
-        target_angles[actives[landing]] = phi_o * m
-        target = (ProductOperator(d, tuple(target_angles)), RationalPhase(1, d))
-        return Construction(
-            d=d,
-            n=n,
-            method=3,
-            phi_o=phi_o,
-            operators=tuple(supporting),
-            target=target,
-            chain=tuple(new for _, new in chain),
-        )
-
-    ladder = _ladder_chain(m)
-    if ladder is not None:
-        construction = realize(*ladder)
-        if _genuinely_d_dimensional(d, construction.per_qudit_angles()):
-            return construction
-        # Large ladders can fold two bases on one qudit together; the
-        # binary chain's tighter multiplier range never does.
-    return realize(*_binary_chain(m))
+    common, rows, chain = _method3_rows(d, n)
+    return _construction(d, n, 3, common, rows, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +669,49 @@ def witness_construction(cell: RegimeCell) -> Construction:
     return result
 
 
-def classify_plane(d_max: int, n_max: int, verify: bool = False) -> list[RegimeCell]:
-    """Classify every cell with 2 <= d <= d_max, 3 <= N <= n_max.
+def _witness_rows(cell: RegimeCell) -> tuple[int, list[Row]]:
+    """The rows of the cell's witness construction, and their D."""
+    if cell.regime == 1:
+        return _method1_rows(cell.d, cell.n, cell.witness_f)
+    if cell.regime == 2:
+        return _method2_rows(cell.d, cell.n)
+    return _method3_rows(cell.d, cell.n)[:2]
 
-    With verify=True each cell's witness construction is built and
-    certified by the exact quantum checks and the UNSAT verdict, the two
+
+def classify_plane(
+    d_max: int, n_max: int, verify: bool = False
+) -> Iterator[RegimeCell]:
+    """Classify every cell with 2 <= d <= d_max, 3 <= N <= n_max, d first.
+
+    The cells come from an iterator, made one at a time, so a plane's
+    memory does not grow with its size.  With verify=True each cell's
+    witness rows are certified before the iterator is returned, by the
+    exact quantum checks and the UNSAT verdict on their encoding, the two
     checks that decide ``Certificate.certified``; any failure raises
-    CertificationError.  The certificate's other flags (genuine
-    dimension, irreducibility) are not computed here, since the plane
-    reports none of them.  A plane of more than 2^22 cells is refused
-    before any cell is classified.
+    CertificationError.  No operator is built, and the certificate's
+    other flags (genuine dimension, irreducibility) are not computed,
+    since the plane reports none of them.  A bad cell, or a plane of more
+    than 2^22 cells, is refused when this is called.
     """
     _check_cell(d_max, n_max)
     size = (d_max - 1) * (n_max - 2)
     if size > _JSON_CAP:
         raise ValueError(f"a plane of {size} cells is over the limit of {_JSON_CAP}")
-    cells = [
-        classify(d, n) for d in range(2, d_max + 1) for n in range(3, n_max + 1)
-    ]
+
+    def cells() -> Iterator[RegimeCell]:
+        return (
+            classify(d, n) for d in range(2, d_max + 1) for n in range(3, n_max + 1)
+        )
+
     if verify:
-        for cell in cells:
-            quantum_ok, verdict = _exact_checks(witness_construction(cell))
-            if not (quantum_ok and verdict.status == "UNSAT"):
+        for cell in cells():
+            quantum_ok, unsat = _decide(cell.d, _encode_rows(*_witness_rows(cell)))
+            if not (quantum_ok and unsat):
                 raise CertificationError(
                     f"cell (d={cell.d}, N={cell.n}) failed certification: "
-                    f"quantum_ok={quantum_ok}, hv={verdict.status}"
+                    f"quantum_ok={quantum_ok}, hv={'UNSAT' if unsat else 'SAT'}"
                 )
-    return cells
+    return cells()
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +768,34 @@ def check_genuine_dimension(d: int, angles: Iterable[RationalPhase]) -> bool:
     return len({a * d for a in distinct}) == len(distinct)
 
 
-def _genuinely_d_dimensional(
-    d: int, per_qudit: Iterable[Iterable[RationalPhase]]
-) -> bool:
-    # Per qudit: bases on different qudits are never measured against each
-    # other, so only same-qudit angle pairs can spoil dimensionality.
-    return all(check_genuine_dimension(d, used) for used in per_qudit)
+def _qudit_exponents(n: int, supports: Sequence[Support]) -> list[set[int]]:
+    """The distinct exponents over D on each qudit: its measurement bases.
+
+    A qudit's plain factor, exponent 0, counts when some row leaves the
+    qudit unrotated.
+    """
+    used: list[set[int]] = [set() for _ in range(n)]
+    rotated = [0] * n
+    for support in supports:
+        for q, e in support:
+            used[q].add(e)
+            rotated[q] += 1
+    for exponents, times in zip(used, rotated):
+        if times < len(supports):
+            exponents.add(0)
+    return used
+
+
+def _bases_apart(d: int, common: int, per_qudit: Iterable[set[int]]) -> bool:
+    """``check_genuine_dimension`` of every qudit, on exponents over D.
+
+    Angles e/D and e'/D differ by a multiple of 1/d iff e = e' mod D/d,
+    so a qudit passes when its exponents stay distinct mod D/d.  Bases on
+    different qudits are never measured against each other, so only
+    same-qudit pairs can spoil dimensionality.
+    """
+    step = common // d
+    return all(len({e % step for e in used}) == len(used) for used in per_qudit)
 
 
 def _qudit_orbits(rows: list[Support], n: int) -> list[int]:
@@ -806,6 +943,12 @@ def _dense_recheck(c: Construction) -> None:
             )
 
 
+def _decide(d: int, enc: _Encoding) -> tuple[bool, bool]:
+    """quantum_ok, and whether the family's variation system is unsolvable."""
+    basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
+    return _claims_hold(d, enc), basis[-1] is not None
+
+
 def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     """quantum_ok and the solver's verdict: what decides ``certified``.
 
@@ -818,9 +961,8 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     solvable iff this one is.  Only a SAT family builds its system in the
     labels x(q, a), to give the lexicographically least witness in those.
     """
-    enc = c._encoding
-    quantum_ok = _claims_hold(c.d, enc)
-    if _howell_basis(c.d, len(enc.variations) + 1, _variation_rows(enc))[-1] is not None:
+    quantum_ok, unsat = _decide(c.d, c._encoding)
+    if unsat:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)
     if verdict.status != "SAT":
@@ -847,7 +989,7 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
     with the exact engine raise instead.
     """
     quantum_ok, verdict = _exact_checks(c)
-    per_qudit = c.per_qudit_angles()
+    per_qudit = _qudit_exponents(c.n, c._encoding.rows)
 
     oracle_checked = False
     if oracle and _within(c.d, c.n, DEFAULT_DENSE_CAP):
@@ -865,6 +1007,6 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
         quantum_ok=quantum_ok,
         hv_verdict=verdict,
         oracle_checked=oracle_checked,
-        genuinely_d_dimensional=_genuinely_d_dimensional(c.d, per_qudit),
+        genuinely_d_dimensional=_bases_apart(c.d, c._encoding.common, per_qudit),
         irreducible=check_irreducible(c),
     )

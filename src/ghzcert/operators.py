@@ -345,7 +345,14 @@ def _column_phases(factor: MonomialOp) -> np.ndarray:
 
 def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
     """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
-    op = object.__new__(ProductOperator)
     rotations = tuple(sorted([(q, a) for q, a in placed.items() if a.num]))
+    return _with_rotations(d, n, rotations)
+
+
+def _with_rotations(
+    d: int, n: int, rotations: tuple[tuple[int, RationalPhase], ...]
+) -> ProductOperator:
+    """N-qudit product of its rotated factors, nonzero angles in qudit order."""
+    op = object.__new__(ProductOperator)
     vars(op).update(d=d, n=n, rotations=rotations)
     return op

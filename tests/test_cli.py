@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -56,6 +57,21 @@ def test_construct_auto_regime3(capsys):
     assert payload["method"] == 3
     assert len(payload["operators"]) + 1 == 8
     assert payload["target"]["angles"] == ["1/25", "3/25", "1/25"]
+
+
+def test_auto_constructions_keep_their_recorded_text(capsys):
+    # the sha256 of every `construct --method auto` payload with d, N <= 24,
+    # concatenated in d-major order, as first written by the operator-built
+    # constructions: the default output stays byte-identical
+    digest = hashlib.sha256()
+    for d in range(2, 25):
+        for n in range(3, 25):
+            code, out, err = run(capsys, "construct", "--d", str(d), "--n", str(n))
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "c4995121bc755ed8171cdc17bf48f8cf80c6b89ca471041522cdf4f8275f3d32"
+    )
 
 
 def test_construct_no_contradiction(capsys):

@@ -1,8 +1,10 @@
 """The three contradiction families, the regime map, and certification."""
 
 import copy
+import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -38,7 +40,7 @@ from ghzcert import (
 )
 from ghzcert import constructions, hidden_variables, operators
 from ghzcert.constructions import _within
-from ghzcert.hidden_variables import _howell_basis
+from ghzcert.hidden_variables import _encode, _howell_basis
 
 
 def full_system(construction):
@@ -464,7 +466,7 @@ def test_classify_matches_the_unbounded_scan():
 
 
 def test_classify_plane_covers_every_cell():
-    cells = classify_plane(12, 20)
+    cells = list(classify_plane(12, 20))
     assert len(cells) == 198
     for cell in cells:
         assert cell.regime in (1, 2, 3)
@@ -483,25 +485,38 @@ def test_classify_plane_verify_subset():
 
 
 def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
-    # method3 runs the genuine-dimension check itself while choosing its
-    # ladder, so the verified plane may make exactly those calls and no more
-    from ghzcert import constructions
-
-    def refuse(c):
-        raise AssertionError("irreducibility probe run by the verified plane")
+    # the verified plane decides quantum_ok and UNSAT on each witness's
+    # rows: it builds no operator, angle or label system and runs no other
+    # check.  method 3 runs the genuine-dimension flag itself while
+    # choosing its ladder, so the plane may make exactly those calls
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verified plane computed more than certified needs")
 
     calls = []
-    real = constructions._genuinely_d_dimensional
+    real = constructions._bases_apart
 
-    def counted(d, per_qudit):
+    def counted(d, common, per_qudit):
         per_qudit = list(per_qudit)
-        calls.append((d, len(per_qudit)))
-        return real(d, per_qudit)
+        calls.append((d, common, per_qudit))
+        return real(d, common, per_qudit)
 
-    monkeypatch.setattr(constructions, "check_irreducible", refuse)
-    monkeypatch.setattr(constructions, "_genuinely_d_dimensional", counted)
+    for name in (
+        "Construction",
+        "RationalPhase",
+        "_operator_items",
+        "_with_rotations",
+        "_encode",
+        "_dense_recheck",
+        "brute_force_solve",
+        "check_genuine_dimension",
+        "check_irreducible",
+        "solve",
+        "system_from_operators",
+    ):
+        monkeypatch.setattr(constructions, name, refuse)
+    monkeypatch.setattr(constructions, "_bases_apart", counted)
     for cell in classify_plane(12, 12):
-        witness_construction(cell)
+        constructions._witness_rows(cell)
     built = list(calls)
     assert built  # the plane has Fibonacci-ladder cells
     calls.clear()
@@ -510,14 +525,30 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
 
 
 def test_verified_plane_rejects_a_shifted_claim(monkeypatch):
-    from ghzcert import constructions
+    # the plane certifies the witness's rows themselves, before it returns
+    real = constructions._witness_rows
 
     def shifted(cell):
-        return corrupted(witness_construction(cell))
+        common, rows = real(cell)
+        support, claim = rows[-1]
+        return common, rows[:-1] + [(support, (claim + 1) % cell.d)]
 
-    monkeypatch.setattr(constructions, "witness_construction", shifted)
-    with pytest.raises(CertificationError, match=r"cell \(d=2, N=3\) failed"):
+    monkeypatch.setattr(constructions, "_witness_rows", shifted)
+    with pytest.raises(
+        CertificationError, match=r"cell \(d=2, N=3\) failed certification: quantum_ok=False"
+    ):
         classify_plane(12, 12, verify=True)
+
+
+def test_plane_holds_one_cell_at_a_time():
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in classify_plane(300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 299 * 298
+    assert peak < 2**20
 
 
 def test_witness_construction_matches_cell():
@@ -539,10 +570,8 @@ def test_folded_ladder_is_not_genuinely_d_dimensional(monkeypatch, d, n, chain):
     # the Fibonacci ladders that method3 rejects for folding two bases on
     # one qudit together still certify and are irreducible; the
     # certificate reports the fold
-    from ghzcert import constructions
-
     with monkeypatch.context() as patched:
-        patched.setattr(constructions, "_genuinely_d_dimensional", lambda d, used: True)
+        patched.setattr(constructions, "_bases_apart", lambda d, common, used: True)
         ladder = method3(d, n)
     assert ladder.chain == chain
     assert method3(d, n).chain != chain  # the binary chain replaces it
@@ -550,6 +579,69 @@ def test_folded_ladder_is_not_genuinely_d_dimensional(monkeypatch, d, n, chain):
     assert cert.certified and all(cert.irreducible)
     assert cert.genuinely_d_dimensional is False
     assert cert.to_json_dict()["genuinely_d_dimensional"] is False
+
+
+def angles_by_qudit(c):
+    """Each qudit's distinct angles, read from the operators: X(0) is
+    included wherever some operator leaves the qudit unrotated."""
+    used = [set() for _ in range(c.n)]
+    for op, _ in c.all_items():
+        for q, a in enumerate(op.angles):
+            used[q].add(a)
+    return used
+
+
+def test_integer_genuine_dimension_flag_matches_the_angle_test(monkeypatch):
+    families = [witness_construction(cell) for cell in classify_plane(12, 20)]
+    with monkeypatch.context() as patched:  # the two folded ladders
+        patched.setattr(constructions, "_bases_apart", lambda d, common, used: True)
+        families += [method3(16, 4), method3(26, 6)]
+    flags = Counter()
+    for c in families:
+        angles = angles_by_qudit(c)
+        assert c.per_qudit_angles() == angles
+        enc = c._encoding
+        exponents = constructions._qudit_exponents(c.n, enc.rows)
+        expected = [check_genuine_dimension(c.d, used) for used in angles]
+        flag = [constructions._bases_apart(c.d, enc.common, [e]) for e in exponents]
+        assert flag == expected
+        assert verify_construction(c, oracle=False).genuinely_d_dimensional == all(expected)
+        flags[all(expected)] += 1
+    assert flags == {True: 198, False: 2}
+
+
+def exactness_families():
+    """Every construction of each cell with d, N <= 24 (method 1 at each
+    factor that works) and the witnesses of four larger cells."""
+    for d in range(2, 25):
+        for n in range(3, 25):
+            yield witness_construction(classify(d, n))
+            for f in range(2, n):
+                if d % f == 0 and n % f:
+                    yield method1(d, n, f)
+            if math.gcd(n, d) > 1:
+                yield method2(d, n)
+            if n < d:
+                yield method3(d, n)
+    for d, n in [(24, 40), (40, 39), (97, 5), (211, 5)]:
+        yield witness_construction(classify(d, n))
+
+
+def test_constructions_are_encoded_exactly_from_their_rows():
+    # a method seeds its encoding from the rows it built the operators
+    # from: it must equal the encoding of those operators, and the JSON of
+    # the operators must read back to the same text and encoding
+    methods = Counter()
+    for c in exactness_families():
+        seeded = c._encoding
+        encoded = _encode(c.d, c.all_items())
+        assert seeded == encoded and list(seeded.variations) == list(encoded.variations)
+        text = json.dumps(c.to_json_dict(), indent=2)
+        again = Construction.from_json_dict(json.loads(text))
+        assert json.dumps(again.to_json_dict(), indent=2) == text
+        assert again._encoding == seeded
+        methods[c.method] += 1
+    assert min(methods.values()) > 100
 
 
 def test_every_plane_witness_is_genuinely_d_dimensional():
