@@ -65,6 +65,15 @@ def _indented(value: object, out: list[str], pieces: list[str], newline: str) ->
     elif kind is list and value:
         inner = newline + "  "
         separator = "," + inner
+        if type(value[0]) is str:
+            # a list of strings, such as an operator's angles, in one join;
+            # _quote raises TypeError on any other item, before anything
+            # is written, and the list then takes the general path below
+            try:
+                out.append("[" + inner + separator.join(map(_quote, value)) + newline + "]")
+                return
+            except TypeError:
+                pass
         out.append("[")
         for i, item in enumerate(value):
             out.append(separator if i else inner)
@@ -269,8 +278,19 @@ _circle.set_defaults(func=_cmd_circle)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        # a known command's arguments go straight to its own parser, as
+        # _parser would pass them on, so each call is parsed once; no
+        # command, an unknown one and -h go through _parser
+        command = _commands.choices.get(argv[0]) if argv else None
+        if command is None:
+            args = _parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

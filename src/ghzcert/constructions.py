@@ -37,6 +37,12 @@ D: one total per operator, its collective angle times D, and one sparse
 row per operator of the (qudit, exponent) pairs of its rotated factors.
 The verified regime plane builds no operators: it decides each cell on
 the encoding of its witness's rows.
+The unsolvability verdict is decided only by a proof, row weights that
+annihilate every variable of the system but not its claims, checked in
+one pass over the rows (``hidden_variables._proves_unsat``).  Each
+method builds its weights with its rows, and a family read from JSON
+takes those of the method it names; only when they do not check does
+one tagged Howell elimination look for weights (``_decide``).
 The hidden variable x(q, a) of each (qudit, angle) label enters only as
 the variation y(q, a) = x(q, a) - x(q, 0), with S the sum of the x(q, 0):
 a unimodular change of variables, in which a congruence is S plus the y
@@ -74,6 +80,7 @@ from .hidden_variables import (
     _claims_hold,
     _encode,
     _howell_basis,
+    _proves_unsat,
     _variation_rows,
     solve,
     system_from_operators,
@@ -186,6 +193,31 @@ class Construction:
         return _encode(self.d, self.all_items())
 
     @cached_property
+    def _weights(self) -> Optional[list[int]]:
+        """Candidate row weights for a proof that the family is UNSAT, or None.
+
+        A method seeds them with the weights of the rows it was built from
+        (``_construction``).  A family read from JSON or assembled from
+        operators takes the weights of the method that it names: methods
+        1 and 2 in closed form from (d, N, f), with no rows built, and
+        method 3 by weighting the family's own rows back along their chain
+        (``_chain_weights``).  A method that refuses the family gives none.
+        They are a hint: only ``_proves_unsat`` on this family's encoding
+        can make them decide anything.
+        """
+        d, n = self.d, self.n
+        if self.method == 1 and self.f is not None:
+            try:
+                return _method1_weights(d, n, self.f)
+            except ValueError:
+                return None
+        if self.method == 2:
+            return _method2_weights(d, n)
+        if self.method == 3 and len(self._encoding.rows) >= n + 3:
+            return _chain_weights(d, n, self._encoding.common, self._encoding.rows)
+        return None
+
+    @cached_property
     def _system(self) -> HVSystem:
         """The congruence system in the labels x(q, a): built only on demand."""
         return system_from_operators(self.d, self.all_items())
@@ -211,13 +243,22 @@ class Construction:
     def to_json_dict(self) -> dict:
         _check_json_size(self.n, self.operator_count())
         plain = str(ZERO_PHASE)
+        # each distinct phase object is formatted once; keyed by identity,
+        # which is safe since every phase is held by the family meanwhile
+        texts: dict[int, str] = {}
+
+        def text(a: RationalPhase) -> str:
+            t = texts.get(id(a))
+            if t is None:
+                t = texts[id(a)] = str(a)
+            return t
 
         def item(entry: OperatorItem) -> dict:
             op, exponent = entry
             angles = [plain] * op.n
             for q, a in op.rotations:
-                angles[q] = str(a)
-            return {"angles": angles, "exponent": str(exponent)}
+                angles[q] = text(a)
+            return {"angles": angles, "exponent": text(exponent)}
 
         meta: dict = {}
         if self.f is not None:
@@ -240,11 +281,20 @@ class Construction:
         data = _json_object(data, "construction", *keys)
         d = _json_int(data["d"], "d")
         phase = _json_phase_reader()
+        plain = str(ZERO_PHASE)
 
         def item(entry: dict) -> OperatorItem:
+            # what ProductOperator(d, angles) checks and keeps, in its order,
+            # with no call for a plain entry: "0/1" is the only text of 0
             entry = _json_object(entry, "operator", "angles", "exponent")
             angles = _json_list(entry["angles"], "angles")
-            op = ProductOperator(d, tuple(phase(a, "angles entry") for a in angles))
+            rotations = tuple(
+                [(q, phase(a, "angles entry")) for q, a in enumerate(angles) if a != plain]
+            )
+            _check_dim(d)
+            if not angles:
+                raise ValueError("need at least one factor")
+            op = _with_rotations(d, len(angles), rotations)
             return op, phase(entry["exponent"], "exponent")
 
         meta = _json_object(data.get("meta", {}), "meta")
@@ -281,20 +331,14 @@ def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
 
     It equals ``_encode`` of the rows' operator view: a row's total is
     the sum of its exponents mod D, which is its collective angle times
-    D, and the variations are numbered in first-encounter order.
+    D.
     """
     supports = [support for support, _ in rows]
-    variations: dict[tuple[int, int], int] = {}
-    for support in supports:
-        for label in support:
-            if label not in variations:
-                variations[label] = len(variations) + 1
     return _Encoding(
         common,
         [sum(map(_exponent, support)) % common for support in supports],
         [claim for _, claim in rows],
         supports,
-        variations,
     )
 
 
@@ -329,10 +373,12 @@ def _construction(
     method: int,
     common: int,
     rows: Sequence[Row],
+    weights: list[int],
     f: Optional[int] = None,
     chain: Optional[tuple[int, ...]] = None,
 ) -> Construction:
-    """The construction of a method's rows, its encoding seeded from them.
+    """The construction of a method's rows, its encoding and its row
+    weights seeded from them.
 
     Every method's angles are multiples of phi_o = 1/D.
     """
@@ -347,7 +393,7 @@ def _construction(
         f=f,
         chain=chain,
     )
-    vars(c)["_encoding"] = _encode_rows(common, rows)
+    vars(c).update(_encoding=_encode_rows(common, rows), _weights=weights)
     return c
 
 
@@ -356,16 +402,30 @@ def _construction(
 # ---------------------------------------------------------------------------
 
 
-def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row]]:
-    """The method-1 rows over D = f*d: X^N at eigenphase 0, then the N
-    cyclic placements of f consecutive factors at exponent 1 (1/(f*d) of
-    a turn), each at eigenphase 1/d.  The last placement is the target.
+def _method1_weights(d: int, n: int, f: int) -> list[int]:
+    """The weights of the method-1 rows, for the cell and f that they check.
+
+    With s = d/f: -(N-f)*s on X^N and s on each of the N blocks.  Each
+    (qudit, 1) label is in f blocks and the weights sum to f*s = d, so
+    both vanish mod d, while the claims give N*s, nonzero mod d exactly
+    when N is not a multiple of f.
     """
     _check_cell(d, n)
     if f <= 1 or d % f != 0:
         raise ValueError(f"f = {f} is not a factor of d = {d} greater than 1")
     if n <= f:
         raise ValueError(f"need more qudits than the block length (N > f = {f})")
+    s = d // f
+    return [(f - n) * s % d] + [s] * n
+
+
+def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row], list[int]]:
+    """The method-1 rows over D = f*d and their weights: X^N at eigenphase
+    0, then the N cyclic placements of f consecutive factors at exponent 1
+    (1/(f*d) of a turn), each at eigenphase 1/d.  The last placement is
+    the target.
+    """
+    weights = _method1_weights(d, n, f)
     pairs = [(q, 1) for q in range(n)]  # shared by the blocks
     rows: list[Row] = [((), 0)]
     rows += [(tuple(pairs[start : start + f]), 1) for start in range(n - f + 1)]
@@ -373,7 +433,7 @@ def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row]]:
         (tuple(pairs[: start + f - n] + pairs[start:]), 1)  # the wrapped blocks
         for start in range(n - f + 1, n)
     ]
-    return f * d, rows
+    return f * d, rows, weights
 
 
 def method1_operator_set(
@@ -384,7 +444,7 @@ def method1_operator_set(
     1/(f*d), each at eigenphase 1/d.  Returned as (supporting, target)
     with the last cyclic placement distinguished as the target.
     """
-    items = _operator_items(d, n, *_method1_rows(d, n, f))
+    items = _operator_items(d, n, *_method1_rows(d, n, f)[:2])
     return items[:-1], items[-1]
 
 
@@ -403,7 +463,7 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
                 "every factor of d below N divides N, so the summed value "
                 "equations are solvable",
             )
-    common, rows = _method1_rows(d, n, f)
+    common, rows, weights = _method1_rows(d, n, f)
     if n % f == 0:
         return NoContradiction(
             d,
@@ -412,7 +472,7 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
             f"N = {n} is a multiple of f = {f}: f*sum(Y-exponents) = N "
             f"(mod {d}) has solutions",
         )
-    return _construction(d, n, 1, common, rows, f=f)
+    return _construction(d, n, 1, common, rows, weights, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +495,29 @@ def _conjugate_pair_rows(n: int, common: int) -> list[Row]:
     return rows
 
 
-def _method2_rows(d: int, n: int) -> tuple[int, list[Row]]:
-    """The method-2 rows over D = N*d: the conjugate pairs, then the fully
-    rotated product at eigenphase 1/d as the target.
+def _method2_weights(d: int, n: int) -> list[int]:
+    """The weights of the method-2 rows at the cell, which they check.
+
+    With s = d/gcd(N, d): (N-1)*s on X^N, -2*s on the first pair, -s on
+    the other N-2 pairs and on the first loop row, s on the second loop
+    row and on the target.  The N pairs put -N*s = 0 on the conjugate
+    factor of qudit N, every other label and S cancel outright, and the
+    claims give s, nonzero mod d exactly when gcd(N, d) > 1.
     """
     _check_cell(d, n)
+    s = d // math.gcd(n, d)
+    weights = [(n - 1) * s, -2 * s] + [-s] * (n - 2) + [-s, s, s]
+    return [w % d for w in weights]
+
+
+def _method2_rows(d: int, n: int) -> tuple[int, list[Row], list[int]]:
+    """The method-2 rows over D = N*d and their weights: the conjugate
+    pairs, then the fully rotated product at eigenphase 1/d as the target.
+    """
+    weights = _method2_weights(d, n)
     common = n * d
     target = (tuple([(q, 1) for q in range(n)]), 1)
-    return common, _conjugate_pair_rows(n, common) + [target]
+    return common, _conjugate_pair_rows(n, common) + [target], weights
 
 
 def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorItem]:
@@ -450,7 +525,7 @@ def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorIt
     set at phi_o = 1/(N*d) plus the fully rotated product at eigenphase
     1/d as the target.
     """
-    items = _operator_items(d, n, *_method2_rows(d, n))
+    items = _operator_items(d, n, *_method2_rows(d, n)[:2])
     return items[:-1], items[-1]
 
 
@@ -461,7 +536,7 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
     target demands N*delta = 1 (mod d); that has a solution exactly when
     N is invertible mod d.
     """
-    common, rows = _method2_rows(d, n)
+    common, rows, weights = _method2_rows(d, n)
     if math.gcd(n, d) == 1:
         return NoContradiction(
             d,
@@ -470,7 +545,7 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
             f"gcd(N, d) = 1: N*delta = 1 (mod {d}) is solvable, e.g. "
             f"delta = {pow(n, -1, d)}",
         )
-    return _construction(d, n, 2, common, rows)
+    return _construction(d, n, 2, common, rows, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +624,56 @@ def _binary_chain(m: int) -> tuple[list[ChainOp], int]:
     return ops, 0
 
 
-def _method3_rows(d: int, n: int) -> tuple[int, list[Row], tuple[int, ...]]:
-    """The method-3 rows over D = d**2 and the chain's new values.
+def _chain_weights(
+    d: int, n: int, common: int, supports: Sequence[Support]
+) -> list[int]:
+    """The weights of method 3's rows, weighted back along the chain.
+
+    The rows are read by their supports alone, in ``_method3_rows``'s
+    order over D = common: X^N, the N-1 pairs, the two loop rows, the
+    chain and the target, at least N+3 rows in all.
+
+    Every label but delta = y(N-1, 1) is defined by one row from labels
+    defined before it: the first loop row defines y(N-2, -1), the second
+    then y(0, 1), the first pair y(N-1, -1), the other pairs each y(k, 1),
+    and each chain row its one new label.  Walking those definitions back
+    from the target at weight 1, each row gets minus the weight that its
+    label has gathered so far, which cancels that label and passes the
+    weight on to the row's other labels and to S.  Then only S is left,
+    which X^N cancels, and delta, whose weight is the target's net
+    multiplier N-1+m = d, 0 mod d.  Each row is read once: O(N + chain).
+    """
+    conj = common - 1
+    defined = [(n, (n - 2, conj)), (n + 1, (0, 1)), (1, (n - 1, conj))]
+    defined += [(k + 1, (k, 1)) for k in range(1, n - 1)]
+    known = {label for _, label in defined}
+    known.add((n - 1, 1))
+    for i in range(n + 2, len(supports) - 1):
+        new = [label for label in supports[i] if label not in known]
+        if len(new) == 1:  # a chain row defines its one new label; no other row does
+            known.add(new[0])
+            defined.append((i, new[0]))
+    weights = [0] * len(supports)
+    weights[-1] = 1
+    gathered = dict.fromkeys(supports[-1], 1)
+    total = 1  # the weight gathered on S
+    for i, label in reversed(defined):
+        w = -gathered.pop(label, 0) % d
+        if w:
+            weights[i] = w
+            total += w
+            for other in supports[i]:
+                if other != label:
+                    gathered[other] = gathered.get(other, 0) + w
+    weights[0] = -total % d
+    return weights
+
+
+def _method3_rows(
+    d: int, n: int
+) -> tuple[int, list[Row], list[int], tuple[int, ...]]:
+    """The method-3 rows over D = d**2, their weights and the chain's new
+    values.
 
     The conjugate pairs at exponent 1 (phi_o = 1/d**2), one net-zero row
     per chain step with multiplier k at exponent k mod D (every |k| < d,
@@ -567,7 +690,9 @@ def _method3_rows(d: int, n: int) -> tuple[int, list[Row], tuple[int, ...]]:
     m = d - n + 1
     actives = (0, n - 2, n - 1)
 
-    def realize(chain: list[ChainOp], landing: int) -> tuple[list[Row], tuple[int, ...]]:
+    def realize(
+        chain: list[ChainOp], landing: int
+    ) -> tuple[list[Row], list[int], tuple[int, ...]]:
         rows = _conjugate_pair_rows(n, common)
         for placed, _ in chain:
             support = [(actives[pos], k % common) for pos, k in sorted(placed.items())]
@@ -575,13 +700,14 @@ def _method3_rows(d: int, n: int) -> tuple[int, list[Row], tuple[int, ...]]:
         target = [(q, 1) for q in range(n)]
         target[actives[landing]] = (actives[landing], m)
         rows.append((tuple(target), 1))
-        return rows, tuple(new for _, new in chain)
+        weights = _chain_weights(d, n, common, [s for s, _ in rows])
+        return rows, weights, tuple(new for _, new in chain)
 
     ladder = _ladder_chain(m)
     if ladder is not None:
-        rows, chain = realize(*ladder)
+        rows, weights, chain = realize(*ladder)
         if _bases_apart(d, common, _qudit_exponents(n, [s for s, _ in rows])):
-            return common, rows, chain
+            return common, rows, weights, chain
         # Large ladders can fold two bases on one qudit together; the
         # binary chain's tighter multiplier range never does.
     return (common, *realize(*_binary_chain(m)))
@@ -602,8 +728,8 @@ def method3(d: int, n: int) -> Construction:
     The Fibonacci ladder is used when m is on it and it keeps every
     qudit's bases apart; otherwise the binary chain, which always does.
     """
-    common, rows, chain = _method3_rows(d, n)
-    return _construction(d, n, 3, common, rows, chain=chain)
+    common, rows, weights, chain = _method3_rows(d, n)
+    return _construction(d, n, 3, common, rows, weights, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +795,13 @@ def witness_construction(cell: RegimeCell) -> Construction:
     return result
 
 
-def _witness_rows(cell: RegimeCell) -> tuple[int, list[Row]]:
-    """The rows of the cell's witness construction, and their D."""
+def _witness_rows(cell: RegimeCell) -> tuple[int, list[Row], list[int]]:
+    """The D, rows and row weights of the cell's witness construction."""
     if cell.regime == 1:
         return _method1_rows(cell.d, cell.n, cell.witness_f)
     if cell.regime == 2:
         return _method2_rows(cell.d, cell.n)
-    return _method3_rows(cell.d, cell.n)[:2]
+    return _method3_rows(cell.d, cell.n)[:3]
 
 
 def classify_plane(
@@ -705,7 +831,8 @@ def classify_plane(
 
     if verify:
         for cell in cells():
-            quantum_ok, unsat = _decide(cell.d, _encode_rows(*_witness_rows(cell)))
+            common, rows, weights = _witness_rows(cell)
+            quantum_ok, unsat = _decide(cell.d, _encode_rows(common, rows), weights)
             if not (quantum_ok and unsat):
                 raise CertificationError(
                     f"cell (d={cell.d}, N={cell.n}) failed certification: "
@@ -943,10 +1070,45 @@ def _dense_recheck(c: Construction) -> None:
             )
 
 
-def _decide(d: int, enc: _Encoding) -> tuple[bool, bool]:
-    """quantum_ok, and whether the family's variation system is unsolvable."""
-    basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
-    return _claims_hold(d, enc), basis[-1] is not None
+def _unsat_weights(d: int, enc: _Encoding) -> Optional[list[int]]:
+    """Row weights proving the variation system unsolvable, or None if it is
+    solvable, from one tagged Howell elimination.
+
+    Row i carries a tag 1 in column -2-i, below every column that the
+    elimination pivots on, so each basis row carries there its weights
+    over the input rows.  The basis row that pivots on the right-hand
+    side is a combination of the input rows that is zero on every
+    variable and nonzero on the rhs, and its tags are that combination's
+    weights.
+    """
+    rows = _variation_rows(enc)
+    for i, row in enumerate(rows):
+        row[-2 - i] = 1
+    proof = _howell_basis(d, len(enc.variations) + 1, rows)[-1]
+    if proof is None:
+        return None
+    return [proof.get(-2 - i, 0) for i in range(len(rows))]
+
+
+def _decide(
+    d: int, enc: _Encoding, hint: Optional[Sequence[int]]
+) -> tuple[bool, bool]:
+    """quantum_ok, and whether the family's variation system is unsolvable.
+
+    Only a proof decides UNSAT: row weights that pass ``_proves_unsat``,
+    in O(nnz).  The hint, a method's weights, is tried first.  When it
+    fails, one tagged Howell elimination either finds the system solvable
+    or gives weights (``_unsat_weights``), which must pass the same check.
+    """
+    quantum_ok = _claims_hold(d, enc)
+    if hint is not None and _proves_unsat(d, enc, hint):
+        return quantum_ok, True
+    weights = _unsat_weights(d, enc)
+    if weights is None:
+        return quantum_ok, False
+    if not _proves_unsat(d, enc, weights):
+        raise CertificationError("the elimination's proof of unsolvability fails its check")
+    return quantum_ok, True
 
 
 def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
@@ -958,10 +1120,11 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     (S, the y, the x(q, 0) of qudits 2..N) is a unimodular change of
     variables, and a row is S plus the y of its rotated factors, with its
     claimed rhs: the rows never name x(q, 0) for q > 1, so the system is
-    solvable iff this one is.  Only a SAT family builds its system in the
-    labels x(q, a), to give the lexicographically least witness in those.
+    solvable iff this one is, and ``_decide`` decides it by a proof.  Only
+    a SAT family builds its system in the labels x(q, a), to give the
+    lexicographically least witness in those.
     """
-    quantum_ok, unsat = _decide(c.d, c._encoding)
+    quantum_ok, unsat = _decide(c.d, c._encoding, c._weights)
     if unsat:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)

@@ -16,10 +16,13 @@ row pivots in the right-hand-side column; back-substitution gives the
 lexicographically least witness; and a linear functional of the hidden
 variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
-variable columns.  The same elimination decides a family's system in
-variation coordinates (``_encode``): a construction's UNSAT verdict, the
-irreducibility subsystems of ``constructions.check_irreducible`` and
-the relations of ``invariance_demo``.  A system checks its
+variable columns.  The same elimination factors a family's system in
+variation coordinates (``_encode``): the irreducibility subsystems of
+``constructions.check_irreducible``, the relations of ``invariance_demo``
+and, with its rows tagged, the search for row weights that prove a
+construction UNSAT when its method's own weights do not.  Such a verdict
+is decided only by ``_proves_unsat``, which checks the weights in one
+pass over the rows and reads no basis.  A system checks its
 own invariants when it is built (d >= 2, every index names a variable,
 no label listed twice), so the JSON reader only parses.
 """
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -237,7 +240,8 @@ def system_from_operators(
     return HVSystem(d, variables, tuple(constraints))
 
 
-class _Encoding(NamedTuple):
+@dataclass(frozen=True)
+class _Encoding:
     """A family's rows over D = lcm(d, every factor denominator).
 
     An angle a is the exponent a*D, an integer in [0, D).  Row i's
@@ -250,14 +254,23 @@ class _Encoding(NamedTuple):
     y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the sum of the
     x(q, 0).  The Howell kernel eliminates its highest variable first, so
     the latest variations go first, which keeps method 2's fill-in low
-    (the reverse order is some 30 times slower on large cells).
+    (the reverse order is some 30 times slower on large cells).  Only an
+    elimination reads that numbering, so it is made on first read.
     """
 
     common: int
     totals: list[int]
     claims: list[int]
     rows: list[tuple[tuple[int, int], ...]]
-    variations: dict[tuple[int, int], int]
+
+    @cached_property
+    def variations(self) -> dict[tuple[int, int], int]:
+        variations: dict[tuple[int, int], int] = {}
+        for support in self.rows:
+            for label in support:
+                if label not in variations:
+                    variations[label] = len(variations) + 1
+        return variations
 
 
 def _encode(
@@ -272,18 +285,15 @@ def _encode(
     dens = {a.den for op, _ in items for _, a in op.rotations}
     common = math.lcm(d, *dens)
     scale = {den: common // den for den in dens}
-    totals, claims, rows, variations = [], [], [], {}
+    totals, claims, rows = [], [], []
     for op, exponent in items:
         if d % exponent.den:
             raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
         claims.append(exponent.num * (d // exponent.den) % d)
-        row = tuple([(q, a.num * scale[a.den]) for q, a in op.rotations])
-        for label in row:
-            variations.setdefault(label, len(variations) + 1)
-        rows.append(row)
+        rows.append(tuple([(q, a.num * scale[a.den]) for q, a in op.rotations]))
         total = op.collective_angle
         totals.append(total.num * (common // total.den))
-    return _Encoding(common, totals, claims, rows, variations)
+    return _Encoding(common, totals, claims, rows)
 
 
 def _claims_hold(d: int, enc: _Encoding) -> bool:
@@ -297,6 +307,29 @@ def _claims_hold(d: int, enc: _Encoding) -> bool:
         total % enc.common == claim * step
         for total, claim in zip(enc.totals, enc.claims)
     )
+
+
+def _proves_unsat(d: int, enc: _Encoding, weights: Sequence[int]) -> bool:
+    """Do the row weights w prove the family's variation system unsolvable?
+
+    Over Z_d a system A*x = b has no solution exactly when some w has
+    w*A = 0 and w*b != 0 (mod d): Z_d is self-injective, so this is the
+    Fredholm alternative, and any such w is a proof that anyone can check.
+    In variation coordinates a row is S plus the y(q, e) of its support
+    (``_variation_rows``), so w*A = 0 says that the weights sum to 0 (the
+    S column) and that so do the weights of the rows holding each label
+    (q, e).  One pass over the supports: O(nnz), with no elimination.
+    """
+    if len(weights) != len(enc.rows) or sum(weights) % d:
+        return False
+    sums: dict[tuple[int, int], int] = {}
+    for w, support in zip(weights, enc.rows):
+        if w % d:
+            for label in support:
+                sums[label] = sums.get(label, 0) + w
+    if any(s % d for s in sums.values()):
+        return False
+    return sum(w * claim for w, claim in zip(weights, enc.claims)) % d != 0
 
 
 def _variation_rows(enc: _Encoding) -> list[dict[int, int]]:
@@ -322,10 +355,13 @@ def _howell_basis(
     """Howell basis mod d of sparse augmented rows over n variables.
 
     A row is {column: value} with every value in [1, d): variable j sits
-    in column j and the right-hand side in column -1.  Columns are
-    eliminated from n-1 down to -1, so a row's leading column is its
-    highest, and entry c of the result (entry -1 the rhs, the last) is
-    the row whose leading column, holding a divisor of d, is c, or None.
+    in column j and the right-hand side in column -1.  A row may also
+    hold columns below -1, which ride along through every row operation
+    but are never pivoted on (``constructions._unsat_weights`` tags rows
+    there).  Columns are eliminated from n-1 down to -1, so a row's
+    leading column is its highest, and entry c of the result (entry -1
+    the rhs, the last) is the row whose leading column, holding a divisor
+    of d, is c, or None.
     Each pivot row p with pivot h leaves (d/h)*p for the lower columns,
     so the rows of any column c and below span every consequence of the
     system that is zero above c: in particular the exact projection of

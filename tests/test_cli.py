@@ -12,7 +12,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghzcert import (
     Construction,
@@ -21,6 +21,7 @@ from ghzcert import (
     classify_plane,
     method1,
     method1_operator_set,
+    method2,
     method3,
     system_from_operators,
     verify_construction,
@@ -101,6 +102,47 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and out == "" and err == "error: --f only applies to method 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope"],
+        ["-h"],
+        ["construct", "-h"],
+        ["construct", "--d", "3"],
+        ["construct", "--d", "x", "--n", "4"],
+        ["construct", "--d", "3", "--n", "4", "--bogus"],
+        ["construct", "--d", "6", "--n", "4", "extra"],
+    ],
+)
+def test_usage_outcomes_match_parsing_with_the_top_parser(capsys, argv):
+    # main hands a known command's arguments to that command's parser
+    # alone; what it prints and returns must be what parsing the whole
+    # argv with the top parser gives
+    with pytest.raises(SystemExit) as exc:
+        cli._parser.parse_args(argv)
+    expected = capsys.readouterr()
+    code = 0 if exc.value.code in (0, None) else 2
+    assert run(capsys, *argv) == (code, expected.out, expected.err)
+    if argv[-1:] in (["--bogus"], ["extra"]):
+        assert code == 2 and expected.err.endswith(
+            f"ghzcert: error: unrecognized arguments: {argv[-1]}\n"
+        )
+
+
+def test_main_parses_a_command_once(capsys, monkeypatch):
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "circle", "--d", "3")[0] == 0
+    assert parsed == ["ghzcert circle"]
+
+
 def test_construct_writes_output_file(tmp_path, capsys):
     path = tmp_path / "construction.json"
     code, out, _ = run(
@@ -137,11 +179,25 @@ _json_trees = st.recursive(
 )
 
 
+class _Text(str):
+    """A str subclass: json.dumps writes it as the string it holds."""
+
+
 @settings(max_examples=300, deadline=None)
 @given(_json_trees)
+@example(["a", 1])
+@example(["a", True])
+@example(["a", None])
+@example(["a", 1.5, "b"])
+@example([_Text("a\u00e9"), "b"])
+@example(["a", _Text("b\n")])
+@example(["a", ["b", "c"], [["d"]], []])
+@example([["a", "b"], ["c", 2], {"k": ["e", "f"]}])
 def test_json_text_matches_json_dumps(tree):
     # empty containers, nesting, non-ASCII text, escapes and large ints
-    # come out exactly as json.dumps(indent=2) writes them
+    # come out exactly as json.dumps(indent=2) writes them; so do lists
+    # that start with a string, written in one join unless an item is
+    # not a string
     assert "".join(_json_pieces(tree)) == json.dumps(tree, indent=2)
 
 
@@ -399,6 +455,46 @@ def test_verify_checks_n_against_operator_widths(tmp_path, capsys):
     assert "operator has 4 factors but n = 5" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda data: data["target"].update(angles=[]), "error: need at least one factor\n"),
+        (lambda data: data.update(d=1), "error: dimension must be at least 2, got 1\n"),
+        (
+            lambda data: data["operators"][1]["angles"].__setitem__(0, "0/2"),
+            "error: not in canonical form: '0/2'\n",
+        ),
+        (
+            lambda data: data.update(d=1)
+            or data["operators"][0]["angles"].__setitem__(2, "1/x"),
+            "error: not a 'num/den' turn fraction: '1/x'\n",
+        ),
+    ],
+)
+def test_verify_reports_malformed_operators(tmp_path, capsys, change, message):
+    # the reader keeps ProductOperator's checks and their order: every
+    # angle of an operator is parsed before its dimension and its factor
+    # count are checked
+    data = method1(3, 4, 3).to_json_dict()
+    change(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path)) == (2, "", message)
+
+
+def test_json_reader_makes_no_call_for_a_plain_angle(monkeypatch):
+    # "0/1" is the only text of the zero angle, and the reader skips it
+    # without parsing it; each other distinct text is parsed once
+    data = method2(4, 6).to_json_dict()
+    parsed = []
+    real = RationalPhase.parse
+    monkeypatch.setattr(RationalPhase, "parse", lambda text: parsed.append(text) or real(text))
+    c = Construction.from_json_dict(data)
+    assert sorted(parsed) == ["1/24", "1/4", "23/24"]
+    assert c == method2(4, 6)
+    assert c.to_json_dict() == data
+
+
 def test_verify_rejects_fewer_than_three_qudits(tmp_path, capsys):
     path = tmp_path / "c.json"
     data = method1(3, 4, 3).to_json_dict()
@@ -627,7 +723,9 @@ def test_fresh_process_matches_in_process_main(tmp_path, capsys):
 
 def test_satisfiable_certificate_carries_the_least_witness(tmp_path, capsys):
     # N = 6 is a multiple of f = 3: every eigenphase claim is right, but the
-    # congruences are solvable, so the certificate is SAT and not certified
+    # congruences are solvable, so the certificate is SAT and not certified;
+    # method 1's weights annihilate the claims here, so the elimination
+    # decides SAT and the labels give the least witness
     supporting, target = method1_operator_set(3, 6, 3)
     c = Construction(
         d=3,

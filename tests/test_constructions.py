@@ -1,12 +1,14 @@
 """The three contradiction families, the regime map, and certification."""
 
 import copy
+import dataclasses
 import json
 import math
 import time
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +42,7 @@ from ghzcert import (
 )
 from ghzcert import constructions, hidden_variables, operators
 from ghzcert.constructions import _within
-from ghzcert.hidden_variables import _encode, _howell_basis
+from ghzcert.hidden_variables import _encode, _howell_basis, _proves_unsat
 
 
 def full_system(construction):
@@ -486,9 +488,10 @@ def test_classify_plane_verify_subset():
 
 def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
     # the verified plane decides quantum_ok and UNSAT on each witness's
-    # rows: it builds no operator, angle or label system and runs no other
-    # check.  method 3 runs the genuine-dimension flag itself while
-    # choosing its ladder, so the plane may make exactly those calls
+    # rows and weights: it builds no operator, angle or label system, runs
+    # no elimination and no other check.  method 3 runs the
+    # genuine-dimension flag itself while choosing its ladder, so the
+    # plane may make exactly those calls
     def refuse(*args, **kwargs):
         raise AssertionError("the verified plane computed more than certified needs")
 
@@ -506,6 +509,7 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
         "_operator_items",
         "_with_rotations",
         "_encode",
+        "_howell_basis",
         "_dense_recheck",
         "brute_force_solve",
         "check_genuine_dimension",
@@ -529,9 +533,9 @@ def test_verified_plane_rejects_a_shifted_claim(monkeypatch):
     real = constructions._witness_rows
 
     def shifted(cell):
-        common, rows = real(cell)
+        common, rows, weights = real(cell)
         support, claim = rows[-1]
-        return common, rows[:-1] + [(support, (claim + 1) % cell.d)]
+        return common, rows[:-1] + [(support, (claim + 1) % cell.d)], weights
 
     monkeypatch.setattr(constructions, "_witness_rows", shifted)
     with pytest.raises(
@@ -712,7 +716,7 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
         encoding = c._encoding
         shifted = list(encoding.totals)
         shifted[index] += encoding.common // c.d  # still on the 1/d grid, one step off
-        c.__dict__["_encoding"] = encoding._replace(totals=shifted)
+        c.__dict__["_encoding"] = dataclasses.replace(encoding, totals=shifted)
         with pytest.raises(CertificationError, match="dense tensor numerics"):
             verify_construction(c, oracle=True)
 
@@ -1192,3 +1196,151 @@ def test_verify_keeps_no_factor_cache_between_calls(monkeypatch):
         counts.append(len(calls))
     distinct = {a for op, _ in c.all_items() for a in op.angles}
     assert counts == [len(distinct)] * 2 and sorted(map(str, calls)) == sorted(map(str, distinct))
+
+
+# ---------------------------------------------------------------------------
+# proofs of unsolvability
+# ---------------------------------------------------------------------------
+
+
+def proof_families():
+    """(d, D, rows, weights) of every witness with d, N <= 24, of method 1
+    at every f that works on those cells, and of six larger witnesses."""
+    for d in range(2, 25):
+        for n in range(3, 25):
+            yield (d, *constructions._witness_rows(classify(d, n)))
+            for f in range(2, n):
+                if d % f == 0 and n % f:
+                    yield (d, *constructions._method1_rows(d, n, f))
+    for d, n in [(24, 40), (40, 39), (97, 5), (4099, 3), (1000003, 3), (10**12 + 39, 3)]:
+        yield (d, *constructions._witness_rows(classify(d, n)))
+
+
+def test_builder_weights_prove_every_family_unsat():
+    count = 0
+    for d, common, rows, weights in proof_families():
+        enc = constructions._encode_rows(common, rows)
+        assert _proves_unsat(d, enc, weights), (d, len(rows))
+        assert all(0 <= w < d for w in weights)
+        count += 1
+    assert count > 506 + 100
+
+
+def dense_label_proof(d, n, common, rows, claims, weights):
+    """w*A = 0 and w*b != 0 (mod d) on the family's system in the labels
+    x(q, a), built from its operators and checked as dense integers."""
+    items = constructions._operator_items(d, n, common, rows)
+    items = [(op, RationalPhase(claim, d)) for (op, _), claim in zip(items, claims)]
+    matrix, rhs = system_from_operators(d, items).dense_rows()
+    if len(weights) != len(matrix):
+        return False
+    w = np.array(weights, dtype=object)
+    return not (w @ np.array(matrix, dtype=object) % d).any() and (w @ rhs) % d != 0
+
+
+def test_proof_checker_rejects_mutated_proofs():
+    # on every witness with d, N <= 24: the target's weight moved onto the
+    # row before it, one claim shifted by one so that the system becomes
+    # solvable, the weights scaled until they annihilate the claims, and
+    # the weights of cell (d+1, N).  The first three never prove anything;
+    # the fourth does only where it is a proof in the labels too
+    rejected = Counter()
+    for d in range(2, 25):
+        for n in range(3, 25):
+            cell = classify(d, n)
+            common, rows, weights = constructions._witness_rows(cell)
+            enc = constructions._encode_rows(common, rows)
+            assert dense_label_proof(d, n, common, rows, enc.claims, weights)
+            moved = weights[:-2] + [(weights[-2] + weights[-1]) % d, 0]
+            claims = list(enc.claims)
+            if cell.regime == 1:  # X^N at 1/d: S = 1 and every block then holds
+                claims[0] += 1
+            else:  # the target at 0: every claim 0
+                claims[-1] -= 1
+            shifted = dataclasses.replace(enc, claims=[c % d for c in claims])
+            total = sum(w * c for w, c in zip(weights, enc.claims))
+            scaled = [w * (d // math.gcd(total, d)) % d for w in weights]
+            other = constructions._witness_rows(classify(d + 1, n))[2]
+            for kind, mutant, w in [
+                ("moved", enc, moved),
+                ("claim", shifted, weights),
+                ("scaled", enc, scaled),
+                ("other", enc, other),
+            ]:
+                verdict = _proves_unsat(d, mutant, w)
+                assert verdict == dense_label_proof(d, n, common, rows, mutant.claims, w)
+                rejected[kind] += not verdict
+    assert rejected["moved"] == rejected["claim"] == rejected["scaled"] == 506
+    assert rejected["other"] > 450  # 16 of these cells share a valid proof
+
+
+def test_verified_plane_decides_with_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran in the UNSAT decision")
+
+    monkeypatch.setattr(constructions, "_howell_basis", refuse)
+    monkeypatch.setattr(hidden_variables, "_howell_basis", refuse)
+    assert sum(1 for _ in classify_plane(24, 24, verify=True)) == 506
+
+
+def test_certificates_decide_unsat_by_their_methods_weights(monkeypatch):
+    # a constructed family and the same family read back from JSON: the
+    # method's weights decide UNSAT, and the elimination runs once per
+    # irreducibility orbit and never for the verdict
+    cells = [(12, 5), (9, 6), (7, 3), (31, 29), (97, 5), (24, 40)]
+    families = [witness_construction(classify(d, n)) for d, n in cells]
+    families += [Construction.from_json_dict(c.to_json_dict()) for c in families]
+    calls = []
+    real = constructions._howell_basis
+    monkeypatch.setattr(
+        constructions, "_howell_basis", lambda *args: calls.append(args) or real(*args)
+    )
+    for c in families:
+        calls.clear()
+        cert = verify_construction(c, oracle=False)
+        assert cert.certified
+        orbits = set(constructions._qudit_orbits(c._encoding.rows, c.n))
+        assert len(calls) == len(orbits)
+
+
+def test_unsat_fallback_proves_families_whose_method_gives_no_proof(monkeypatch):
+    # supporting operators permuted, or another method named: where the
+    # named method's weights do not check on the family, one tagged
+    # elimination finds weights, which must pass the same check.  Either
+    # way the certificate is the one of the family as built
+    cells = [(12, 5), (9, 6), (7, 3), (13, 5)]
+    bases = [witness_construction(classify(d, n)) for d, n in cells]
+    tagged = []
+    real = constructions._unsat_weights
+    monkeypatch.setattr(
+        constructions, "_unsat_weights", lambda d, enc: tagged.append(d) or real(d, enc)
+    )
+    fallbacks = 0
+    for c in bases:
+        expected = verify_construction(c).to_json_dict()
+        ops = c.operators
+        mutants = [
+            with_items(c, [*ops[1:], ops[0], c.target]),
+            with_items(c, [*ops[::-1], c.target]),
+        ]
+        for method in {1, 2, 3, 7} - {c.method}:
+            mutants.append(dataclasses.replace(c, method=method))
+        for mutant in mutants:
+            mutant = Construction.from_json_dict(json.loads(json.dumps(mutant.to_json_dict())))
+            hinted = mutant._weights is not None and _proves_unsat(
+                c.d, mutant._encoding, mutant._weights
+            )
+            tagged.clear()
+            cert = verify_construction(mutant)
+            assert tagged == ([] if hinted else [c.d])
+            assert cert.to_json_dict() == {**expected, "construction": mutant.to_json_dict()}
+            fallbacks += not hinted
+    assert fallbacks >= 16
+
+
+def test_unsat_fallback_rejects_weights_that_fail_the_check(monkeypatch):
+    c = method2(4, 6)
+    monkeypatch.setattr(constructions, "_unsat_weights", lambda d, enc: [1] * len(enc.rows))
+    vars(c)["_weights"] = None
+    with pytest.raises(CertificationError, match="proof of unsolvability fails its check"):
+        verify_construction(c, oracle=False)
