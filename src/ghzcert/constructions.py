@@ -19,30 +19,30 @@ induce a congruence system over Z_d with no solution:
   Fibonacci ladder or a binary addition chain, whose multipliers bridge
   the gap to a net angle of 1/d.  At least N+4 operators.
 
-Each method builds its family first as integer rows over one common
-denominator D (f*d, N*d or d**2): per operator, the support of its
-rotated factors, (qudit, exponent) pairs in qudit order with exponents
-in [1, D), and its claimed eigenphase nu of nu/d.  ``_construction``
-turns the rows into the encoding that certification reads and into the
-operator view of ``ProductOperator``s and ``RationalPhase`` angles, which
-the JSON output, the dense oracle and the public API read.  A
-construction read from JSON is encoded from its operators instead.
+A family is its rows over one common denominator D (f*d, N*d or d**2):
+per operator, the support of its rotated factors, (qudit, exponent)
+pairs in qudit order with exponents in [1, D), and its claimed
+eigenphase nu of nu/d.  The methods build rows, and a ``Construction``
+stores only those; its operator view of ``ProductOperator``s and
+``RationalPhase`` angles is built on first read, by the dense oracle,
+the label system or the public API.  A family read from JSON or
+assembled from operators is encoded into rows once (``from_items``).
 
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
 cross-checks, a dimension-witness check (no two measurement bases on one
 qudit share orthogonal eigenstates) and a per-qudit irreducibility
-probe.  All of them read one cached encoding of the construction over
-D: one total per operator, its collective angle times D, and one sparse
-row per operator of the (qudit, exponent) pairs of its rotated factors.
-The verified regime plane builds no operators: it decides each cell on
-the encoding of its witness's rows.
+probe.  All of them read the encoding of the rows: one total per
+operator, its collective angle times D, beside its support.  The
+verified regime plane builds no ``Construction``: it decides each cell
+on its witness's rows.
 The unsolvability verdict is decided only by a proof, row weights that
 annihilate every variable of the system but not its claims, checked in
 one pass over the rows (``hidden_variables._proves_unsat``).  Each
 method builds its weights with its rows, and a family read from JSON
-takes those of the method it names; only when they do not check does
-one tagged Howell elimination look for weights (``_decide``).
+takes those of the method it names (``_method_hint``); only when they
+do not check does one tagged Howell elimination look for weights
+(``_decide``).
 The hidden variable x(q, a) of each (qudit, angle) label enters only as
 the variation y(q, a) = x(q, a) - x(q, 0), with S the sum of the x(q, 0):
 a unimodular change of variables, in which a congruence is S plus the y
@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -155,111 +155,113 @@ class NoContradiction:
 
 @dataclass(frozen=True)
 class Construction:
-    """A concurrent-operator set plus the distinguished conflicting operator.
+    """A concurrent-operator family, stored as its rows over D = ``common``.
 
-    ``operators`` are the supporting observables; ``target`` is the one
-    whose hidden-variable prediction conflicts with its quantum eigenphase.
-    The full concurrent family is ``all_items()`` (operators + target).
-    A construction checks its cell and every operator's shape when it is
-    built, and the certificate's algebraic checks read its one cached
-    encoding.
+    ``rows`` holds each operator's (support, claim), the target last: the
+    one whose hidden-variable prediction conflicts with its eigenphase.
+    ``weights`` are candidate row weights for a proof that the family is
+    UNSAT, a hint that only ``_proves_unsat`` can make decide anything.
+    ``operators``, ``target`` and ``all_items()`` are the operator view,
+    built on first read unless the family came in through ``from_items``.
     """
 
     d: int
     n: int
     method: int
     phi_o: RationalPhase
-    operators: tuple[OperatorItem, ...]
-    target: OperatorItem
+    common: int
+    rows: tuple[Row, ...]
+    weights: Optional[tuple[int, ...]] = field(default=None, compare=False)
     f: Optional[int] = None
     chain: Optional[tuple[int, ...]] = None
+    # the items ``from_items`` was given; not copied by dataclasses.replace,
+    # so a replaced family's view follows its own rows
+    _given: Optional[tuple[OperatorItem, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
-        _check_cell(self.d, self.n)
-        for op, _ in self.all_items():
-            if op.d != self.d:
-                raise ValueError(f"operator has dimension {op.d} but d = {self.d}")
-            if op.n != self.n:
-                raise ValueError(f"operator has {op.n} factors but n = {self.n}")
+    @classmethod
+    def from_items(
+        cls,
+        d: int,
+        n: int,
+        method: int,
+        phi_o: RationalPhase,
+        items: Sequence[OperatorItem],
+        f: Optional[int] = None,
+        chain: Optional[tuple[int, ...]] = None,
+    ) -> "Construction":
+        """The family of the (operator, eigenphase) items, target last, which
+        it keeps as its operator view.
+
+        Checks the cell and every operator's shape, encodes the family once
+        (``_encode`` rejects a claim off the 1/d grid) and takes the weights
+        of the method it names as a hint (``_method_hint``).
+        """
+        _check_cell(d, n)
+        items = tuple(items)
+        if not items:
+            raise ValueError("a construction needs at least its target operator")
+        for op, _ in items:
+            if op.d != d:
+                raise ValueError(f"operator has dimension {op.d} but d = {d}")
+            if op.n != n:
+                raise ValueError(f"operator has {op.n} factors but n = {n}")
+        enc = _encode(d, items)
+        rows = tuple(zip(enc.rows, enc.claims))
+        weights = _method_hint(d, n, method, f, enc.common, rows)
+        c = cls(d, n, method, phi_o, enc.common, rows, weights, f, chain)
+        object.__setattr__(c, "_given", items)  # frozen: set once, here
+        return c
+
+    @cached_property
+    def _items(self) -> tuple[OperatorItem, ...]:
+        """The operator view, target last: the given items or the rows'."""
+        if self._given is not None:
+            return self._given
+        return tuple(_operator_items(self.d, self.n, self.common, self.rows))
+
+    @property
+    def operators(self) -> tuple[OperatorItem, ...]:
+        """The supporting (operator, eigenphase) items."""
+        return self._items[:-1]
+
+    @property
+    def target(self) -> OperatorItem:
+        return self._items[-1]
+
+    def all_items(self) -> list[OperatorItem]:
+        """The full concurrent family: operators + target."""
+        return list(self._items)
 
     @cached_property
     def _encoding(self) -> _Encoding:
-        """The family (target last) as integer rows over a common denominator.
-
-        A method seeds it with the encoding of the rows it was built from
-        (``_construction``), so it is computed here only for a family read
-        from JSON or assembled from operators.
-        """
-        return _encode(self.d, self.all_items())
-
-    @cached_property
-    def _weights(self) -> Optional[list[int]]:
-        """Candidate row weights for a proof that the family is UNSAT, or None.
-
-        A method seeds them with the weights of the rows it was built from
-        (``_construction``).  A family read from JSON or assembled from
-        operators takes the weights of the method that it names: methods
-        1 and 2 in closed form from (d, N, f), with no rows built, and
-        method 3 by weighting the family's own rows back along their chain
-        (``_chain_weights``).  A method that refuses the family gives none.
-        They are a hint: only ``_proves_unsat`` on this family's encoding
-        can make them decide anything.
-        """
-        d, n = self.d, self.n
-        if self.method == 1 and self.f is not None:
-            try:
-                return _method1_weights(d, n, self.f)
-            except ValueError:
-                return None
-        if self.method == 2:
-            return _method2_weights(d, n)
-        if self.method == 3 and len(self._encoding.rows) >= n + 3:
-            return _chain_weights(d, n, self._encoding.common, self._encoding.rows)
-        return None
+        """The rows as the encoding that the certificate's checks read."""
+        return _encode_rows(self.common, self.rows)
 
     @cached_property
     def _system(self) -> HVSystem:
         """The congruence system in the labels x(q, a): built only on demand."""
         return system_from_operators(self.d, self.all_items())
 
-    def all_items(self) -> list[OperatorItem]:
-        return list(self.operators) + [self.target]
-
     def operator_count(self) -> int:
-        return len(self.operators) + 1
-
-    def per_qudit_angles(self) -> list[set[RationalPhase]]:
-        """Distinct factor angles used on each qudit (= measurement bases).
-
-        A qudit's plain factor X(0) counts when some operator leaves the
-        qudit unrotated.
-        """
-        enc = self._encoding
-        return [
-            {RationalPhase(e, enc.common) for e in used}
-            for used in _qudit_exponents(self.n, enc.rows)
-        ]
+        return len(self.rows)
 
     def to_json_dict(self) -> dict:
         _check_json_size(self.n, self.operator_count())
         plain = str(ZERO_PHASE)
-        # each distinct phase object is formatted once; keyed by identity,
-        # which is safe since every phase is held by the family meanwhile
-        texts: dict[int, str] = {}
+        # each distinct exponent and claim is formatted once
+        angle = cache(lambda e: str(RationalPhase(e, self.common)))
+        claim = cache(lambda nu: str(RationalPhase(nu, self.d)))
 
-        def text(a: RationalPhase) -> str:
-            t = texts.get(id(a))
-            if t is None:
-                t = texts[id(a)] = str(a)
-            return t
+        def item(row: Row) -> dict:
+            support, nu = row
+            angles = [plain] * self.n
+            for q, e in support:
+                angles[q] = angle(e)
+            return {"angles": angles, "exponent": claim(nu)}
 
-        def item(entry: OperatorItem) -> dict:
-            op, exponent = entry
-            angles = [plain] * op.n
-            for q, a in op.rotations:
-                angles[q] = text(a)
-            return {"angles": angles, "exponent": text(exponent)}
-
+        items = [item(row) for row in self.rows]
         meta: dict = {}
         if self.f is not None:
             meta["f"] = self.f
@@ -270,8 +272,8 @@ class Construction:
             "n": self.n,
             "method": self.method,
             "phi_o": str(self.phi_o),
-            "operators": [item(entry) for entry in self.operators],
-            "target": item(self.target),
+            "operators": items[:-1],
+            "target": items[-1],
             "meta": meta,
         }
 
@@ -309,16 +311,8 @@ class Construction:
         phi_o = phase(data["phi_o"], "phi_o")
         operators = _json_list(data["operators"], "operators")
         _check_json_size(n, len(operators) + 1)
-        return cls(
-            d=d,
-            n=n,
-            method=method,
-            phi_o=phi_o,
-            operators=tuple(map(item, operators)),
-            target=item(data["target"]),
-            f=f,
-            chain=chain,
-        )
+        items = [*map(item, operators), item(data["target"])]
+        return cls.from_items(d, n, method, phi_o, items, f, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +344,12 @@ def _operator_items(
     Each distinct exponent e becomes one ``RationalPhase(e, D)``, and each
     distinct claim nu one eigenphase nu/d, shared by every row using it.
     """
-    angles: dict[int, RationalPhase] = {}
-    phases: dict[int, RationalPhase] = {0: ZERO_PHASE}
-    items = []
-    for support, claim in rows:
-        rotations = []
-        for q, e in support:
-            a = angles.get(e)
-            if a is None:
-                a = angles[e] = RationalPhase(e, common)
-            rotations.append((q, a))
-        nu = phases.get(claim)
-        if nu is None:
-            nu = phases[claim] = RationalPhase(claim, d)
-        items.append((_with_rotations(d, n, tuple(rotations)), nu))
-    return items
+    angle = cache(lambda e: RationalPhase(e, common))
+    phase = cache(lambda nu: RationalPhase(nu, d) if nu else ZERO_PHASE)
+    return [
+        (_with_rotations(d, n, tuple([(q, angle(e)) for q, e in support])), phase(nu))
+        for support, nu in rows
+    ]
 
 
 def _construction(
@@ -377,24 +362,38 @@ def _construction(
     f: Optional[int] = None,
     chain: Optional[tuple[int, ...]] = None,
 ) -> Construction:
-    """The construction of a method's rows, its encoding and its row
-    weights seeded from them.
-
-    Every method's angles are multiples of phi_o = 1/D.
-    """
-    items = _operator_items(d, n, common, rows)
-    c = Construction(
-        d=d,
-        n=n,
-        method=method,
-        phi_o=RationalPhase(1, common),
-        operators=tuple(items[:-1]),
-        target=items[-1],
-        f=f,
-        chain=chain,
+    """The construction of a method's rows and weights: its angles are
+    multiples of phi_o = 1/D."""
+    return Construction(
+        d, n, method, RationalPhase(1, common), common, tuple(rows), tuple(weights), f, chain
     )
-    vars(c).update(_encoding=_encode_rows(common, rows), _weights=weights)
-    return c
+
+
+def _method_hint(
+    d: int, n: int, method: int, f: Optional[int], common: int, rows: Sequence[Row]
+) -> Optional[tuple[int, ...]]:
+    """The weights of the method that a family names, for its rows, or None.
+
+    Methods 1 and 2 look each row up by its (support, claim) among the
+    method's own rows at (d, N, f) over the same D, so a reordered family
+    keeps its proof; a row that is not among them gets weight 0.  Method 3
+    weights the family's own rows back along their chain
+    (``_chain_weights``), which reads them in the method's order.  A
+    method that refuses the cell, or another D, gives none.
+    """
+    if method == 3 and len(rows) >= n + 3:
+        return tuple(_chain_weights(d, n, common, [support for support, _ in rows]))
+    if method == 2 or (method == 1 and f is not None):
+        try:
+            own_common, own_rows, own_weights = (
+                _method1_rows(d, n, f) if method == 1 else _method2_rows(d, n)
+            )
+        except ValueError:  # f does not work at (d, N)
+            return None
+        if own_common == common:
+            weight = dict(zip(own_rows, own_weights))
+            return tuple([weight.get(row, 0) for row in rows])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1123,7 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     a SAT family builds its system in the labels x(q, a), to give the
     lexicographically least witness in those.
     """
-    quantum_ok, unsat = _decide(c.d, c._encoding, c._weights)
+    quantum_ok, unsat = _decide(c.d, c._encoding, c.weights)
     if unsat:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)
@@ -1170,6 +1169,6 @@ def verify_construction(c: Construction, oracle: bool = True) -> Certificate:
         quantum_ok=quantum_ok,
         hv_verdict=verdict,
         oracle_checked=oracle_checked,
-        genuinely_d_dimensional=_bases_apart(c.d, c._encoding.common, per_qudit),
+        genuinely_d_dimensional=_bases_apart(c.d, c.common, per_qudit),
         irreducible=check_irreducible(c),
     )

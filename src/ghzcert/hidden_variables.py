@@ -278,7 +278,7 @@ def _encode(
 ) -> _Encoding:
     """The (operator, eigenphase nu/d) items as integer rows over one D.
 
-    The one encoder of a family: certification (``Construction._encoding``,
+    The one encoder of a family: certification (``Construction.from_items``,
     target last) and ``invariance_demo`` both read it.  Rejects a claimed
     eigenphase off the 1/d grid, in item order.
     """

@@ -38,6 +38,7 @@ from ghzcert import (
     verify_construction,
     witness_construction,
 )
+from ghzcert.constructions import _qudit_exponents
 
 TOL = 1e-12
 
@@ -171,7 +172,8 @@ def test_c06_method3_operator_counts():
 def test_c07_basis_count_bookkeeping():
     for cell in plane_cells():
         construction = witness_construction(cell)
-        counts = sorted(len(used) for used in construction.per_qudit_angles())
+        rows = construction._encoding.rows
+        counts = sorted(len(used) for used in _qudit_exponents(construction.n, rows))
         if construction.method == 1:
             assert counts == [2] * construction.n
         elif construction.method == 2:
@@ -216,13 +218,12 @@ def test_c09_even_d_full_turn_sign_flip():
 def test_c10_negative_controls():
     base = method1(3, 4, 3)
     op, exponent = base.target
-    corrupted = Construction(
-        d=base.d,
-        n=base.n,
-        method=base.method,
-        phi_o=base.phi_o,
-        operators=base.operators,
-        target=(op, exponent + RationalPhase(1, 3)),
+    corrupted = Construction.from_items(
+        base.d,
+        base.n,
+        base.method,
+        base.phi_o,
+        [*base.operators, (op, exponent + RationalPhase(1, 3))],
         f=base.f,
     )
     cert = verify_construction(corrupted)

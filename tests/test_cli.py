@@ -75,6 +75,30 @@ def test_auto_constructions_keep_their_recorded_text(capsys):
     )
 
 
+def test_explicit_method_constructions_keep_their_recorded_text(capsys):
+    # the sha256 of every payload with d, N <= 24 that `construct --method
+    # 1 --f k`, `--method 2` or `--method 3` writes with exit code 0,
+    # concatenated in d-major order, then by N, then method 1 by rising f,
+    # method 2 and method 3, as recorded when a construction still stored
+    # its operators
+    digest = hashlib.sha256()
+    payloads = 0
+    for d in range(2, 25):
+        methods = [("1", "--f", str(f)) for f in range(2, d + 1) if d % f == 0]
+        for n in range(3, 25):
+            for method in methods + [("2",), ("3",)]:
+                argv = ("construct", "--d", str(d), "--n", str(n), "--method", *method)
+                code, out, err = run(capsys, *argv)
+                if code == 0:
+                    assert err == ""
+                    digest.update(out.encode())
+                    payloads += 1
+    assert payloads == 1147
+    assert digest.hexdigest() == (
+        "37ea726da6192451321d206427041f21291285481baedde1ca6c7571ac12b35a"
+    )
+
+
 def test_construct_no_contradiction(capsys):
     code, out, _ = run(capsys, "construct", "--d", "3", "--n", "6", "--method", "1")
     assert code == 1
@@ -727,15 +751,7 @@ def test_satisfiable_certificate_carries_the_least_witness(tmp_path, capsys):
     # method 1's weights annihilate the claims here, so the elimination
     # decides SAT and the labels give the least witness
     supporting, target = method1_operator_set(3, 6, 3)
-    c = Construction(
-        d=3,
-        n=6,
-        method=1,
-        phi_o=RationalPhase(1, 9),
-        operators=tuple(supporting),
-        target=target,
-        f=3,
-    )
+    c = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
     data = verify_construction(c, oracle=True).to_json_dict()
     assert data["quantum_ok"] is True and data["oracle_checked"] is True
     assert data["hv_status"] == "SAT" and data["certified"] is False

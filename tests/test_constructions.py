@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -47,6 +48,11 @@ from ghzcert.hidden_variables import _encode, _howell_basis, _proves_unsat
 
 def full_system(construction):
     return system_from_operators(construction.d, construction.all_items())
+
+
+def qudit_exponents(c):
+    """The distinct exponents over D on each qudit: its measurement bases."""
+    return constructions._qudit_exponents(c.n, c._encoding.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,7 @@ def test_method1_block_shapes():
 def test_method1_basis_counts():
     for d, n, f in [(3, 4, 3), (4, 5, 2), (2, 3, 2), (6, 7, 3)]:
         c = method1(d, n, f)
-        assert all(len(used) == 2 for used in c.per_qudit_angles())
+        assert all(len(used) == 2 for used in qudit_exponents(c))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,7 @@ def test_method2_validation():
 def test_method2_basis_counts():
     for d, n in [(3, 3), (4, 6), (2, 4), (6, 8)]:
         c = method2(d, n)
-        counts = sorted(len(used) for used in c.per_qudit_angles())
+        counts = sorted(len(used) for used in qudit_exponents(c))
         assert counts == [2] * (n - 2) + [3, 3]
 
 
@@ -302,7 +308,7 @@ def test_method3_basis_minimums():
     # at least three bases on the three chain qudits, exactly two elsewhere
     for d, n in [(5, 3), (7, 3), (7, 4), (7, 6), (11, 5), (11, 10)]:
         c = method3(d, n)
-        counts = [len(used) for used in c.per_qudit_angles()]
+        counts = [len(used) for used in qudit_exponents(c)]
         actives = {0, n - 2, n - 1}
         for k, count in enumerate(counts):
             if k in actives:
@@ -603,9 +609,9 @@ def test_integer_genuine_dimension_flag_matches_the_angle_test(monkeypatch):
     flags = Counter()
     for c in families:
         angles = angles_by_qudit(c)
-        assert c.per_qudit_angles() == angles
         enc = c._encoding
-        exponents = constructions._qudit_exponents(c.n, enc.rows)
+        exponents = qudit_exponents(c)
+        assert [{RationalPhase(e, enc.common) for e in used} for used in exponents] == angles
         expected = [check_genuine_dimension(c.d, used) for used in angles]
         flag = [constructions._bases_apart(c.d, enc.common, [e]) for e in exponents]
         assert flag == expected
@@ -632,18 +638,19 @@ def exactness_families():
 
 
 def test_constructions_are_encoded_exactly_from_their_rows():
-    # a method seeds its encoding from the rows it built the operators
-    # from: it must equal the encoding of those operators, and the JSON of
-    # the operators must read back to the same text and encoding
+    # a method's encoding comes from its rows: it must equal the encoding
+    # of their operator view, and the JSON must read back to the same
+    # text, rows and encoding
     methods = Counter()
     for c in exactness_families():
-        seeded = c._encoding
+        from_rows = c._encoding
         encoded = _encode(c.d, c.all_items())
-        assert seeded == encoded and list(seeded.variations) == list(encoded.variations)
+        assert from_rows == encoded and list(from_rows.variations) == list(encoded.variations)
         text = json.dumps(c.to_json_dict(), indent=2)
         again = Construction.from_json_dict(json.loads(text))
         assert json.dumps(again.to_json_dict(), indent=2) == text
-        assert again._encoding == seeded
+        assert again.rows == c.rows and again._encoding == from_rows
+        assert again.weights == c.weights
         methods[c.method] += 1
     assert min(methods.values()) > 100
 
@@ -653,7 +660,7 @@ def test_every_plane_witness_is_genuinely_d_dimensional():
     # orthogonal eigenstates
     for cell in classify_plane(12, 20):
         c = witness_construction(cell)
-        for used in c.per_qudit_angles():
+        for used in angles_by_qudit(c):
             assert check_genuine_dimension(c.d, used), (cell.d, cell.n)
 
 
@@ -665,16 +672,7 @@ def test_every_plane_witness_is_genuinely_d_dimensional():
 def corrupted(construction):
     op, exponent = construction.target
     bumped = exponent + RationalPhase(1, construction.d)
-    return Construction(
-        d=construction.d,
-        n=construction.n,
-        method=construction.method,
-        phi_o=construction.phi_o,
-        operators=construction.operators,
-        target=(op, bumped),
-        f=construction.f,
-        chain=construction.chain,
-    )
+    return with_items(construction, [*construction.operators, (op, bumped)])
 
 
 def test_corrupted_construction_fails_quantum_check():
@@ -709,9 +707,7 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
     base = method1(3, 4, 3)
     items = (base.all_items() * 14)[:70]
     for index in (0, 33, 69):
-        c = Construction(
-            d=3, n=4, method=1, phi_o=base.phi_o, operators=tuple(items[:-1]), target=items[-1]
-        )
+        c = Construction.from_items(3, 4, 1, base.phi_o, items)
         assert verify_construction(c, oracle=True).oracle_checked
         encoding = c._encoding
         shifted = list(encoding.totals)
@@ -727,10 +723,7 @@ def test_exhaustive_oracle_disagreement_raises(monkeypatch):
     # a SAT family, or another witness on the SAT family, stops certification
     unsat = method1(3, 4, 3)
     supporting, target = method1_operator_set(3, 6, 3)  # N a multiple of f
-    sat = Construction(
-        d=3, n=6, method=1, phi_o=RationalPhase(1, 9), operators=tuple(supporting),
-        target=target, f=3,
-    )
+    sat = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
     least = verify_construction(sat).hv_verdict.witness
     assert least == (0,) * 8 + (1, 0, 0, 1)
     forged = [
@@ -754,14 +747,8 @@ def test_dense_oracle_skips_an_operator_off_the_grid():
     # its image, while quantum_ok records the false claim of eigenphase 0
     base = method1(3, 4, 3)
     stray = ProductOperator(3, (RationalPhase(1, 9),) + (ZERO_PHASE,) * 3)
-    c = Construction(
-        d=3,
-        n=4,
-        method=1,
-        phi_o=base.phi_o,
-        operators=base.operators + ((stray, ZERO_PHASE),),
-        target=base.target,
-        f=3,
+    c = Construction.from_items(
+        3, 4, 1, base.phi_o, [*base.operators, (stray, ZERO_PHASE), base.target], f=3
     )
     cert = verify_construction(c, oracle=True)
     assert cert.oracle_checked
@@ -820,9 +807,7 @@ def with_extra_qudit(c, position, angles):
         return ProductOperator(c.d, wide), exponent
 
     items = [widen(item, a) for item, a in zip(c.all_items(), angles)]
-    return Construction(
-        c.d, c.n + 1, c.method, c.phi_o, tuple(items[:-1]), items[-1], c.f, c.chain
-    )
+    return Construction.from_items(c.d, c.n + 1, c.method, c.phi_o, items, c.f, c.chain)
 
 
 def test_check_irreducible_flags_an_idle_qudit():
@@ -891,9 +876,7 @@ def test_check_irreducible_matches_reference_at_large_n():
 
 
 def with_items(c, items):
-    return Construction(
-        c.d, c.n, c.method, c.phi_o, tuple(items[:-1]), items[-1], c.f, c.chain
-    )
+    return Construction.from_items(c.d, c.n, c.method, c.phi_o, items, c.f, c.chain)
 
 
 def changed_at(item, qudit, angle):
@@ -987,7 +970,7 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
     # __bool__, so every angle is truthy.  Row (1/4, 0, 1/4, 1/4, 0) has
     # total 3/4, so it is not an eigenoperator.
     items = [(ProductOperator(2, r), h if any(a != z for a in r) else z) for r in rows]
-    uneven = Construction(2, 5, 1, q, tuple(items[:-1]), items[-1], 2)
+    uneven = Construction.from_items(2, 5, 1, q, items, 2)
     expected = (True, True, True, False, True)
     assert check_irreducible(uneven) == reference_irreducible(uneven) == expected
 
@@ -1046,7 +1029,7 @@ def test_variation_coordinates_match_the_label_system_on_mutated_families():
     for supporting, target in sat:
         op = target[0]
         families.append(
-            Construction(op.d, op.n, 1, RationalPhase(1, op.d), tuple(supporting), target)
+            Construction.from_items(op.d, op.n, 1, RationalPhase(1, op.d), [*supporting, target])
         )
     statuses = Counter()
     for c in families:
@@ -1070,9 +1053,34 @@ def test_unsat_certification_builds_no_label_system(monkeypatch):
     assert time.perf_counter() - start < 2
     assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
     supporting, target = method1_operator_set(3, 6, 3)
-    sat = Construction(3, 6, 1, RationalPhase(1, 9), tuple(supporting), target, 3)
+    sat = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], 3)
     with pytest.raises(AssertionError, match="label system built"):
         verify_construction(sat, oracle=False)
+
+
+def test_constructed_families_build_operators_only_when_read(monkeypatch):
+    # a constructed family is its rows: construction, JSON output and
+    # certification without the oracles build no operator; the dense
+    # oracle and the operator view do, and so does reading JSON
+    def refuse(*args):
+        raise AssertionError("operator built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(constructions, "_with_rotations", refuse)
+        small = [method1(12, 5, 2), method2(10, 200), method3(1000003, 3)]
+        for c in small + [witness_construction(classify(6, 4001)), method2(10, 4000)]:
+            cert = verify_construction(c, oracle=False)
+            assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
+        texts = [json.dumps(c.to_json_dict()) for c in small]
+        for read in (
+            lambda: verify_construction(method2(3, 3), oracle=True),
+            lambda: method1(12, 5, 2).target,
+            lambda: Construction.from_json_dict(json.loads(texts[0])),
+        ):
+            with pytest.raises(AssertionError, match="operator built"):
+                read()
+    for text in texts:
+        assert text == json.dumps(Construction.from_json_dict(json.loads(text)).to_json_dict())
 
 
 def test_method3_builds_no_congruence_system(monkeypatch):
@@ -1103,14 +1111,7 @@ def test_method3_large_dimension():
 
 def test_single_operator_construction_is_vacuous():
     x = ProductOperator(3, (ZERO_PHASE,) * 3)
-    vacuous = Construction(
-        d=3,
-        n=3,
-        method=1,
-        phi_o=RationalPhase(1, 9),
-        operators=(),
-        target=(x, ZERO_PHASE),
-    )
+    vacuous = Construction.from_items(3, 3, 1, RationalPhase(1, 9), [(x, ZERO_PHASE)])
     cert = verify_construction(vacuous)
     assert cert.hv_verdict.status == "SAT"  # nothing to contradict
     assert all(cert.irreducible)
@@ -1119,31 +1120,30 @@ def test_single_operator_construction_is_vacuous():
 
 def test_construction_built_in_python_is_validated():
     c = method1(3, 4, 3)
-    fields = dict(method=1, phi_o=c.phi_o, operators=c.operators, target=c.target)
+    fields = dict(method=1, phi_o=c.phi_o, items=c.all_items())
     with pytest.raises(ValueError, match="at least three qudits"):
-        Construction(d=3, n=2, **fields)
+        Construction.from_items(d=3, n=2, **fields)
     for n in (3, 5):
         with pytest.raises(ValueError, match=f"operator has 4 factors but n = {n}"):
-            Construction(d=3, n=n, **fields)
+            Construction.from_items(d=3, n=n, **fields)
     with pytest.raises(ValueError, match="operator has dimension 3 but d = 6"):
-        Construction(d=6, n=4, **fields)
+        Construction.from_items(d=6, n=4, **fields)
+    with pytest.raises(ValueError, match="at least its target"):
+        Construction.from_items(d=3, n=4, method=1, phi_o=c.phi_o, items=[])
 
 
 def test_off_grid_claim_is_rejected_by_every_check():
-    # an eigenphase claim that is not a multiple of 1/d is malformed input
+    # an eigenphase claim that is not a multiple of 1/d is malformed input:
+    # no family holding one is built, from operators or from JSON
     c = method1(3, 4, 3)
     op, _ = c.target
-    off_grid = Construction(
-        d=3,
-        n=4,
-        method=1,
-        phi_o=c.phi_o,
-        operators=c.operators,
-        target=(op, RationalPhase(1, 9)),
-    )
-    for check in (verify_construction, check_irreducible):
-        with pytest.raises(ValueError, match="not a d-th root of unity"):
-            check(off_grid)
+    items = [*c.operators, (op, RationalPhase(1, 9))]
+    with pytest.raises(ValueError, match="not a d-th root of unity"):
+        Construction.from_items(3, 4, 1, c.phi_o, items)
+    data = c.to_json_dict()
+    data["target"]["exponent"] = "1/9"
+    with pytest.raises(ValueError, match="not a d-th root of unity"):
+        Construction.from_json_dict(data)
 
 
 def test_eigenphases_recomputed_not_trusted():
@@ -1161,6 +1161,10 @@ def test_construction_json_round_trip():
         assert rebuilt == c
         assert verify_construction(rebuilt, oracle=False).certified
     assert method1(3, 4, 3).to_json_dict()["meta"] == {"f": 3}
+    # the view of a family read from JSON follows its rows through a replace
+    read = Construction.from_json_dict(method1(3, 4, 3).to_json_dict())
+    moved = dataclasses.replace(read, rows=read.rows[::-1])
+    assert moved.all_items() == read.all_items()[::-1]
     assert method3(7, 3).to_json_dict()["meta"] == {"chain": [2, -3, -2, 5]}
 
 
@@ -1306,8 +1310,10 @@ def test_certificates_decide_unsat_by_their_methods_weights(monkeypatch):
 def test_unsat_fallback_proves_families_whose_method_gives_no_proof(monkeypatch):
     # supporting operators permuted, or another method named: where the
     # named method's weights do not check on the family, one tagged
-    # elimination finds weights, which must pass the same check.  Either
-    # way the certificate is the one of the family as built
+    # elimination finds weights, which must pass the same check.  Methods
+    # 1 and 2 find each row's weight by its support and claim, so only
+    # their permuted families keep a proof.  Either way the certificate is
+    # the one of the family as built
     cells = [(12, 5), (9, 6), (7, 3), (13, 5)]
     bases = [witness_construction(classify(d, n)) for d, n in cells]
     tagged = []
@@ -1315,32 +1321,52 @@ def test_unsat_fallback_proves_families_whose_method_gives_no_proof(monkeypatch)
     monkeypatch.setattr(
         constructions, "_unsat_weights", lambda d, enc: tagged.append(d) or real(d, enc)
     )
-    fallbacks = 0
     for c in bases:
         expected = verify_construction(c).to_json_dict()
         ops = c.operators
         mutants = [
-            with_items(c, [*ops[1:], ops[0], c.target]),
-            with_items(c, [*ops[::-1], c.target]),
+            (True, with_items(c, [*ops[1:], ops[0], c.target])),
+            (True, with_items(c, [*ops[::-1], c.target])),
         ]
         for method in {1, 2, 3, 7} - {c.method}:
-            mutants.append(dataclasses.replace(c, method=method))
-        for mutant in mutants:
+            mutants.append((False, dataclasses.replace(c, method=method)))
+        for permuted, mutant in mutants:
             mutant = Construction.from_json_dict(json.loads(json.dumps(mutant.to_json_dict())))
-            hinted = mutant._weights is not None and _proves_unsat(
-                c.d, mutant._encoding, mutant._weights
+            hinted = mutant.weights is not None and _proves_unsat(
+                c.d, mutant._encoding, mutant.weights
             )
+            assert hinted == (permuted and c.method != 3)
             tagged.clear()
             cert = verify_construction(mutant)
             assert tagged == ([] if hinted else [c.d])
             assert cert.to_json_dict() == {**expected, "construction": mutant.to_json_dict()}
-            fallbacks += not hinted
-    assert fallbacks >= 16
+
+
+def test_reordered_method1_and_method2_families_keep_their_proofs(monkeypatch):
+    # a method-1 or method-2 family read from JSON with its rows reversed
+    # or shuffled, target included: each row takes the weight of the same
+    # row of the method, so no tagged elimination runs
+    def refuse(d, enc):
+        raise AssertionError("the tagged elimination ran")
+
+    monkeypatch.setattr(constructions, "_unsat_weights", refuse)
+    rng = random.Random(28)
+    bases = [method1(12, 5, 2), method1(6, 7, 3), method1(4, 9, 2), method2(9, 6)]
+    bases += [method2(4, 6), method2(10, 400)]
+    for c in bases:
+        built = c.all_items()
+        shuffled = list(range(len(built)))
+        rng.shuffle(shuffled)
+        for order in (shuffled, shuffled[::-1], list(range(len(built)))[::-1]):
+            items = [built[i] for i in order]
+            data = json.loads(json.dumps(with_items(c, items).to_json_dict()))
+            mutant = Construction.from_json_dict(data)
+            assert mutant.weights == tuple(c.weights[i] for i in order)
+            assert verify_construction(mutant, oracle=c.n < 10).certified
 
 
 def test_unsat_fallback_rejects_weights_that_fail_the_check(monkeypatch):
-    c = method2(4, 6)
+    c = dataclasses.replace(method2(4, 6), weights=None)
     monkeypatch.setattr(constructions, "_unsat_weights", lambda d, enc: [1] * len(enc.rows))
-    vars(c)["_weights"] = None
     with pytest.raises(CertificationError, match="proof of unsolvability fails its check"):
         verify_construction(c, oracle=False)
