@@ -26,7 +26,8 @@ eigenphase nu of nu/d.  The methods build rows, and a ``Construction``
 stores only those; its operator view of ``ProductOperator``s and
 ``RationalPhase`` angles is built on first read, by the dense oracle,
 the label system or the public API.  A family read from JSON or
-assembled from operators is encoded into rows once (``from_items``).
+assembled from operators enters through ``from_items``, which keeps
+only its rows.
 
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
@@ -40,9 +41,9 @@ The unsolvability verdict is decided only by a proof, row weights that
 annihilate every variable of the system but not its claims, checked in
 one pass over the rows (``hidden_variables._proves_unsat``).  Each
 method builds its weights with its rows, and a family read from JSON
-takes those of the method it names (``_method_hint``); only when they
-do not check does one tagged Howell elimination look for weights
-(``_decide``).
+takes those of the method it names, built when it is certified
+(``_method_hint``); only when they do not check does one tagged Howell
+elimination look for weights (``_decide``).
 The hidden variable x(q, a) of each (qudit, angle) label enters only as
 the variation y(q, a) = x(q, a) - x(q, 0), with S the sum of the x(q, 0):
 a unimodular change of variables, in which a congruence is S plus the y
@@ -160,9 +161,11 @@ class Construction:
     ``rows`` holds each operator's (support, claim), the target last: the
     one whose hidden-variable prediction conflicts with its eigenphase.
     ``weights`` are candidate row weights for a proof that the family is
-    UNSAT, a hint that only ``_proves_unsat`` can make decide anything.
-    ``operators``, ``target`` and ``all_items()`` are the operator view,
-    built on first read unless the family came in through ``from_items``.
+    UNSAT, a hint that only ``_proves_unsat`` can make decide anything;
+    with none, certification takes those of the method that the family
+    names (``_method_hint``).  ``operators``, ``target`` and
+    ``all_items()`` are the operator view, built from the rows on first
+    read.  A construction checks its cell and its rows when it is built.
     """
 
     d: int
@@ -174,11 +177,10 @@ class Construction:
     weights: Optional[tuple[int, ...]] = field(default=None, compare=False)
     f: Optional[int] = None
     chain: Optional[tuple[int, ...]] = None
-    # the items ``from_items`` was given; not copied by dataclasses.replace,
-    # so a replaced family's view follows its own rows
-    _given: Optional[tuple[OperatorItem, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        _check_cell(self.d, self.n)
+        _check_rows(self.d, self.n, self.common, self.rows)
 
     @classmethod
     def from_items(
@@ -191,17 +193,14 @@ class Construction:
         f: Optional[int] = None,
         chain: Optional[tuple[int, ...]] = None,
     ) -> "Construction":
-        """The family of the (operator, eigenphase) items, target last, which
-        it keeps as its operator view.
+        """The family of the (operator, eigenphase) items, target last.
 
-        Checks the cell and every operator's shape, encodes the family once
-        (``_encode`` rejects a claim off the 1/d grid) and takes the weights
-        of the method it names as a hint (``_method_hint``).
+        Checks the cell and every operator's shape, then encodes the items
+        with ``_encode``, which rejects a claim off the 1/d grid and reads
+        each operator's collective angle, and keeps the rows and claims;
+        ``_encoding`` sums the totals again from the rows on first read.
         """
         _check_cell(d, n)
-        items = tuple(items)
-        if not items:
-            raise ValueError("a construction needs at least its target operator")
         for op, _ in items:
             if op.d != d:
                 raise ValueError(f"operator has dimension {op.d} but d = {d}")
@@ -209,17 +208,12 @@ class Construction:
                 raise ValueError(f"operator has {op.n} factors but n = {n}")
         enc = _encode(d, items)
         rows = tuple(zip(enc.rows, enc.claims))
-        weights = _method_hint(d, n, method, f, enc.common, rows)
-        c = cls(d, n, method, phi_o, enc.common, rows, weights, f, chain)
-        object.__setattr__(c, "_given", items)  # frozen: set once, here
-        return c
+        return cls(d, n, method, phi_o, enc.common, rows, None, f, chain)
 
     @cached_property
     def _items(self) -> tuple[OperatorItem, ...]:
-        """The operator view, target last: the given items or the rows'."""
-        if self._given is not None:
-            return self._given
-        return tuple(_operator_items(self.d, self.n, self.common, self.rows))
+        """The operator view of the rows, target last, sharing phi_o."""
+        return tuple(_operator_items(self.d, self.n, self.common, self.rows, self.phi_o))
 
     @property
     def operators(self) -> tuple[OperatorItem, ...]:
@@ -337,60 +331,76 @@ def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
 
 
 def _operator_items(
-    d: int, n: int, common: int, rows: Sequence[Row]
+    d: int, n: int, common: int, rows: Sequence[Row], phi_o: RationalPhase = ZERO_PHASE
 ) -> list[OperatorItem]:
     """The rows' operator view: one (operator, eigenphase) item per row.
 
-    Each distinct exponent e becomes one ``RationalPhase(e, D)``, and each
-    distinct claim nu one eigenphase nu/d, shared by every row using it.
+    Each distinct phase, an exponent e's angle e/D or a claim nu's
+    eigenphase nu/d, is one ``RationalPhase`` shared by every row using
+    it, and is phi_o itself where it equals phi_o.
     """
-    angle = cache(lambda e: RationalPhase(e, common))
-    phase = cache(lambda nu: RationalPhase(nu, d) if nu else ZERO_PHASE)
-    return [
-        (_with_rotations(d, n, tuple([(q, angle(e)) for q, e in support])), phase(nu))
-        for support, nu in rows
-    ]
+    shared = {phi_o: phi_o, ZERO_PHASE: ZERO_PHASE}
+
+    @cache
+    def phase(num: int, den: int) -> RationalPhase:
+        p = RationalPhase(num, den)
+        return shared.setdefault(p, p)
+
+    items = []
+    for support, nu in rows:
+        rotations = tuple([(q, phase(e, common)) for q, e in support])
+        items.append((_with_rotations(d, n, rotations), phase(nu, d)))
+    return items
 
 
-def _construction(
-    d: int,
-    n: int,
-    method: int,
-    common: int,
-    rows: Sequence[Row],
-    weights: list[int],
-    f: Optional[int] = None,
-    chain: Optional[tuple[int, ...]] = None,
-) -> Construction:
-    """The construction of a method's rows and weights: its angles are
-    multiples of phi_o = 1/D."""
-    return Construction(
-        d, n, method, RationalPhase(1, common), common, tuple(rows), tuple(weights), f, chain
-    )
+def _check_rows(d: int, n: int, common: int, rows: Sequence[Row]) -> None:
+    """Reject rows that are not a family on N qudits over D = ``common``.
 
-
-def _method_hint(
-    d: int, n: int, method: int, f: Optional[int], common: int, rows: Sequence[Row]
-) -> Optional[tuple[int, ...]]:
-    """The weights of the method that a family names, for its rows, or None.
-
-    Methods 1 and 2 look each row up by its (support, claim) among the
-    method's own rows at (d, N, f) over the same D, so a reordered family
-    keeps its proof; a row that is not among them gets weight 0.  Method 3
-    weights the family's own rows back along their chain
-    (``_chain_weights``), which reads them in the method's order.  A
-    method that refuses the cell, or another D, gives none.
+    D must be a positive multiple of d, and there must be a target row.
+    Per row, the support's qudits rise within [0, N), its exponents lie in
+    [1, D) and its claim nu of nu/d lies in [0, d).
     """
-    if method == 3 and len(rows) >= n + 3:
-        return tuple(_chain_weights(d, n, common, [support for support, _ in rows]))
-    if method == 2 or (method == 1 and f is not None):
+    if common <= 0 or common % d:
+        raise ValueError(f"denominator {common} is not a positive multiple of d = {d}")
+    if not rows:
+        raise ValueError("a construction needs at least its target operator")
+    for support, nu in rows:
+        if not 0 <= nu < d:
+            raise ValueError(f"claim {nu} is outside [0, {d})")
+        last = -1
+        for q, e in support:
+            if not last < q < n:
+                raise ValueError(f"support qudit {q} is out of order or outside [0, {n})")
+            if not 0 < e < common:
+                raise ValueError(f"exponent {e} is outside [1, {common})")
+            last = q
+
+
+def _method_hint(c: Construction) -> Optional[tuple[int, ...]]:
+    """The row weights that certification tries first, or None.
+
+    A method's family carries its own.  Any other family takes those of
+    the method it names, built here, when it is certified.  Methods 1 and
+    2 look each row up by its (support, claim) among the method's own
+    rows at (d, N, f) over the same D, so a reordered family keeps its
+    proof; a row that is not among them gets weight 0.  Method 3 weights
+    the family's own rows back along their chain (``_chain_weights``),
+    which reads them in the method's order.  A method that refuses the
+    cell, or another D, gives none.
+    """
+    if c.weights is not None:
+        return c.weights
+    d, n, rows = c.d, c.n, c.rows
+    if c.method == 3 and len(rows) >= n + 3:
+        return tuple(_chain_weights(d, n, c.common, [support for support, _ in rows]))
+    if c.method == 2 or (c.method == 1 and c.f is not None):
         try:
             own_common, own_rows, own_weights = (
-                _method1_rows(d, n, f) if method == 1 else _method2_rows(d, n)
+                _method1_rows(d, n, c.f) if c.method == 1 else _method2_rows(d, n)
             )
         except ValueError:  # f does not work at (d, N)
             return None
-        if own_common == common:
+        if own_common == c.common:
             weight = dict(zip(own_rows, own_weights))
             return tuple([weight.get(row, 0) for row in rows])
     return None
@@ -401,13 +411,16 @@ def _method_hint(
 # ---------------------------------------------------------------------------
 
 
-def _method1_weights(d: int, n: int, f: int) -> list[int]:
-    """The weights of the method-1 rows, for the cell and f that they check.
+def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row], list[int]]:
+    """The method-1 rows over D = f*d and their weights: X^N at eigenphase
+    0, then the N cyclic placements of f consecutive factors at exponent 1
+    (1/(f*d) of a turn), each at eigenphase 1/d.  The last placement is
+    the target.
 
-    With s = d/f: -(N-f)*s on X^N and s on each of the N blocks.  Each
-    (qudit, 1) label is in f blocks and the weights sum to f*s = d, so
-    both vanish mod d, while the claims give N*s, nonzero mod d exactly
-    when N is not a multiple of f.
+    With s = d/f the weights are -(N-f)*s on X^N and s on each block.
+    Each (qudit, 1) label is in f blocks and the weights sum to f*s = d,
+    so both vanish mod d, while the claims give N*s, nonzero mod d
+    exactly when N is not a multiple of f.
     """
     _check_cell(d, n)
     if f <= 1 or d % f != 0:
@@ -415,16 +428,6 @@ def _method1_weights(d: int, n: int, f: int) -> list[int]:
     if n <= f:
         raise ValueError(f"need more qudits than the block length (N > f = {f})")
     s = d // f
-    return [(f - n) * s % d] + [s] * n
-
-
-def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row], list[int]]:
-    """The method-1 rows over D = f*d and their weights: X^N at eigenphase
-    0, then the N cyclic placements of f consecutive factors at exponent 1
-    (1/(f*d) of a turn), each at eigenphase 1/d.  The last placement is
-    the target.
-    """
-    weights = _method1_weights(d, n, f)
     pairs = [(q, 1) for q in range(n)]  # shared by the blocks
     rows: list[Row] = [((), 0)]
     rows += [(tuple(pairs[start : start + f]), 1) for start in range(n - f + 1)]
@@ -432,7 +435,7 @@ def _method1_rows(d: int, n: int, f: int) -> tuple[int, list[Row], list[int]]:
         (tuple(pairs[: start + f - n] + pairs[start:]), 1)  # the wrapped blocks
         for start in range(n - f + 1, n)
     ]
-    return f * d, rows, weights
+    return f * d, rows, [(f - n) * s % d] + [s] * n
 
 
 def method1_operator_set(
@@ -471,7 +474,8 @@ def method1(d: int, n: int, f: Optional[int] = None) -> Construction | NoContrad
             f"N = {n} is a multiple of f = {f}: f*sum(Y-exponents) = N "
             f"(mod {d}) has solutions",
         )
-    return _construction(d, n, 1, common, rows, weights, f=f)
+    phi_o = RationalPhase(1, common)
+    return Construction(d, n, 1, phi_o, common, tuple(rows), tuple(weights), f)
 
 
 # ---------------------------------------------------------------------------
@@ -494,29 +498,23 @@ def _conjugate_pair_rows(n: int, common: int) -> list[Row]:
     return rows
 
 
-def _method2_weights(d: int, n: int) -> list[int]:
-    """The weights of the method-2 rows at the cell, which they check.
+def _method2_rows(d: int, n: int) -> tuple[int, list[Row], list[int]]:
+    """The method-2 rows over D = N*d and their weights: the conjugate
+    pairs, then the fully rotated product at eigenphase 1/d as the target.
 
-    With s = d/gcd(N, d): (N-1)*s on X^N, -2*s on the first pair, -s on
-    the other N-2 pairs and on the first loop row, s on the second loop
-    row and on the target.  The N pairs put -N*s = 0 on the conjugate
-    factor of qudit N, every other label and S cancel outright, and the
-    claims give s, nonzero mod d exactly when gcd(N, d) > 1.
+    With s = d/gcd(N, d) the weights are (N-1)*s on X^N, -2*s on the
+    first pair, -s on the other N-2 pairs and on the first loop row, s on
+    the second loop row and on the target.  The N pairs put -N*s = 0 on
+    the conjugate factor of qudit N, every other label and S cancel
+    outright, and the claims give s, nonzero mod d exactly when
+    gcd(N, d) > 1.
     """
     _check_cell(d, n)
     s = d // math.gcd(n, d)
     weights = [(n - 1) * s, -2 * s] + [-s] * (n - 2) + [-s, s, s]
-    return [w % d for w in weights]
-
-
-def _method2_rows(d: int, n: int) -> tuple[int, list[Row], list[int]]:
-    """The method-2 rows over D = N*d and their weights: the conjugate
-    pairs, then the fully rotated product at eigenphase 1/d as the target.
-    """
-    weights = _method2_weights(d, n)
     common = n * d
     target = (tuple([(q, 1) for q in range(n)]), 1)
-    return common, _conjugate_pair_rows(n, common) + [target], weights
+    return common, _conjugate_pair_rows(n, common) + [target], [w % d for w in weights]
 
 
 def method2_operator_set(d: int, n: int) -> tuple[list[OperatorItem], OperatorItem]:
@@ -544,7 +542,8 @@ def method2(d: int, n: int) -> Construction | NoContradiction:
             f"gcd(N, d) = 1: N*delta = 1 (mod {d}) is solvable, e.g. "
             f"delta = {pow(n, -1, d)}",
         )
-    return _construction(d, n, 2, common, rows, weights)
+    phi_o = RationalPhase(1, common)
+    return Construction(d, n, 2, phi_o, common, tuple(rows), tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +727,8 @@ def method3(d: int, n: int) -> Construction:
     qudit's bases apart; otherwise the binary chain, which always does.
     """
     common, rows, weights, chain = _method3_rows(d, n)
-    return _construction(d, n, 3, common, rows, weights, chain=chain)
+    phi_o = RationalPhase(1, common)
+    return Construction(d, n, 3, phi_o, common, tuple(rows), tuple(weights), chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1123,7 @@ def _exact_checks(c: Construction) -> tuple[bool, HVVerdict]:
     a SAT family builds its system in the labels x(q, a), to give the
     lexicographically least witness in those.
     """
-    quantum_ok, unsat = _decide(c.d, c._encoding, c.weights)
+    quantum_ok, unsat = _decide(c.d, c._encoding, _method_hint(c))
     if unsat:
         return quantum_ok, HVVerdict("UNSAT", None)
     verdict = solve(c._system)

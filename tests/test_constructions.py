@@ -650,7 +650,7 @@ def test_constructions_are_encoded_exactly_from_their_rows():
         again = Construction.from_json_dict(json.loads(text))
         assert json.dumps(again.to_json_dict(), indent=2) == text
         assert again.rows == c.rows and again._encoding == from_rows
-        assert again.weights == c.weights
+        assert again.weights is None and constructions._method_hint(again) == c.weights
         methods[c.method] += 1
     assert min(methods.values()) > 100
 
@@ -1132,6 +1132,35 @@ def test_construction_built_in_python_is_validated():
         Construction.from_items(d=3, n=4, method=1, phi_o=c.phi_o, items=[])
 
 
+def test_construction_built_from_rows_is_validated():
+    # the constructor checks the cell and the rows as from_items does, so
+    # no malformed family reaches certification from either way in
+    c = method1(3, 4, 3)  # D = 9
+    fields = dict(method=1, phi_o=c.phi_o, common=c.common, weights=c.weights, f=3)
+    assert Construction(d=3, n=4, rows=c.rows, **fields) == c
+    with pytest.raises(ValueError, match="at least three qudits"):
+        Construction(d=3, n=2, rows=c.rows, **fields)
+    with pytest.raises(ValueError, match="at least its target"):
+        Construction(d=3, n=4, rows=(), **fields)
+    for common in (0, -9, 10):
+        with pytest.raises(ValueError, match=f"denominator {common} is not a positive"):
+            dataclasses.replace(c, common=common)
+    target = c.rows[-1]
+    bad = {
+        "claim 3 is outside": (target[0], 3),
+        "claim -1 is outside": (target[0], -1),
+        "exponent 0 is outside": (((0, 0),), 1),
+        "exponent 9 is outside": (((0, 9),), 1),
+        "qudit -1 is out of order": (((-1, 1),), 1),
+        "qudit 4 is out of order": (((4, 1),), 1),
+        "qudit 1 is out of order": (((1, 1), (1, 2)), 1),
+        "qudit 0 is out of order": (((1, 1), (0, 2)), 1),
+    }
+    for message, row in bad.items():
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(c, rows=(*c.rows[:-1], row))
+
+
 def test_off_grid_claim_is_rejected_by_every_check():
     # an eigenphase claim that is not a multiple of 1/d is malformed input:
     # no family holding one is built, from operators or from JSON
@@ -1161,10 +1190,6 @@ def test_construction_json_round_trip():
         assert rebuilt == c
         assert verify_construction(rebuilt, oracle=False).certified
     assert method1(3, 4, 3).to_json_dict()["meta"] == {"f": 3}
-    # the view of a family read from JSON follows its rows through a replace
-    read = Construction.from_json_dict(method1(3, 4, 3).to_json_dict())
-    moved = dataclasses.replace(read, rows=read.rows[::-1])
-    assert moved.all_items() == read.all_items()[::-1]
     assert method3(7, 3).to_json_dict()["meta"] == {"chain": [2, -3, -2, 5]}
 
 
@@ -1332,9 +1357,8 @@ def test_unsat_fallback_proves_families_whose_method_gives_no_proof(monkeypatch)
             mutants.append((False, dataclasses.replace(c, method=method)))
         for permuted, mutant in mutants:
             mutant = Construction.from_json_dict(json.loads(json.dumps(mutant.to_json_dict())))
-            hinted = mutant.weights is not None and _proves_unsat(
-                c.d, mutant._encoding, mutant.weights
-            )
+            hint = constructions._method_hint(mutant)
+            hinted = hint is not None and _proves_unsat(c.d, mutant._encoding, hint)
             assert hinted == (permuted and c.method != 3)
             tagged.clear()
             cert = verify_construction(mutant)
@@ -1360,13 +1384,17 @@ def test_reordered_method1_and_method2_families_keep_their_proofs(monkeypatch):
         for order in (shuffled, shuffled[::-1], list(range(len(built)))[::-1]):
             items = [built[i] for i in order]
             data = json.loads(json.dumps(with_items(c, items).to_json_dict()))
-            mutant = Construction.from_json_dict(data)
-            assert mutant.weights == tuple(c.weights[i] for i in order)
+            with monkeypatch.context() as patched:  # the hint waits for certification
+                for name in ("_method1_rows", "_method2_rows"):
+                    patched.setattr(constructions, name, lambda *args: pytest.fail("hint built"))
+                mutant = Construction.from_json_dict(data)
+            assert constructions._method_hint(mutant) == tuple(c.weights[i] for i in order)
             assert verify_construction(mutant, oracle=c.n < 10).certified
 
 
 def test_unsat_fallback_rejects_weights_that_fail_the_check(monkeypatch):
-    c = dataclasses.replace(method2(4, 6), weights=None)
+    c = method2(4, 6)
+    c = dataclasses.replace(c, weights=(0,) * c.operator_count())  # it proves nothing
     monkeypatch.setattr(constructions, "_unsat_weights", lambda d, enc: [1] * len(enc.rows))
     with pytest.raises(CertificationError, match="proof of unsolvability fails its check"):
         verify_construction(c, oracle=False)
