@@ -45,7 +45,8 @@ def _indented(value: object, out: list[str], pieces: list[str], newline: str) ->
 
     ``json.dumps`` with an indent runs the pure-Python encoder; this
     writes the same text with the C string escaper.  Strings, ints,
-    booleans, None and lists and objects of them are written directly;
+    booleans, None and lists and objects of them are written directly,
+    and a ``Construction`` by its own writer, one fragment per operator;
     any other value (a float, a tuple, an object with non-string keys)
     goes to ``json.dumps``, whose lines are re-indented to this depth.
     Once out holds ``_CHUNK`` fragments they are joined onto pieces and
@@ -87,6 +88,12 @@ def _indented(value: object, out: list[str], pieces: list[str], newline: str) ->
             out.append((separator if i else inner) + _quote(key) + ": ")
             _indented(item, out, pieces, inner)
         out.append(newline + "}")
+    elif kind is Construction:
+        for fragment in value._json_fragments(newline):
+            if len(out) >= _CHUNK:
+                pieces.append("".join(out))
+                out.clear()
+            out.append(fragment)
     else:
         out.append(json.dumps(value, indent=2).replace("\n", newline))
 
@@ -100,7 +107,7 @@ def _json_pieces(payload: object) -> list[str]:
     return pieces
 
 
-def _emit(payload: dict | list, output: str | None) -> None:
+def _emit(payload: dict | list | Construction, output: str | None) -> None:
     """Print the payload as indented JSON, after writing it to output.
 
     The text is written piece by piece, so it is held once, as its
@@ -130,8 +137,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         result = method2(args.d, args.n)
     else:
         result = method3(args.d, args.n)
-    _emit(result.to_json_dict(), args.output)
-    return 1 if isinstance(result, NoContradiction) else 0
+    if isinstance(result, NoContradiction):
+        _emit(result.to_json_dict(), args.output)
+        return 1
+    _emit(result, args.output)
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -145,7 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f" exceeds the cap of {DEFAULT_DENSE_CAP}",
             file=sys.stderr,
         )
-    _emit(certificate.to_json_dict(), None)
+    _emit(certificate._fields(), None)
     return 0 if certificate.certified else 1
 
 

@@ -25,9 +25,10 @@ pairs in qudit order with exponents in [1, D), and its claimed
 eigenphase nu of nu/d.  The methods build rows, and a ``Construction``
 stores only those; its operator view of ``ProductOperator``s and
 ``RationalPhase`` angles is built on first read, by the dense oracle,
-the label system or the public API.  A family read from JSON or
-assembled from operators enters through ``from_items``, which keeps
-only its rows.
+the label system or the public API.  A family read from JSON is read
+straight into rows (``from_json_dict``), and one assembled from
+operators enters through ``from_items``; neither keeps an operator.
+Both commands write a construction's JSON from its rows.
 
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
@@ -53,15 +54,17 @@ method 2 two.  The system in the labels themselves, an ``HVSystem``, is
 built only for a satisfiable family, whose certificate gives the least
 witness in the labels, and for the exhaustive oracle, which so stays
 independent of the variation coordinates.  The dense oracle checks the
-eigenphases of the encoding against tensor numerics, so it guards the
-engine that decides.  The irreducibility probe solves one reduced
-system per qudit orbit: qudits that a permutation of the family's rows
-onto themselves links (the cyclic placements of method 1, the plain
-qudits of methods 2 and 3) share a flag.
+eigenphases of the encoding against tensor numerics and against each
+operator's exact collective angle, so it guards the engine that
+decides.  The irreducibility probe solves one reduced system per qudit
+orbit: qudits that a permutation of the family's rows onto themselves
+links (the cyclic placements of method 1, the plain qudits of methods 2
+and 3) share a flag.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -242,56 +245,92 @@ class Construction:
         return len(self.rows)
 
     def to_json_dict(self) -> dict:
+        return json.loads("".join(self._json_fragments("\n")))
+
+    def _json_fragments(self, newline: str) -> Iterator[str]:
+        """The construction's JSON text as ``json.dumps(indent=2)`` writes
+        it, nested at newline.
+
+        The text comes straight from the rows, one fragment per operator
+        between a head and a tail, each distinct exponent and claim
+        quoted once.  The size limit is checked before the first fragment.
+        """
         _check_json_size(self.n, self.operator_count())
-        plain = str(ZERO_PHASE)
-        # each distinct exponent and claim is formatted once
-        angle = cache(lambda e: str(RationalPhase(e, self.common)))
-        claim = cache(lambda nu: str(RationalPhase(nu, self.d)))
+        i1 = newline + "  "
+        i2 = i1 + "  "
+        plain = f'"{ZERO_PHASE}"'
+        angle = cache(lambda e: _quoted_phase(e, self.common))
+        claim = cache(lambda nu: _quoted_phase(nu, self.d))
 
-        def item(row: Row) -> dict:
+        def entry(row: Row, at: str) -> str:
+            # runs of plain angles are repeated text, with no list of N
+            inner = at + "  "
+            separator = f",{inner}  "
+            run = plain + separator
             support, nu = row
-            angles = [plain] * self.n
+            parts = [f'{{{inner}"angles": [{inner}  ']
+            last = 0
             for q, e in support:
-                angles[q] = angle(e)
-            return {"angles": angles, "exponent": claim(nu)}
+                parts += (run * (q - last), angle(e), separator)
+                last = q + 1
+            if last < self.n:
+                parts += (run * (self.n - last - 1), plain)
+            else:
+                parts.pop()  # no separator after the last angle
+            parts.append(f'{inner}],{inner}"exponent": {claim(nu)}{at}}}')
+            return "".join(parts)
 
-        items = [item(row) for row in self.rows]
-        meta: dict = {}
+        yield (
+            f'{{{i1}"d": {self.d},{i1}"n": {self.n},{i1}"method": {self.method},'
+            f'{i1}"phi_o": "{self.phi_o}",{i1}"operators": '
+        )
+        *operators, target = self.rows
+        separator = "["
+        for row in operators:
+            yield separator + i2 + entry(row, i2)
+            separator = ","
+        yield (f"{i1}]" if operators else "[]") + f',{i1}"target": ' + entry(target, i1)
+        meta = []
         if self.f is not None:
-            meta["f"] = self.f
+            meta.append(f'"f": {self.f}')
         if self.chain is not None:
-            meta["chain"] = list(self.chain)
-        return {
-            "d": self.d,
-            "n": self.n,
-            "method": self.method,
-            "phi_o": str(self.phi_o),
-            "operators": items[:-1],
-            "target": items[-1],
-            "meta": meta,
-        }
+            chain = f",{i2}  ".join(map(str, self.chain))
+            meta.append(f'"chain": [{i2}  {chain}{i2}]' if chain else '"chain": []')
+        meta_text = "{" + i2 + f",{i2}".join(meta) + i1 + "}" if meta else "{}"
+        yield f',{i1}"meta": {meta_text}{newline}}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Construction":
+        """The family of a parsed construction document, read into its rows.
+
+        Each entry becomes its (support, claim) row with no operator
+        built: each distinct angle text is read once and becomes an
+        exponent over D = lcm(d, every angle denominator).  The checks
+        and their order are those of building each entry's operator and
+        then ``from_items``: per entry its angles, d and its factor count;
+        then the cell, every entry's width, and the claims on the 1/d
+        grid in entry order.
+        """
         keys = ("d", "n", "method", "phi_o", "operators", "target")
         data = _json_object(data, "construction", *keys)
         d = _json_int(data["d"], "d")
         phase = _json_phase_reader()
         plain = str(ZERO_PHASE)
+        angle: dict[str, RationalPhase] = {}  # each distinct rotated angle's text
 
-        def item(entry: dict) -> OperatorItem:
-            # what ProductOperator(d, angles) checks and keeps, in its order,
-            # with no call for a plain entry: "0/1" is the only text of 0
+        def entry_of(entry: dict) -> tuple[int, list[tuple[int, str]], RationalPhase]:
+            # what ProductOperator(d, angles) checks, in its order, with no
+            # call for a plain entry: "0/1" is the only text of 0
             entry = _json_object(entry, "operator", "angles", "exponent")
             angles = _json_list(entry["angles"], "angles")
-            rotations = tuple(
-                [(q, phase(a, "angles entry")) for q, a in enumerate(angles) if a != plain]
-            )
+            pairs = [(q, a) for q, a in enumerate(angles) if a != plain]
+            for _, a in pairs:
+                if type(a) is not str or a not in angle:
+                    angle[a] = phase(a, "angles entry")
             _check_dim(d)
             if not angles:
                 raise ValueError("need at least one factor")
-            op = _with_rotations(d, len(angles), rotations)
-            return op, phase(entry["exponent"], "exponent")
+            return len(angles), pairs, phase(entry["exponent"], "exponent")
 
         meta = _json_object(data.get("meta", {}), "meta")
         f, chain = meta.get("f"), meta.get("chain")
@@ -305,8 +344,20 @@ class Construction:
         phi_o = phase(data["phi_o"], "phi_o")
         operators = _json_list(data["operators"], "operators")
         _check_json_size(n, len(operators) + 1)
-        items = [*map(item, operators), item(data["target"])]
-        return cls.from_items(d, n, method, phi_o, items, f, chain)
+        entries = [*map(entry_of, operators), entry_of(data["target"])]
+        _check_cell(d, n)
+        for width, _, _ in entries:
+            if width != n:
+                raise ValueError(f"operator has {width} factors but n = {n}")
+        common = math.lcm(d, *{p.den for p in angle.values()})
+        exponent = {a: p.num * (common // p.den) for a, p in angle.items()}
+        rows = []
+        for _, pairs, claim in entries:
+            if d % claim.den:
+                raise ValueError(f"eigenphase {claim} is not a d-th root of unity")
+            support = tuple([(q, exponent[a]) for q, a in pairs])
+            rows.append((support, claim.num * (d // claim.den)))
+        return cls(d, n, method, phi_o, common, tuple(rows), None, f, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +379,12 @@ def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
         [claim for _, claim in rows],
         supports,
     )
+
+
+def _quoted_phase(num: int, den: int) -> str:
+    """The JSON string of the phase num/den, 0 <= num < den, as ``str`` writes it."""
+    g = math.gcd(num, den)
+    return f'"{num // g}/{den // g}"'
 
 
 def _operator_items(
@@ -859,8 +916,12 @@ class Certificate:
         return self.quantum_ok and self.hv_verdict.status == "UNSAT"
 
     def to_json_dict(self) -> dict:
+        return {**self._fields(), "construction": self.construction.to_json_dict()}
+
+    def _fields(self) -> dict:
+        """The JSON fields, with the construction itself for its own writer."""
         payload = {
-            "construction": self.construction.to_json_dict(),
+            "construction": self.construction,
             "quantum_ok": self.quantum_ok,
             "hv_status": self.hv_verdict.status,
         }
@@ -1050,22 +1111,28 @@ def _dense_recheck(c: Construction) -> None:
     through its own ``apply_dense`` on one ``_DenseTables`` for the
     family, which takes each distinct angle's matrix entries from
     ``make_rotated_x`` once and holds the one gather index.  Only one
-    operator's image is held at a time.  Raises on any disagreement:
-    that would mean the exact encoding that the certificate reads is
-    broken, not merely the construction.
+    operator's image is held at a time.  Then every operator's exact
+    collective angle, summed from its ``RationalPhase`` factors, must be
+    total/D too.  Raises on any disagreement: that would mean the exact
+    encoding that the certificate reads is broken, not merely the
+    construction.
     """
     enc = c._encoding
     step = enc.common // c.d
     vec = dense_state(make_ghz(c.d, c.n, 0))
     tables = _DenseTables(c.d, c.n)
     for (op, _), total in zip(c.all_items(), enc.totals):
-        if total % step:
-            continue
-        image = op.apply_dense(vec, tables=tables)
-        phase = RationalPhase(total, enc.common).to_complex()
-        if np.abs(image - phase * vec).max() > _DENSE_TOLERANCE:
+        if total % step == 0:
+            image = op.apply_dense(vec, tables=tables)
+            phase = RationalPhase(total, enc.common).to_complex()
+            if np.abs(image - phase * vec).max() > _DENSE_TOLERANCE:
+                raise CertificationError(
+                    "exact eigenphase disagrees with dense tensor numerics"
+                )
+        angle = op.collective_angle
+        if angle.num * enc.common != total * angle.den:  # total is in [0, D)
             raise CertificationError(
-                "exact eigenphase disagrees with dense tensor numerics"
+                "exact eigenphase disagrees with the operator's collective angle"
             )
 
 

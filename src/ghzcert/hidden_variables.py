@@ -278,9 +278,11 @@ def _encode(
 ) -> _Encoding:
     """The (operator, eigenphase nu/d) items as integer rows over one D.
 
-    The one encoder of a family: certification (``Construction.from_items``,
-    target last) and ``invariance_demo`` both read it.  Rejects a claimed
-    eigenphase off the 1/d grid, in item order.
+    The encoder of a family given as operators: ``Construction.from_items``
+    (target last) and ``invariance_demo`` both read it, and
+    ``Construction.from_json_dict`` gives JSON the same rows without
+    operators.  Rejects a claimed eigenphase off the 1/d grid, in item
+    order.
     """
     dens = {a.den for op, _ in items for _, a in op.rotations}
     common = math.lcm(d, *dens)

@@ -18,6 +18,7 @@ from ghzcert import (
     Construction,
     RationalPhase,
     brute_force_solve,
+    classify,
     classify_plane,
     method1,
     method1_operator_set,
@@ -25,6 +26,7 @@ from ghzcert import (
     method3,
     system_from_operators,
     verify_construction,
+    witness_construction,
 )
 from ghzcert import cli
 from ghzcert.cli import _json_pieces, main
@@ -63,16 +65,20 @@ def test_construct_auto_regime3(capsys):
 def test_auto_constructions_keep_their_recorded_text(capsys):
     # the sha256 of every `construct --method auto` payload with d, N <= 24,
     # concatenated in d-major order, as first written by the operator-built
-    # constructions: the default output stays byte-identical
-    digest = hashlib.sha256()
+    # constructions: the default output stays
+    # byte-identical; so is json.dumps of each family's to_json_dict()
+    digest, dicts = hashlib.sha256(), hashlib.sha256()
     for d in range(2, 25):
         for n in range(3, 25):
             code, out, err = run(capsys, "construct", "--d", str(d), "--n", str(n))
             assert (code, err) == (0, "")
             digest.update(out.encode())
-    assert digest.hexdigest() == (
-        "c4995121bc755ed8171cdc17bf48f8cf80c6b89ca471041522cdf4f8275f3d32"
-    )
+            c = witness_construction(classify(d, n))
+            dicts.update((json.dumps(c.to_json_dict(), indent=2) + "\n").encode())
+    for hashed in (digest, dicts):
+        assert hashed.hexdigest() == (
+            "c4995121bc755ed8171cdc17bf48f8cf80c6b89ca471041522cdf4f8275f3d32"
+        )
 
 
 def test_explicit_method_constructions_keep_their_recorded_text(capsys):
@@ -80,8 +86,8 @@ def test_explicit_method_constructions_keep_their_recorded_text(capsys):
     # 1 --f k`, `--method 2` or `--method 3` writes with exit code 0,
     # concatenated in d-major order, then by N, then method 1 by rising f,
     # method 2 and method 3, as recorded when a construction still stored
-    # its operators
-    digest = hashlib.sha256()
+    # its operators; json.dumps of each family's to_json_dict() spells it too
+    digest, dicts = hashlib.sha256(), hashlib.sha256()
     payloads = 0
     for d in range(2, 25):
         methods = [("1", "--f", str(f)) for f in range(2, d + 1) if d % f == 0]
@@ -93,10 +99,16 @@ def test_explicit_method_constructions_keep_their_recorded_text(capsys):
                     assert err == ""
                     digest.update(out.encode())
                     payloads += 1
+                    if method[0] == "1":
+                        c = method1(d, n, int(method[2]))
+                    else:
+                        c = method2(d, n) if method[0] == "2" else method3(d, n)
+                    dicts.update((json.dumps(c.to_json_dict(), indent=2) + "\n").encode())
     assert payloads == 1147
-    assert digest.hexdigest() == (
-        "37ea726da6192451321d206427041f21291285481baedde1ca6c7571ac12b35a"
-    )
+    for hashed in (digest, dicts):
+        assert hashed.hexdigest() == (
+            "37ea726da6192451321d206427041f21291285481baedde1ca6c7571ac12b35a"
+        )
 
 
 def test_construct_no_contradiction(capsys):
@@ -228,17 +240,27 @@ def test_json_text_matches_json_dumps(tree):
 def test_emit_writes_pieces_that_spell_json_dumps(tmp_path, capsys, monkeypatch):
     # with a few fragments per piece, every piece boundary falls inside
     # nested lists and objects, and file and stdout still read exactly
-    # json.dumps(indent=2) plus a newline
-    payload = {"d": 7, "points": ["0/1", "1/7"], "rows": [[1, [2, {"k": None}]], {}, []]}
-    expected = json.dumps(payload, indent=2) + "\n"
+    # json.dumps(indent=2) plus a newline; so do constructions, written
+    # from their rows at the top and nested in a certificate
+    blocks, chain = method1(12, 5, 2), method3(31, 5)
+    assert blocks.f == 2 and chain.chain
+    certificate = verify_construction(chain, oracle=False)
+    payloads = [
+        ({"d": 7, "points": ["0/1", "1/7"], "rows": [[1, [2, {"k": None}]], {}, []]}, None),
+        (blocks, blocks.to_json_dict()),
+        (chain, chain.to_json_dict()),
+        (certificate._fields(), certificate.to_json_dict()),
+    ]
     for chunk in (1, 2, 3, 5, 2**14):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
-        path = tmp_path / f"out-{chunk}.json"
-        cli._emit(payload, str(path))
-        assert capsys.readouterr().out == expected
-        assert path.read_text(encoding="utf-8") == expected
-        if chunk < 5:
-            assert len(_json_pieces(payload)) > 5
+        for i, (payload, written) in enumerate(payloads):
+            expected = json.dumps(written or payload, indent=2) + "\n"
+            path = tmp_path / f"out-{chunk}-{i}.json"
+            cli._emit(payload, str(path))
+            assert capsys.readouterr().out == expected
+            assert path.read_text(encoding="utf-8") == expected
+            if chunk == 1 or (chunk < 5 and written is None):
+                assert len(_json_pieces(payload)) > 5
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -504,6 +526,80 @@ def test_verify_reports_malformed_operators(tmp_path, capsys, change, message):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
     assert run(capsys, "verify", str(path)) == (2, "", message)
+
+
+def _on_operator(key, value):
+    return lambda data: data["operators"][1].__setitem__(key, value)
+
+
+def _on_angle(text, index=1):
+    return lambda data: data["operators"][index]["angles"].__setitem__(0, text)
+
+
+def _on_meta(key, value):
+    return lambda data: data["meta"].__setitem__(key, value)
+
+
+def _on_top(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+_EMPTY_ANGLES = _on_operator("angles", [])
+_SHORT_ANGLES = _on_operator("angles", ["1/9", "1/9", "1/9"])
+_OFF_GRID = _on_operator("exponent", "1/7")
+_TWO_QUDITS = _on_top("n", 2)
+_NO_DIMENSION = _on_top("d", 1)
+_OFF_GRID_MESSAGE = "eigenphase 1/7 is not a d-th root of unity"
+_CELL_MESSAGE = "GHZ contradictions need at least three qudits, got N = 2"
+
+# Each fault in the file of `construct --d 3 --n 4`, and the one error line
+# of `verify`, as the reader that built an operator per entry reported it.
+# The combined faults pin the order of the checks.
+_MALFORMED = [
+    (_EMPTY_ANGLES, "need at least one factor"),
+    (_SHORT_ANGLES, "operator has 3 factors but n = 4"),
+    (_OFF_GRID, _OFF_GRID_MESSAGE),
+    (_on_operator("exponent", 1), "exponent must be a 'num/den' string, got 1"),
+    (_on_top("meta", []), "expected a JSON object for meta, got list"),
+    (_on_meta("f", True), "meta.f must be an integer, got True"),
+    (_on_meta("chain", "1,2"), "expected a JSON array for meta.chain, got str"),
+    (
+        _on_top("n", 10**30),
+        "a construction of 5 operators on N = 1000000000000000000000000000000 qudits "
+        "has 5000000000000000000000000000000 angle entries, over the limit of 4194304",
+    ),
+    (_TWO_QUDITS, _CELL_MESSAGE),
+    (_NO_DIMENSION, "dimension must be at least 2, got 1"),
+    (_on_top("method", "1"), "method must be an integer, got '1'"),
+    (_on_top("phi_o", "1/0"), "not in canonical form: '1/0'"),
+    (_on_top("operators", {}), "expected a JSON array for operators, got dict"),
+    (lambda data: data.__delitem__("target"), "missing key 'target' in construction"),
+    (_on_angle("2/4"), "not in canonical form: '2/4'"),
+    (_on_angle("-1/4"), "not a 'num/den' turn fraction: '-1/4'"),
+    (lambda data: [data], "expected a JSON object for construction, got list"),
+    (lambda data: _TWO_QUDITS(data) or _EMPTY_ANGLES(data), "need at least one factor"),
+    (
+        lambda data: _SHORT_ANGLES(data) or _OFF_GRID(data),
+        "operator has 3 factors but n = 4",
+    ),
+    (lambda data: _TWO_QUDITS(data) or _OFF_GRID(data), _CELL_MESSAGE),
+    (
+        lambda data: _NO_DIMENSION(data) or _on_angle("x", 0)(data),
+        "not a 'num/den' turn fraction: 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", _MALFORMED)
+def test_verify_reports_each_malformed_file_as_before(tmp_path, capsys, change, message):
+    # a mutation returns the document to write, or changes it in place
+    code, text, _ = run(capsys, "construct", "--d", "3", "--n", "4")
+    assert code == 0
+    data = json.loads(text)
+    data = change(data) or data
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_json_reader_makes_no_call_for_a_plain_angle(monkeypatch):

@@ -717,6 +717,22 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
             verify_construction(c, oracle=True)
 
 
+def test_dense_oracle_checks_every_collective_angle(monkeypatch):
+    # the rows decide without any operator; the dense oracle also compares
+    # each operator's exact collective angle with its encoded total, so an
+    # operator view whose angles sum to something else stops certification
+    c = method2(3, 3)
+    real = operators.ProductOperator.collective_angle.fget
+    monkeypatch.setattr(
+        operators.ProductOperator,
+        "collective_angle",
+        property(lambda op: real(op) + RationalPhase(1, op.d)),
+    )
+    assert verify_construction(c, oracle=False).certified
+    with pytest.raises(CertificationError, match="collective angle"):
+        verify_construction(c, oracle=True)
+
+
 def test_exhaustive_oracle_disagreement_raises(monkeypatch):
     # the solver's verdict stands only if the enumeration returns the same
     # status and the same least witness: another status on an UNSAT and on
@@ -1059,23 +1075,24 @@ def test_unsat_certification_builds_no_label_system(monkeypatch):
 
 
 def test_constructed_families_build_operators_only_when_read(monkeypatch):
-    # a constructed family is its rows: construction, JSON output and
-    # certification without the oracles build no operator; the dense
-    # oracle and the operator view do, and so does reading JSON
+    # a constructed family is its rows: construction, JSON output, reading
+    # JSON and certification without the oracles build no operator; the
+    # dense oracle and the operator view do
     def refuse(*args):
         raise AssertionError("operator built")
 
     with monkeypatch.context() as patched:
         patched.setattr(constructions, "_with_rotations", refuse)
         small = [method1(12, 5, 2), method2(10, 200), method3(1000003, 3)]
-        for c in small + [witness_construction(classify(6, 4001)), method2(10, 4000)]:
+        texts = [json.dumps(c.to_json_dict()) for c in small]
+        read = [Construction.from_json_dict(json.loads(text)) for text in texts]
+        assert read == small
+        for c in small + read + [witness_construction(classify(6, 4001)), method2(10, 4000)]:
             cert = verify_construction(c, oracle=False)
             assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
-        texts = [json.dumps(c.to_json_dict()) for c in small]
         for read in (
             lambda: verify_construction(method2(3, 3), oracle=True),
             lambda: method1(12, 5, 2).target,
-            lambda: Construction.from_json_dict(json.loads(texts[0])),
         ):
             with pytest.raises(AssertionError, match="operator built"):
                 read()
