@@ -70,7 +70,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -80,10 +79,14 @@ from .hidden_variables import (
     brute_force_solve,
     HVSystem,
     HVVerdict,
+    Row,
+    Support,
     _Encoding,
     _claims_hold,
     _encode,
+    _encode_rows,
     _howell_basis,
+    _operator_items,
     _proves_unsat,
     _variation_rows,
     solve,
@@ -101,7 +104,6 @@ from .operators import (
     _json_list,
     _json_object,
     _json_phase_reader,
-    _with_rotations,
     _within,
 )
 from .phases import RationalPhase, ZERO_PHASE
@@ -127,10 +129,6 @@ __all__ = [
 ]
 
 OperatorItem = tuple[ProductOperator, RationalPhase]
-Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated factor
-Row = tuple[Support, int]  # an operator's support and its claimed eigenphase nu/d
-
-_exponent = itemgetter(1)  # of a (qudit, exponent) pair
 _DENSE_TOLERANCE = 1e-12  # dense oracle: max amplitude error against the exact phase
 
 
@@ -365,49 +363,10 @@ class Construction:
 # ---------------------------------------------------------------------------
 
 
-def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
-    """The family's rows (target last) as the encoding that certification reads.
-
-    It equals ``_encode`` of the rows' operator view: a row's total is
-    the sum of its exponents mod D, which is its collective angle times
-    D.
-    """
-    supports = [support for support, _ in rows]
-    return _Encoding(
-        common,
-        [sum(map(_exponent, support)) % common for support in supports],
-        [claim for _, claim in rows],
-        supports,
-    )
-
-
 def _quoted_phase(num: int, den: int) -> str:
     """The JSON string of the phase num/den, 0 <= num < den, as ``str`` writes it."""
     g = math.gcd(num, den)
     return f'"{num // g}/{den // g}"'
-
-
-def _operator_items(
-    d: int, n: int, common: int, rows: Sequence[Row], phi_o: RationalPhase = ZERO_PHASE
-) -> list[OperatorItem]:
-    """The rows' operator view: one (operator, eigenphase) item per row.
-
-    Each distinct phase, an exponent e's angle e/D or a claim nu's
-    eigenphase nu/d, is one ``RationalPhase`` shared by every row using
-    it, and is phi_o itself where it equals phi_o.
-    """
-    shared = {phi_o: phi_o, ZERO_PHASE: ZERO_PHASE}
-
-    @cache
-    def phase(num: int, den: int) -> RationalPhase:
-        p = RationalPhase(num, den)
-        return shared.setdefault(p, p)
-
-    items = []
-    for support, nu in rows:
-        rotations = tuple([(q, phase(e, common)) for q, e in support])
-        items.append((_with_rotations(d, n, rotations), phase(nu, d)))
-    return items
 
 
 def _check_rows(d: int, n: int, common: int, rows: Sequence[Row]) -> None:

@@ -17,14 +17,18 @@ lexicographically least witness; and a linear functional of the hidden
 variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
 variable columns.  The same elimination factors a family's system in
-variation coordinates (``_encode``): the irreducibility subsystems of
+variation coordinates, from its integer rows over one denominator
+(``_Encoding``; ``_encode`` reads them off operators, ``_encode_rows``
+off rows): the irreducibility subsystems of
 ``constructions.check_irreducible``, the relations of ``invariance_demo``
 and, with its rows tagged, the search for row weights that prove a
-construction UNSAT when its method's own weights do not.  Such a verdict
-is decided only by ``_proves_unsat``, which checks the weights in one
-pass over the rows and reads no basis.  A system checks its
-own invariants when it is built (d >= 2, every index names a variable,
-no label listed twice), so the JSON reader only parses.
+construction UNSAT when its method's own weights do not.  The demo
+builds its family as rows, with no operator, and asks many relations of
+one basis, so it reduces that basis first (``_reduce_basis``).  An
+UNSAT verdict is decided only by ``_proves_unsat``, which checks the
+weights in one pass over the rows and reads no basis.  A system checks
+its own invariants when it is built (d >= 2, every index names a
+variable, no label listed twice), so the JSON reader only parses.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -48,7 +53,7 @@ from .operators import (
     _json_list,
     _json_object,
     _json_phase_reader,
-    _with_angles,
+    _with_rotations,
     _within,
 )
 from .phases import RationalPhase, ZERO_PHASE, as_turns
@@ -70,6 +75,11 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_CAP = 10**6
+
+Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated factor
+Row = tuple[Support, int]  # an operator's support and its claimed eigenphase nu/d
+
+_exponent = itemgetter(1)  # of a (qudit, exponent) pair
 
 
 @dataclass(frozen=True)
@@ -278,10 +288,10 @@ def _encode(
 ) -> _Encoding:
     """The (operator, eigenphase nu/d) items as integer rows over one D.
 
-    The encoder of a family given as operators: ``Construction.from_items``
-    (target last) and ``invariance_demo`` both read it, and
-    ``Construction.from_json_dict`` gives JSON the same rows without
-    operators.  Rejects a claimed eigenphase off the 1/d grid, in item
+    The encoder of a family given as operators, as
+    ``Construction.from_items`` (target last) is.  A family built or read
+    as rows gets the same encoding from ``_encode_rows``, with no
+    operator.  Rejects a claimed eigenphase off the 1/d grid, in item
     order.
     """
     dens = {a.den for op, _ in items for _, a in op.rotations}
@@ -296,6 +306,49 @@ def _encode(
         total = op.collective_angle
         totals.append(total.num * (common // total.den))
     return _Encoding(common, totals, claims, rows)
+
+
+def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
+    """The family's rows as the encoding that certification reads.
+
+    It equals ``_encode`` of the rows' operator view: a row's total is
+    the sum of its exponents mod D, which is its collective angle times
+    D.
+    """
+    supports = [support for support, _ in rows]
+    return _Encoding(
+        common,
+        [sum(map(_exponent, support)) % common for support in supports],
+        [claim for _, claim in rows],
+        supports,
+    )
+
+
+def _operator_items(
+    d: int,
+    n: int,
+    common: int,
+    rows: Iterable[Row],
+    phi_o: RationalPhase = ZERO_PHASE,
+) -> list[tuple[ProductOperator, RationalPhase]]:
+    """The rows' operator view: one (operator, eigenphase) item per row.
+
+    Each distinct phase, an exponent e's angle e/D or a claim nu's
+    eigenphase nu/d, is one ``RationalPhase`` shared by every row using
+    it, and is phi_o itself where it equals phi_o.
+    """
+    shared = {phi_o: phi_o, ZERO_PHASE: ZERO_PHASE}
+
+    @cache
+    def phase(num: int, den: int) -> RationalPhase:
+        p = RationalPhase(num, den)
+        return shared.setdefault(p, p)
+
+    items = []
+    for support, nu in rows:
+        rotations = tuple([(q, phase(e, common)) for q, e in support])
+        items.append((_with_rotations(d, n, rotations), phase(nu, d)))
+    return items
 
 
 def _claims_hold(d: int, enc: _Encoding) -> bool:
@@ -607,6 +660,27 @@ def _reduce(
     return -v.get(-1, 0) % d
 
 
+def _reduce_basis(d: int, basis: list[Optional[dict[int, int]]]) -> None:
+    """Reduce a Howell basis in place, for many ``_reduce`` queries.
+
+    Each pivot row, lowest first, has its entry v on every lower pivot
+    column k, highest first, cut below the pivot h_k by subtracting
+    (v // h_k) * basis[k]: on a unit pivot the entry goes.  Such a step
+    changes no column above k, so a row's pivot is kept, and the rows at
+    columns c and below still span the same module for every c, so the
+    Howell property and every forced value are unchanged.  A query then
+    meets fewer pivot columns in the rows it subtracts.
+    """
+    for c, row in enumerate(basis[:-1]):
+        if row is None:
+            continue
+        k = c
+        while (k := max([j for j in row if 0 <= j < k], default=-1)) >= 0:
+            pivot = basis[k]
+            if pivot is not None and (q := row[k] // pivot[k]):
+                _subtract(d, row, q, pivot)
+
+
 @dataclass(frozen=True)
 class Relation:
     """One linear relation the congruences force (or fail to force)."""
@@ -623,9 +697,11 @@ class Relation:
 class InvarianceReport:
     """A demo's relations, and its label system built on first read.
 
-    ``system`` is ``system_from_operators`` of the demo's own (operator,
-    eigenphase) items, kept privately in ``_items``: no answer reads it,
-    so a demo builds it only if asked.
+    The demo's family is kept privately as its integer rows, the
+    ``_encoding`` that decided the relations.  ``system`` is
+    ``system_from_operators`` of those rows' operator view
+    (``_operator_items``): no answer reads it, so a demo builds its
+    operators and label system only if asked.
     """
 
     d: int
@@ -633,13 +709,13 @@ class InvarianceReport:
     angle: RationalPhase
     relations: tuple[Relation, ...]
     partition: Optional[tuple[int, int]]
-    _items: tuple[tuple[ProductOperator, RationalPhase], ...] = field(
-        repr=False, compare=False
-    )
+    _encoding: _Encoding = field(repr=False, compare=False)
 
     @cached_property
     def system(self) -> HVSystem:
-        return system_from_operators(self.d, self._items)
+        enc = self._encoding
+        rows = zip(enc.rows, enc.claims)
+        return system_from_operators(self.d, _operator_items(self.d, self.n, enc.common, rows))
 
     @property
     def all_forced(self) -> bool:
@@ -689,18 +765,22 @@ def invariance_demo(
     statement for every phi.
 
     The relations are decided in the family's variation coordinates, as
-    certification decides UNSAT (``constructions._exact_checks``): the
-    items are encoded once (``_encode``), every claimed eigenphase is
-    checked exactly against its collective angle (ValueError if one is
-    off), the variation rows S + y(i, phi) + y(j, -phi) are factored once,
-    and a relation, the functional sum of c*y(i, a), is reduced by that
-    basis (``_reduce``).  The change of variables is unimodular, so each
-    value equals ``forced_value`` of the same sum of variations on the
-    label system ``report.system``.  The demo builds that system only
-    when it is first read, from the report's own items.  It has N labels
-    on each operator, so a demo over the construction JSON's limit of N
-    times the operator count is refused, as before, before any operator
-    is built.
+    certification decides UNSAT (``constructions._exact_checks``).  The
+    family is built straight as its integer rows over D = lcm(d, the
+    denominators of phi and phi*n1/n2), the encoding that ``_encode``
+    gives its operators, with no operator built: X^N's empty row, then per
+    ordered pair (``_pair_rows``) and, with a partition, the same at the
+    scaled angle and the group row, all claimed at eigenphase 0.  Every
+    claim is checked exactly against its row's total (ValueError if one
+    is off), the variation rows S + y(i, phi) + y(j, -phi) are factored
+    once, that basis is reduced (``_reduce_basis``), and a relation, the
+    functional sum of c*y(i, a), is reduced by it (``_reduce``).  The
+    change of variables is unimodular, so each value equals
+    ``forced_value`` of the same sum of variations on the label system
+    ``report.system``.  The demo builds that system, and its operators,
+    only when it is first read, from the report's own rows.  It has N
+    labels on each operator, so a demo over the construction JSON's limit
+    of N times the operator count is refused before any row is built.
     """
     _check_cell(d, n)
     count = 1 + n * (n - 1)  # X^N and one operator per ordered pair of qudits
@@ -709,30 +789,31 @@ def invariance_demo(
     _check_json_size(n, count, "an invariance demo of")
     phi = RationalPhase.from_fraction(as_turns(angle))
     neg_phi = -phi
-    pairs = list(itertools.permutations(range(n), 2))
-    items = [(_with_angles(d, n, {}), ZERO_PHASE)]
-    items += [(_with_angles(d, n, {i: phi, j: neg_phi}), ZERO_PHASE) for i, j in pairs]
-
+    lam_phi = ZERO_PHASE
     if partition is not None:
         n1, n2 = partition
         if n1 < 1 or n2 <= n1 or n1 + n2 != n:
             raise ValueError("partition must split all qudits with n2 > n1 >= 1")
         lam_phi = RationalPhase.from_fraction(as_turns(angle) * Fraction(n1, n2))
-        neg_lam = -lam_phi
-        items += [
-            (_with_angles(d, n, {i: lam_phi, j: neg_lam}), ZERO_PHASE) for i, j in pairs
-        ]
-        group = {i: phi for i in range(n1)}
-        group.update({i: neg_lam for i in range(n1, n)})
-        items.append((_with_angles(d, n, group), ZERO_PHASE))
+    common = math.lcm(d, phi.den, lam_phi.den)
 
-    enc = _encode(d, items)
+    def exponent(a: RationalPhase) -> int:
+        return a.num * (common // a.den)
+
+    up, down = exponent(phi), exponent(neg_phi)
+    rows = [((), 0), *_pair_rows(n, up, down)]
+    if partition is not None:
+        lam_up, lam_down = exponent(lam_phi), exponent(-lam_phi)
+        rows += _pair_rows(n, lam_up, lam_down)
+        group = [(i, up) for i in range(n1) if up]
+        group += [(i, lam_down) for i in range(n1, n) if lam_down]
+        rows.append((tuple(group), 0))
+
+    enc = _encode_rows(common, rows)
     if not _claims_hold(d, enc):
         raise ValueError("a demo operator's claimed eigenphase is not its exact one")
     basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
-
-    def exponent(a: RationalPhase) -> int:
-        return a.num * (enc.common // a.den)
+    _reduce_basis(d, basis)
 
     def probe(description: str, *terms: tuple[int, int, int]) -> Relation:
         # a term (c, i, e) is c*dX_i(e/D) on qudit position i (from 0), where
@@ -751,10 +832,9 @@ def invariance_demo(
         return Relation(description, _reduce(d, basis, v))
 
     plus, minus = str(phi), str(neg_phi)
-    up, down = exponent(phi), exponent(neg_phi)
     relations = [
         probe(f"dX_{i + 1}({plus}) + dX_{j + 1}({minus})", (1, i, up), (1, j, down))
-        for i, j in pairs
+        for i, j in itertools.permutations(range(n), 2)
     ]
     relations += [
         probe(f"dX_{i + 1}({plus}) - dX_1({plus})", (1, i, up), (-1, 0, up))
@@ -766,8 +846,21 @@ def invariance_demo(
             probe(
                 f"{n1}*dX_1({plus}) - {n2}*dX_1({lam_phi})",
                 (n1, 0, up),
-                (-n2, 0, exponent(lam_phi)),
+                (-n2, 0, lam_up),
             )
         )
 
-    return InvarianceReport(d, n, phi, tuple(relations), partition, tuple(items))
+    return InvarianceReport(d, n, phi, tuple(relations), partition, enc)
+
+
+def _pair_rows(n: int, up: int, down: int) -> list[Row]:
+    """The demo's net-angle-zero rows, one per ordered pair (i, j) of qudits:
+    X at exponent up on qudit i and at down on qudit j, in qudit order,
+    claimed at eigenphase 0.  At up = 0 (so down = 0) each is X^N's row.
+    """
+    if not up:
+        return [((), 0)] * (n * (n - 1))
+    return [
+        (((i, up), (j, down)) if i < j else ((j, down), (i, up)), 0)
+        for i, j in itertools.permutations(range(n), 2)
+    ]

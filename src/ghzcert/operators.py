@@ -343,12 +343,6 @@ def _column_phases(factor: MonomialOp) -> np.ndarray:
     return np.array([p.to_complex() for p in factor.phases])
 
 
-def _with_angles(d: int, n: int, placed: dict[int, RationalPhase]) -> ProductOperator:
-    """N-qudit product with the given angles at 0-based positions, 0 elsewhere."""
-    rotations = tuple(sorted([(q, a) for q, a in placed.items() if a.num]))
-    return _with_rotations(d, n, rotations)
-
-
 def _with_rotations(
     d: int, n: int, rotations: tuple[tuple[int, RationalPhase], ...]
 ) -> ProductOperator:

@@ -513,7 +513,6 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
         "Construction",
         "RationalPhase",
         "_operator_items",
-        "_with_rotations",
         "_encode",
         "_howell_basis",
         "_dense_recheck",
@@ -524,6 +523,7 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
         "system_from_operators",
     ):
         monkeypatch.setattr(constructions, name, refuse)
+    monkeypatch.setattr(hidden_variables, "_with_rotations", refuse)
     monkeypatch.setattr(constructions, "_bases_apart", counted)
     for cell in classify_plane(12, 12):
         constructions._witness_rows(cell)
@@ -1082,7 +1082,7 @@ def test_constructed_families_build_operators_only_when_read(monkeypatch):
         raise AssertionError("operator built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(constructions, "_with_rotations", refuse)
+        patched.setattr(hidden_variables, "_with_rotations", refuse)
         small = [method1(12, 5, 2), method2(10, 200), method3(1000003, 3)]
         texts = [json.dumps(c.to_json_dict()) for c in small]
         read = [Construction.from_json_dict(json.loads(text)) for text in texts]

@@ -699,16 +699,17 @@ def test_invariance_demo_zero_angle_is_trivial():
 
 def test_invariance_demo_is_refused_above_the_json_limit(monkeypatch):
     # 1 + N(N-1) operators of N labels each, twice as many with a partition;
-    # an over-limit demo is refused before any operator is built
+    # an over-limit demo is refused before its pair rows, the first of its
+    # family that it builds
     def build(*args):
-        raise AssertionError("an operator was built")
+        raise AssertionError("a row was built")
 
-    monkeypatch.setattr(hidden_variables, "_with_angles", build)
+    monkeypatch.setattr(hidden_variables, "_pair_rows", build)
     for n, partition in [(162, None), (129, (64, 65))]:
         with pytest.raises(ValueError, match="angle entries, over the limit of 4194304"):
             invariance_demo(3, n, RationalPhase(1, 12), partition)
     for n, partition in [(161, None), (128, (63, 65))]:  # the largest accepted N
-        with pytest.raises(AssertionError, match="an operator was built"):
+        with pytest.raises(AssertionError, match="a row was built"):
             invariance_demo(3, n, RationalPhase(1, 12), partition)
 
 
@@ -823,12 +824,22 @@ def test_invariance_demo_builds_no_label_basis(monkeypatch):
         (8, 8, RationalPhase(7, 64), (3, 5)),
         (4, 3, ZERO_PHASE, None),
     ]
+    def no_operator(*args):
+        raise AssertionError("operator built")
+
     builder = hidden_variables.system_from_operators
+    rotations = hidden_variables._with_rotations
     for d, n, angle, partition in cases:
+        # the demo runs on integer rows: no operator either, until the
+        # label system is read
         monkeypatch.setattr(hidden_variables, "system_from_operators", refuse)
+        monkeypatch.setattr(hidden_variables, "_with_rotations", no_operator)
         report = invariance_demo(d, n, angle, partition)
         assert report.all_forced
         monkeypatch.setattr(hidden_variables, "system_from_operators", builder)
+        with pytest.raises(AssertionError, match="operator built"):
+            report.system
+        monkeypatch.setattr(hidden_variables, "_with_rotations", rotations)
         assert len(report.system.constraints) > n
         assert report.system is report.system  # built once, on first read
 
@@ -879,18 +890,107 @@ def test_lazy_demo_system_equals_the_eagerly_built_one():
     assert '"3/40"' in texts[Fraction(1, 8)]
 
 
+def test_invariance_demo_rows_are_the_encoding_of_its_operators():
+    # the rows the demo builds are _encode of its family built operator by
+    # operator: every partition of each small cell, at angles that are 0,
+    # their own negative (1/2), signed (-1/12) or past a whole turn (9/8)
+    cases = 0
+    for d in range(2, 10):
+        for n in range(3, 8):
+            partitions = [None] + [(k, n - k) for k in range(1, n) if n - k > k]
+            angles = [ZERO_PHASE, RationalPhase(1, 2), RationalPhase(2, 3)]
+            angles += [RationalPhase(1, 12), RationalPhase(5, 2 * d * n)]
+            angles += [Fraction(9, 8), Fraction(-1, 12)]
+            for angle, partition in itertools.product(angles, partitions):
+                enc = invariance_demo(d, n, angle, partition)._encoding
+                expected = hidden_variables._encode(d, demo_family(d, n, angle, partition))
+                assert enc.common == expected.common
+                assert enc.rows == expected.rows
+                assert enc.totals == expected.totals
+                assert enc.claims == expected.claims
+                cases += 1
+    assert cases == 784
+
+
+def test_reduced_basis_answers_as_the_plain_basis():
+    # _reduce_basis keeps every pivot and every forced value, where pivots
+    # need not be units: functionals that are combinations of the rows
+    # (forced) or random (mostly not) reduce to the same value against the
+    # reduced basis as against the plain one, on systems solved by a
+    # random point and on demo families in variation coordinates
+    rng = random.Random(30)
+    outcomes = Counter()
+
+    def check(d, n, rows, functionals):
+        plain = hidden_variables._howell_basis(d, n, rows)
+        reduced = hidden_variables._howell_basis(d, n, rows)
+        hidden_variables._reduce_basis(d, reduced)
+        assert [row is None for row in reduced] == [row is None for row in plain]
+        outcomes["reduced"] += reduced != plain
+        for c, row in enumerate(reduced[:-1]):
+            if row is not None:
+                assert row[c] == plain[c][c] and d % row[c] == 0
+                for k, v in row.items():
+                    if 0 <= k < c and reduced[k] is not None:
+                        assert v < reduced[k][k]
+        for v, expected in functionals:
+            value = hidden_variables._reduce(d, reduced, dict(v))
+            assert value == hidden_variables._reduce(d, plain, dict(v))
+            if expected is not None:
+                assert value == expected
+            outcomes[d, value is None] += 1
+
+    for d in (4, 6, 8, 9, 12):
+        for _ in range(25):
+            n = rng.randint(2, 9)
+            x = [rng.randrange(d) for _ in range(n)]
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                row = {j: rng.randrange(1, d) for j in rng.sample(range(n), rng.randint(1, n))}
+                if rhs := sum(c * x[j] for j, c in row.items()) % d:
+                    row[-1] = rhs
+                rows.append(row)
+            functionals = []
+            for _ in range(6):
+                weights = [rng.randrange(d) for _ in rows]
+                v = Counter()
+                for w, row in zip(weights, rows):
+                    for j, c in row.items():
+                        v[j] += w * c
+                rhs = v.pop(-1, 0) % d
+                forced = {j: c % d for j, c in v.items() if c % d}
+                functionals.append((forced, rhs))
+                free = {j: rng.randrange(1, d) for j in rng.sample(range(n), rng.randint(1, n))}
+                functionals.append((free, None))
+            check(d, n, rows, functionals)
+        demos = [(4, RationalPhase(1, 12), None), (5, RationalPhase(1, 2 * d), (2, 3))]
+        for n, angle, partition in demos:
+            enc = invariance_demo(d, n, angle, partition)._encoding
+            width = len(enc.variations) + 1
+            functionals = []
+            for _ in range(20):
+                columns = rng.sample(range(width), rng.randint(1, 3))
+                functionals.append(({j: rng.randrange(1, d) for j in columns}, None))
+            check(d, width, hidden_variables._variation_rows(enc), functionals)
+    for d in (4, 6, 8, 9, 12):
+        assert outcomes[d, True] > 20 and outcomes[d, False] > 20
+    assert outcomes["reduced"] > 50  # of 135 bases
+
+
 TAMPERED_DEMO = """
 from ghzcert import RationalPhase, hidden_variables
 
-real = hidden_variables._with_angles
+real = hidden_variables._pair_rows
 
 
-def tampered(d, n, placed):
-    # X^N gains a factor at 1/d: an eigenoperator at 1/d, claimed at 0
-    return real(d, n, placed or {0: RationalPhase(1, d)})
+def tampered(n, up, down):
+    # the first pair loses its factor at -phi: an eigenoperator at phi,
+    # claimed at 0
+    (support, claim), *rest = real(n, up, down)
+    return [(support[:1], claim), *rest]
 
 
-hidden_variables._with_angles = tampered
+hidden_variables._pair_rows = tampered
 try:
     hidden_variables.invariance_demo(4, 3, RationalPhase(1, 12))
 except ValueError as exc:

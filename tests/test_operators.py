@@ -18,7 +18,7 @@ from ghzcert import (
     make_z,
 )
 from ghzcert import operators
-from ghzcert.operators import _DenseTables, _with_angles
+from ghzcert.operators import _DenseTables, _with_rotations
 
 
 def random_phase(rng, max_den=40):
@@ -198,7 +198,7 @@ def test_product_operator_stores_only_rotated_factors():
     p = ProductOperator(3, (z, a, z, b, z))
     assert p.n == 5 and p.rotations == ((1, a), (3, b))
     assert p.angles == (z, a, z, b, z)
-    assert p == _with_angles(3, 5, {3: b, 1: a, 4: z})
+    assert p == _with_rotations(3, 5, ((1, a), (3, b)))
     assert p.collective_angle == RationalPhase(7, 9)
     plain = ProductOperator(3, (z,) * 4)
     assert plain.rotations == () and plain.collective_angle == z
