@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -111,13 +113,27 @@ def _emit(payload: dict | list | Construction, output: str | None) -> None:
     """Print the payload as indented JSON, after writing it to output.
 
     The text is written piece by piece, so it is held once, as its
-    pieces, and never joined or encoded whole.
+    pieces, and never joined or encoded whole.  An existing output file
+    is rewritten in place and then cut at the end of the new text:
+    opening it with truncation makes ext4 flush it to disk on close
+    (its replace-via-truncate heuristic), several times the cost of the
+    write.  Only a regular file is cut, so a device such as /dev/null or
+    a pipe takes the text as it is.  A crash in the middle of the write
+    leaves the new text's prefix followed by a stale tail of the old
+    file.  ``verify`` checks such a file as it reads it: it refuses it
+    with exit code 2 unless the mixed text happens to be a well-formed
+    family, and then certifies it only if that family passes every
+    check, as for any file.
     """
     pieces = _json_pieces(payload)
     if output:
-        with open(output, "w", encoding="utf-8") as file:
+        fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as file:
             file.writelines(pieces)
             file.write("\n")
+            file.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     sys.stdout.writelines(pieces)
     sys.stdout.write("\n")
 

@@ -56,10 +56,12 @@ witness in the labels, and for the exhaustive oracle, which so stays
 independent of the variation coordinates.  The dense oracle checks the
 eigenphases of the encoding against tensor numerics and against each
 operator's exact collective angle, so it guards the engine that
-decides.  The irreducibility probe solves one reduced system per qudit
-orbit: qudits that a permutation of the family's rows onto themselves
-links (the cyclic placements of method 1, the plain qudits of methods 2
-and 3) share a flag.
+decides.  The irreducibility probe sets a flag True only with a
+solution of the reduced system, checked on every kept row: the
+methods' families are solved by closed-form witnesses in one pass over
+the rows.  Only a qudit that no witness solves takes an elimination,
+one per qudit orbit: qudits that a permutation of the family's rows
+onto themselves links share a flag.
 """
 
 from __future__ import annotations
@@ -1013,6 +1015,61 @@ def _qudit_orbits(rows: list[Support], n: int) -> list[int]:
     return first
 
 
+def _blocks_witness_holds(d: int, n: int, enc: _Encoding) -> bool:
+    """Does method 1's witness solve the reduced system of every qudit?
+
+    With f = D/d, method 1's block length, the witness for qudit k is
+    S = 0 and y(q, 1) = 1 exactly on the qudits q != k with
+    ((q - k - 1) mod N) mod f == 0, every other variation 0.  It solves
+    every kept reduced row of every k when each row is empty or a block
+    of f cyclically consecutive qudits at exponent 1, and that is what
+    one pass over the rows checks.  An empty row has total 0, so it is
+    kept with rhs 0 and holds no variation.  A block has total f and
+    rhs 1.  A block through k leaves the grid, unless f = 1, when it
+    keeps total and rhs 0 with no variation left.  Deleting k cuts the
+    cycle of N qudits into a path starting at k+1, on which any other
+    block is f consecutive places, so it holds exactly one marked qudit.
+    """
+    f = enc.common // d
+    for support in enc.rows:
+        if not support:
+            continue
+        if len(support) != f or any(e != 1 for _, e in support):
+            return False
+        if support[-1][0] - support[0][0] != f - 1 and any(
+            q != i and q != n - f + i for i, (q, _) in enumerate(support)
+        ):
+            return False  # neither consecutive nor wrapped from N-1 to 0
+    return True
+
+
+def _common_rhs_witnesses(d: int, n: int, enc: _Encoding) -> list[bool]:
+    """Per qudit k: is y = 0, S = v a solution of the reduced system without k?
+
+    It is when every kept reduced row has right-hand side v, as in every
+    reduced system of methods 2 and 3, whose target is what the deletion
+    drops.  v is the most common rhs of the rows on the grid.  One pass
+    over the rows counts, for every k at once, the kept rows of k's
+    system whose rhs is not v: those on the grid off v, less the ones
+    that rotate k, plus the rows that rotate k and are kept off v once k
+    is deleted.  A qudit left False may still have a solution, which
+    ``check_irreducible`` then looks for otherwise.
+    """
+    step = enc.common // d
+    keys = [t // step if t % step == 0 else -1 for t in enc.totals]
+    counts = Counter(key for key in keys if key >= 0)
+    v = max(counts, key=counts.__getitem__, default=0)
+    off = [sum(counts.values()) - counts[v]] * n
+    for t, key, support in zip(enc.totals, keys, enc.rows):
+        for q, e in support:
+            if key >= 0 and key != v:
+                off[q] -= 1
+            r = t - e
+            if r % step == 0 and r % enc.common // step != v:
+                off[q] += 1
+    return [m == 0 for m in off]
+
+
 def check_irreducible(c: Construction) -> tuple[bool, ...]:
     """Per qudit: does deleting that qudit destroy the contradiction?
 
@@ -1024,23 +1081,35 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
     t = total - e_k, with e_k the exponent of the row's factor on qudit k
     (0 if the row leaves k unrotated): it is kept iff t % (D/d) == 0,
     with right-hand side (t mod D)/(D/d), and its congruence is the full
-    row's with qudit k's factor dropped.  One reduced system is solved
-    per qudit orbit (``_qudit_orbits``), and its flag is copied to every
-    qudit of the orbit.
+    row's with qudit k's factor dropped.
 
-    The reduced systems are solved in the encoding's variation
-    coordinates (see ``_exact_checks``): a reduced row is S plus the y of
-    its rotated factors off qudit k, with S the sum of x(q, 0) over the
-    kept qudits, which is onto Z_d since some qudit is kept.  So one pass
-    over a row's support gives e_k and the row's variables.
+    The reduced systems are read in the encoding's variation coordinates
+    (see ``_exact_checks``): a reduced row is S plus the y of its rotated
+    factors off qudit k, with S the sum of x(q, 0) over the kept qudits,
+    which is onto Z_d since some qudit is kept.
+
+    Witness first, per-orbit elimination as the fallback.  A flag is True
+    only with a solution that is checked on every kept row, and each
+    witness is checked for every qudit at once in one pass over the rows,
+    O(nnz): method 1's (``_blocks_witness_holds``), then y = 0 with S the
+    common rhs (``_common_rhs_witnesses``), which solves methods 2 and 3.
+    The qudits that no witness solves, as in a family with a False flag,
+    are grouped into orbits (``_qudit_orbits``), and one Howell
+    elimination of each orbit's first qudit decides the orbit.
     """
     enc = c._encoding
+    if _blocks_witness_holds(c.d, c.n, enc):
+        return (True,) * c.n
+    flags = _common_rhs_witnesses(c.d, c.n, enc)
+    if all(flags):
+        return tuple(flags)
     step = enc.common // c.d
     first = _qudit_orbits(enc.rows, c.n)
-    flags: list[bool] = []
     for k in range(c.n):
         if first[k] != k:
-            flags.append(flags[first[k]])
+            flags[k] = flags[first[k]]
+            continue
+        if flags[k]:
             continue
         reduced = []
         for total, support in zip(enc.totals, enc.rows):
@@ -1056,7 +1125,7 @@ def check_irreducible(c: Construction) -> tuple[bool, ...]:
                 if t % enc.common:
                     row[-1] = t % enc.common // step
                 reduced.append(row)
-        flags.append(_howell_basis(c.d, len(enc.variations) + 1, reduced)[-1] is None)
+        flags[k] = _howell_basis(c.d, len(enc.variations) + 1, reduced)[-1] is None
     return tuple(flags)
 
 

@@ -197,7 +197,32 @@ def test_construct_output_failure_prints_no_payload(tmp_path, capsys):
         capsys, "construct", "--d", "3", "--n", "4", "--output", str(path)
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and str(path) in err
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_construct_output_rewrites_a_longer_file_exactly(tmp_path, capsys):
+    # the file is rewritten in place and cut at the end of the new text
+    path = tmp_path / "c.json"
+    assert run(capsys, "construct", "--d", "12", "--n", "40", "--output", str(path))[0] == 0
+    longer = path.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "construct", "--d", "3", "--n", "4", "--output", str(path))
+    assert code == 0 and len(out) < len(longer)
+    assert path.read_text(encoding="utf-8") == out
+    assert run(capsys, "construct", "--d", "3", "--n", "4", "--output", str(path))[1] == out
+    assert path.read_text(encoding="utf-8") == out
+    # a write cut short leaves the new text's prefix on the old tail,
+    # which verify refuses
+    path.write_text(out[: len(out) // 2] + longer[len(out) // 2 :], encoding="utf-8")
+    code, verified, err = run(capsys, "verify", str(path))
+    assert code == 2 and verified == "" and err.startswith("error: ")
+
+
+def test_construct_output_to_a_device_or_a_pipe_is_not_cut(capsys):
+    code, out, err = run(capsys, "construct", "--d", "3", "--n", "4", "--output", os.devnull)
+    assert code == 0 and err == "" and json.loads(out)["d"] == 3
+    if os.path.exists("/dev/stdout"):  # a fresh process's stdout is a pipe
+        code, piped, err = run_fresh("construct", "--d", "3", "--n", "4", "--output", "/dev/stdout")
+        assert code == 0 and err == "" and piped == out + out
 
 
 _json_scalars = (

@@ -936,8 +936,9 @@ def test_check_irreducible_matches_reference_on_nearly_symmetric_families(data):
 
 
 def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
-    from ghzcert import constructions
-
+    # the methods' own families are decided by their witnesses with no
+    # elimination; a qudit that no witness solves takes one elimination
+    # per orbit
     solves = []
 
     def counted(*args):
@@ -945,31 +946,36 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
         return _howell_basis(*args)
 
     monkeypatch.setattr(constructions, "_howell_basis", counted)
-    # the N cyclic placements of method 1 are one orbit
-    assert check_irreducible(method1(40, 39, 2)) == (True,) * 39
-    assert len(solves) == 1
-    # method 2's plain qudits 2..N-2 are one orbit; qudits 1, N-1, N are
-    # each their own
-    solves.clear()
-    assert check_irreducible(method2(6, 30)) == (True,) * 30
-    assert len(solves) == 4
+    for c in [method1(40, 39, 2), method1(12, 7, 6), method2(6, 30), method3(97, 5)]:
+        assert check_irreducible(c) == (True,) * c.n
+    assert solves == []
     # a reduced system never reads a claimed eigenphase, so changing one
-    # claim keeps the orbits
+    # claim keeps the witness
     c = method2(6, 30)
     items = c.all_items()
     items[6] = (items[6][0], RationalPhase(1, 6))
     claimed = with_items(c, items)
-    solves.clear()
     flags = check_irreducible(claimed)
-    assert len(solves) == 4
+    assert solves == []
     assert flags == reference_irreducible(claimed)
+    # X^N rotated by 1/d on qudit 0 is kept at rhs 1 beside the pairs at
+    # rhs 0, so y = 0 fails unless qudit 0 is deleted.  The other orbits
+    # take one elimination each: the plain qudits 2..N-2, then N-1 and N
+    rows = list(c.rows)
+    rows[0] = (((0, c.common // c.d),), 0)
+    moved = Construction(c.d, c.n, 2, c.phi_o, c.common, tuple(rows))
+    assert check_irreducible(moved) == (True,) * c.n
+    assert len(solves) == 3
     # one changed angle breaks the cyclic symmetry, and the flags differ
     c = method1(6, 5, 2)
     items = c.all_items()
     items[1] = changed_at(items[1], 3, RationalPhase(1, 12))
     perturbed = with_items(c, items)
     expected = (False, False, True, True, True)
+    solves.clear()
     assert check_irreducible(perturbed) == reference_irreducible(perturbed) == expected
+    assert len(solves) == len(set(constructions._qudit_orbits(perturbed._encoding.rows, 5)))
+    assert len(solves) == 5
     # only the row (0, 1/4, 1/4, 0, 0) differs at qudits 3 and 4, and the
     # family lacks its swap, so that transposition is no symmetry
     z, q, h = ZERO_PHASE, RationalPhase(1, 4), RationalPhase(1, 2)
@@ -988,7 +994,78 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
     items = [(ProductOperator(2, r), h if any(a != z for a in r) else z) for r in rows]
     uneven = Construction.from_items(2, 5, 1, q, items, 2)
     expected = (True, True, True, False, True)
+    solves.clear()
     assert check_irreducible(uneven) == reference_irreducible(uneven) == expected
+    assert len(solves) == 5
+
+
+def solves_reduced(c, k, s, y):
+    """Do S = s and the variations y, by label (qudit, exponent) and 0 where
+    absent, solve every kept row of c's reduced system without qudit k?"""
+    step = c.common // c.d
+    for support, _ in c.rows:
+        t = sum(e for q, e in support if q != k)
+        lhs = s + sum(y.get(label, 0) for label in support if label[0] != k)
+        if t % step == 0 and (lhs - t // step) % c.d:
+            return False
+    return True
+
+
+def test_irreducibility_witnesses_solve_every_system_they_flag():
+    # families of cyclic blocks at mostly exponent 1, some rows replaced
+    # by others: where a witness is claimed, the witness itself, written
+    # out from its closed form, solves each reduced system
+    rng = random.Random(31)
+    claimed = Counter()
+    for _ in range(400):
+        d = rng.choice([2, 3, 4, 6, 8, 9])
+        f = rng.choice([f for f in range(1, d + 1) if d % f == 0])
+        n = rng.randint(max(3, f + 1), f + 6)
+        common = f * d
+        rows = [((), 0)]
+        for start in rng.sample(range(n), rng.randint(1, n)):
+            qudits = sorted({(start + i) % n for i in range(f)})
+            if rng.random() < 0.1:
+                qudits = sorted(rng.sample(range(n), rng.choice([f, rng.randint(1, n)])))
+            exponents = [1 if rng.random() < 0.8 else rng.randrange(1, common) for _ in qudits]
+            rows.append((tuple(zip(qudits, exponents)), 0))
+        c = Construction(d, n, 1, RationalPhase(1, common), common, tuple(rows))
+        if constructions._blocks_witness_holds(d, n, c._encoding):
+            claimed["blocks"] += 1
+            for k in range(n):
+                y = {(q, 1): 1 for q in range(n) if q != k and (q - k - 1) % n % f == 0}
+                assert solves_reduced(c, k, 0, y), (rows, k)
+        for k, flag in enumerate(constructions._common_rhs_witnesses(d, n, c._encoding)):
+            if flag:
+                claimed["common"] += 1
+                assert any(solves_reduced(c, k, s, {}) for s in range(d)), (rows, k)
+    assert claimed["blocks"] > 50 and claimed["common"] > 50
+
+
+def test_irreducibility_witnesses_match_the_literal_probe():
+    # every family with d, N <= 8 (auto and each explicit method, every
+    # factor f for method 1) and 25 cells drawn from d, N <= 40, as built
+    # and read back with its supporting rows reversed: the flags equal the
+    # literal probe's, and the built families take no elimination
+    cells = [(d, n) for d in range(2, 9) for n in range(3, 9)]
+    rng = random.Random(31)
+    cells += [(rng.randint(9, 40), rng.randint(3, 40)) for _ in range(25)]
+    families = []
+    for d, n in cells:
+        families.append(witness_construction(classify(d, n)))
+        families += [method1(d, n, f) for f in range(2, min(d, n - 1) + 1) if d % f == 0]
+        families += [method2(d, n)] + ([method3(d, n)] if n < d else [])
+    families = [c for c in families if isinstance(c, Construction)]
+    for c in families:
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(constructions, "_howell_basis", pytest.fail)
+            flags = check_irreducible(c)
+        *supporting, target = c.rows
+        reordered = Construction(
+            c.d, c.n, c.method, c.phi_o, c.common, (*supporting[::-1], target), None, c.f
+        )
+        assert flags == check_irreducible(reordered) == reference_irreducible(c), c
+    assert len(families) > 200
 
 
 def label_path(c):
@@ -1329,10 +1406,25 @@ def test_verified_plane_decides_with_no_elimination(monkeypatch):
     assert sum(1 for _ in classify_plane(24, 24, verify=True)) == 506
 
 
+def test_witness_families_certify_with_no_elimination(monkeypatch):
+    # every witness family of the 48x48 plane: proofs decide UNSAT and
+    # witnesses set every irreducibility flag
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(constructions, "_howell_basis", refuse)
+    monkeypatch.setattr(hidden_variables, "_howell_basis", refuse)
+    for cell in classify_plane(48, 48):
+        cert = verify_construction(witness_construction(cell), oracle=False)
+        assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
+
+
 def test_certificates_decide_unsat_by_their_methods_weights(monkeypatch):
     # a constructed family and the same family read back from JSON: the
-    # method's weights decide UNSAT, and the elimination runs once per
-    # irreducibility orbit and never for the verdict
+    # method's weights decide UNSAT and witnesses the irreducibility
+    # flags, so no elimination runs.  A method-3 family read back with its
+    # supporting operators reversed takes one tagged elimination for its
+    # verdict, and its flags still need none
     cells = [(12, 5), (9, 6), (7, 3), (31, 29), (97, 5), (24, 40)]
     families = [witness_construction(classify(d, n)) for d, n in cells]
     families += [Construction.from_json_dict(c.to_json_dict()) for c in families]
@@ -1342,11 +1434,15 @@ def test_certificates_decide_unsat_by_their_methods_weights(monkeypatch):
         constructions, "_howell_basis", lambda *args: calls.append(args) or real(*args)
     )
     for c in families:
-        calls.clear()
         cert = verify_construction(c, oracle=False)
-        assert cert.certified
-        orbits = set(constructions._qudit_orbits(c._encoding.rows, c.n))
-        assert len(calls) == len(orbits)
+        assert cert.certified and all(cert.irreducible)
+    assert calls == []
+    c = method3(97, 5)
+    reordered = with_items(c, [*c.operators[::-1], c.target])
+    reordered = Construction.from_json_dict(reordered.to_json_dict())
+    cert = verify_construction(reordered, oracle=False)
+    assert cert.certified and all(cert.irreducible)
+    assert len(calls) == 1 and calls[0][2][0].get(-2) == 1  # the tagged elimination
 
 
 def test_unsat_fallback_proves_families_whose_method_gives_no_proof(monkeypatch):
