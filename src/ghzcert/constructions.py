@@ -25,10 +25,10 @@ pairs in qudit order with exponents in [1, D), and its claimed
 eigenphase nu of nu/d.  The methods build rows, and a ``Construction``
 stores only those; its operator view of ``ProductOperator``s and
 ``RationalPhase`` angles is built on first read, by the dense oracle,
-the label system or the public API.  A family read from JSON is read
-straight into rows (``from_json_dict``), and one assembled from
-operators enters through ``from_items``; neither keeps an operator.
-Both commands write a construction's JSON from its rows.
+the label system or the public API.  A family enters only as rows:
+from a method, through the constructor, or read from JSON straight into
+rows (``from_json_dict``), with no operator built.  Both commands write
+a construction's JSON from its rows.
 
 A certificate bundles exact quantum checks (every claimed eigenphase
 recomputed), the unsolvability verdict, numeric and exhaustive oracle
@@ -85,7 +85,6 @@ from .hidden_variables import (
     Support,
     _Encoding,
     _claims_hold,
-    _encode,
     _encode_rows,
     _howell_basis,
     _operator_items,
@@ -185,34 +184,6 @@ class Construction:
         _check_cell(self.d, self.n)
         _check_rows(self.d, self.n, self.common, self.rows)
 
-    @classmethod
-    def from_items(
-        cls,
-        d: int,
-        n: int,
-        method: int,
-        phi_o: RationalPhase,
-        items: Sequence[OperatorItem],
-        f: Optional[int] = None,
-        chain: Optional[tuple[int, ...]] = None,
-    ) -> "Construction":
-        """The family of the (operator, eigenphase) items, target last.
-
-        Checks the cell and every operator's shape, then encodes the items
-        with ``_encode``, which rejects a claim off the 1/d grid and reads
-        each operator's collective angle, and keeps the rows and claims;
-        ``_encoding`` sums the totals again from the rows on first read.
-        """
-        _check_cell(d, n)
-        for op, _ in items:
-            if op.d != d:
-                raise ValueError(f"operator has dimension {op.d} but d = {d}")
-            if op.n != n:
-                raise ValueError(f"operator has {op.n} factors but n = {n}")
-        enc = _encode(d, items)
-        rows = tuple(zip(enc.rows, enc.claims))
-        return cls(d, n, method, phi_o, enc.common, rows, None, f, chain)
-
     @cached_property
     def _items(self) -> tuple[OperatorItem, ...]:
         """The operator view of the rows, target last, sharing phi_o."""
@@ -306,10 +277,10 @@ class Construction:
         Each entry becomes its (support, claim) row with no operator
         built: each distinct angle text is read once and becomes an
         exponent over D = lcm(d, every angle denominator).  The checks
-        and their order are those of building each entry's operator and
-        then ``from_items``: per entry its angles, d and its factor count;
-        then the cell, every entry's width, and the claims on the 1/d
-        grid in entry order.
+        run in this order: per entry, target last, its angles, then d,
+        then that it has a factor, then its claim's text; then the cell,
+        every entry's width against n, and the claims on the 1/d grid in
+        entry order.
         """
         keys = ("d", "n", "method", "phi_o", "operators", "target")
         data = _json_object(data, "construction", *keys)

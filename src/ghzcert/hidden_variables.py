@@ -18,17 +18,17 @@ variables is forced (constant across all solutions) iff it lies in the
 row space of A mod d, i.e. iff the basis reduces it to zero on the
 variable columns.  The same elimination factors a family's system in
 variation coordinates, from its integer rows over one denominator
-(``_Encoding``; ``_encode`` reads them off operators, ``_encode_rows``
-off rows): the irreducibility subsystems of
-``constructions.check_irreducible``, the relations of ``invariance_demo``
-and, with its rows tagged, the search for row weights that prove a
-construction UNSAT when its method's own weights do not.  The demo
-builds its family as rows, with no operator, and asks many relations of
-one basis, so it reduces that basis first (``_reduce_basis``).  An
-UNSAT verdict is decided only by ``_proves_unsat``, which checks the
-weights in one pass over the rows and reads no basis.  A system checks
-its own invariants when it is built (d >= 2, every index names a
-variable, no label listed twice), so the JSON reader only parses.
+(``_Encoding``, made from the rows by ``_encode_rows``): the
+irreducibility subsystems of ``constructions.check_irreducible``, the
+relations of ``invariance_demo`` and, with its rows tagged, the search
+for row weights that prove a construction UNSAT when its method's own
+weights do not.  The demo builds its family as rows, with no operator,
+and asks many relations of one basis, so it reduces that basis first
+(``_reduce_basis``).  An UNSAT verdict is decided only by
+``_proves_unsat``, which checks the weights in one pass over the rows
+and reads no basis.  A system checks its own invariants when it is
+built (d >= 2, every index names a variable, no label listed twice), so
+the JSON reader only parses.
 """
 
 from __future__ import annotations
@@ -254,18 +254,20 @@ def system_from_operators(
 class _Encoding:
     """A family's rows over D = lcm(d, every factor denominator).
 
-    An angle a is the exponent a*D, an integer in [0, D).  Row i's
-    operator has collective angle totals[i]/D
-    (``ProductOperator.collective_angle``, the eigenphase engine of
-    ``states`` too) and claimed eigenphase claims[i]/d; rows[i] is its
-    support, the (qudit, exponent) pair of each rotated factor in qudit
-    order.  ``variations`` numbers the distinct pairs from 1 in
-    first-encounter order: pair (q, e) is the variable
-    y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the sum of the
-    x(q, 0).  The Howell kernel eliminates its highest variable first, so
-    the latest variations go first, which keeps method 2's fill-in low
-    (the reverse order is some 30 times slower on large cells).  Only an
-    elimination reads that numbering, so it is made on first read.
+    An angle a is the exponent a*D, an integer in [0, D).  rows[i] is
+    row i's support, the (qudit, exponent) pair of each rotated factor
+    in qudit order; totals[i] is the sum of those exponents mod D, and
+    claims[i] gives its claimed eigenphase claims[i]/d.  So totals[i]/D
+    is the collective angle of row i's operator; the dense oracle
+    compares each total with that operator's own
+    ``ProductOperator.collective_angle``.  ``variations`` numbers the
+    distinct pairs from 1 in first-encounter order: pair (q, e) is the
+    variable y(q, e/D) = x(q, e/D) - x(q, 0), and variable 0 is S, the
+    sum of the x(q, 0).  The Howell kernel eliminates its highest
+    variable first, so the latest variations go first, which keeps
+    method 2's fill-in low (the reverse order is some 30 times slower on
+    large cells).  Only an elimination reads that numbering, so it is
+    made on first read.
     """
 
     common: int
@@ -283,37 +285,11 @@ class _Encoding:
         return variations
 
 
-def _encode(
-    d: int, items: Sequence[tuple[ProductOperator, RationalPhase]]
-) -> _Encoding:
-    """The (operator, eigenphase nu/d) items as integer rows over one D.
-
-    The encoder of a family given as operators, as
-    ``Construction.from_items`` (target last) is.  A family built or read
-    as rows gets the same encoding from ``_encode_rows``, with no
-    operator.  Rejects a claimed eigenphase off the 1/d grid, in item
-    order.
-    """
-    dens = {a.den for op, _ in items for _, a in op.rotations}
-    common = math.lcm(d, *dens)
-    scale = {den: common // den for den in dens}
-    totals, claims, rows = [], [], []
-    for op, exponent in items:
-        if d % exponent.den:
-            raise ValueError(f"eigenphase {exponent} is not a d-th root of unity")
-        claims.append(exponent.num * (d // exponent.den) % d)
-        rows.append(tuple([(q, a.num * scale[a.den]) for q, a in op.rotations]))
-        total = op.collective_angle
-        totals.append(total.num * (common // total.den))
-    return _Encoding(common, totals, claims, rows)
-
-
 def _encode_rows(common: int, rows: Sequence[Row]) -> _Encoding:
     """The family's rows as the encoding that certification reads.
 
-    It equals ``_encode`` of the rows' operator view: a row's total is
-    the sum of its exponents mod D, which is its collective angle times
-    D.
+    A row's total is the sum of its exponents mod D, which is its
+    operator's collective angle times D.
     """
     supports = [support for support, _ in rows]
     return _Encoding(
@@ -767,20 +743,20 @@ def invariance_demo(
     The relations are decided in the family's variation coordinates, as
     certification decides UNSAT (``constructions._exact_checks``).  The
     family is built straight as its integer rows over D = lcm(d, the
-    denominators of phi and phi*n1/n2), the encoding that ``_encode``
-    gives its operators, with no operator built: X^N's empty row, then per
-    ordered pair (``_pair_rows``) and, with a partition, the same at the
-    scaled angle and the group row, all claimed at eigenphase 0.  Every
-    claim is checked exactly against its row's total (ValueError if one
-    is off), the variation rows S + y(i, phi) + y(j, -phi) are factored
-    once, that basis is reduced (``_reduce_basis``), and a relation, the
-    functional sum of c*y(i, a), is reduced by it (``_reduce``).  The
-    change of variables is unimodular, so each value equals
-    ``forced_value`` of the same sum of variations on the label system
-    ``report.system``.  The demo builds that system, and its operators,
-    only when it is first read, from the report's own rows.  It has N
-    labels on each operator, so a demo over the construction JSON's limit
-    of N times the operator count is refused before any row is built.
+    denominators of phi and phi*n1/n2), with no operator built: X^N's
+    empty row, then per ordered pair (``_pair_rows``) and, with a
+    partition, the same at the scaled angle and the group row, all
+    claimed at eigenphase 0.  Every claim is checked exactly against its
+    row's total (ValueError if one is off), the variation rows
+    S + y(i, phi) + y(j, -phi) are factored once, that basis is reduced
+    (``_reduce_basis``), and a relation, the functional sum of
+    c*y(i, a), is reduced by it (``_reduce``).  The change of variables
+    is unimodular, so each value equals ``forced_value`` of the same sum
+    of variations on the label system ``report.system``.  The demo
+    builds that system, and its operators, only when it is first read,
+    from the report's own rows.  It has N labels on each operator, so a
+    demo over the construction JSON's limit of N times the operator
+    count is refused before any row is built.
     """
     _check_cell(d, n)
     count = 1 + n * (n - 1)  # X^N and one operator per ordered pair of qudits

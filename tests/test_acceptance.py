@@ -39,6 +39,7 @@ from ghzcert import (
     witness_construction,
 )
 from ghzcert.constructions import _qudit_exponents
+from operator_families import from_items
 
 TOL = 1e-12
 
@@ -218,7 +219,7 @@ def test_c09_even_d_full_turn_sign_flip():
 def test_c10_negative_controls():
     base = method1(3, 4, 3)
     op, exponent = base.target
-    corrupted = Construction.from_items(
+    corrupted = from_items(
         base.d,
         base.n,
         base.method,

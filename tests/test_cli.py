@@ -31,6 +31,7 @@ from ghzcert import (
 from ghzcert import cli
 from ghzcert.cli import _json_pieces, main
 from ghzcert.constructions import _check_json_size
+from operator_families import from_items
 
 
 def run(capsys, *argv):
@@ -872,7 +873,7 @@ def test_satisfiable_certificate_carries_the_least_witness(tmp_path, capsys):
     # method 1's weights annihilate the claims here, so the elimination
     # decides SAT and the labels give the least witness
     supporting, target = method1_operator_set(3, 6, 3)
-    c = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
+    c = from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
     data = verify_construction(c, oracle=True).to_json_dict()
     assert data["quantum_ok"] is True and data["oracle_checked"] is True
     assert data["hv_status"] == "SAT" and data["certified"] is False

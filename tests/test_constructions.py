@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -43,7 +44,8 @@ from ghzcert import (
 )
 from ghzcert import constructions, hidden_variables, operators
 from ghzcert.constructions import _within
-from ghzcert.hidden_variables import _encode, _howell_basis, _proves_unsat
+from ghzcert.hidden_variables import _howell_basis, _proves_unsat
+from operator_families import encode, from_items, items_json
 
 
 def full_system(construction):
@@ -513,7 +515,6 @@ def test_verified_plane_computes_only_what_decides_certified(monkeypatch):
         "Construction",
         "RationalPhase",
         "_operator_items",
-        "_encode",
         "_howell_basis",
         "_dense_recheck",
         "brute_force_solve",
@@ -637,20 +638,45 @@ def exactness_families():
         yield witness_construction(classify(d, n))
 
 
+def assembled_families():
+    """Families that no method builds, each with the items it was read
+    from: supporting operators reordered, a perturbed copy of X^N in
+    front, a wrong claim, and an extra qudit at angles over mixed
+    denominators."""
+    for c in [method1(3, 4, 3), method1(6, 5, 2), method2(4, 6), method3(5, 3)]:
+        items = c.all_items()
+        ops = c.operators
+        op, nu = c.target
+        for assembled in (
+            [*ops[1:], ops[0], c.target],
+            [*ops[::-1], c.target],
+            [changed_at(items[0], 0, RationalPhase(1, c.d)), *items],
+            [*ops, (op, nu + RationalPhase(1, c.d))],
+        ):
+            yield with_items(c, assembled), assembled
+        angles = [RationalPhase(k, (2, 5)[k % 2] * c.d) for k in range(len(items))]
+        for position in (0, c.n):
+            wide = widened(c, position, angles)
+            yield from_items(c.d, c.n + 1, c.method, c.phi_o, wide, c.f, c.chain), wide
+
+
 def test_constructions_are_encoded_exactly_from_their_rows():
-    # a method's encoding comes from its rows: it must equal the encoding
-    # of their operator view, and the JSON must read back to the same
-    # text, rows and encoding
+    # a family's encoding comes from its rows: it must equal the encoding
+    # of the operators it came from, a method's operator view or the items
+    # a family was assembled from, and the JSON must read back to the same
+    # text, rows, encoding and proof hint
     methods = Counter()
-    for c in exactness_families():
+    built = ((c, c.all_items()) for c in exactness_families())
+    for c, items in itertools.chain(built, assembled_families()):
         from_rows = c._encoding
-        encoded = _encode(c.d, c.all_items())
+        encoded = encode(c.d, items)
         assert from_rows == encoded and list(from_rows.variations) == list(encoded.variations)
         text = json.dumps(c.to_json_dict(), indent=2)
         again = Construction.from_json_dict(json.loads(text))
         assert json.dumps(again.to_json_dict(), indent=2) == text
         assert again.rows == c.rows and again._encoding == from_rows
-        assert again.weights is None and constructions._method_hint(again) == c.weights
+        assert again.weights is None
+        assert constructions._method_hint(again) == constructions._method_hint(c)
         methods[c.method] += 1
     assert min(methods.values()) > 100
 
@@ -707,7 +733,7 @@ def test_dense_oracle_checks_every_encoded_eigenphase():
     base = method1(3, 4, 3)
     items = (base.all_items() * 14)[:70]
     for index in (0, 33, 69):
-        c = Construction.from_items(3, 4, 1, base.phi_o, items)
+        c = from_items(3, 4, 1, base.phi_o, items)
         assert verify_construction(c, oracle=True).oracle_checked
         encoding = c._encoding
         shifted = list(encoding.totals)
@@ -739,7 +765,7 @@ def test_exhaustive_oracle_disagreement_raises(monkeypatch):
     # a SAT family, or another witness on the SAT family, stops certification
     unsat = method1(3, 4, 3)
     supporting, target = method1_operator_set(3, 6, 3)  # N a multiple of f
-    sat = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
+    sat = from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], f=3)
     least = verify_construction(sat).hv_verdict.witness
     assert least == (0,) * 8 + (1, 0, 0, 1)
     forged = [
@@ -763,7 +789,7 @@ def test_dense_oracle_skips_an_operator_off_the_grid():
     # its image, while quantum_ok records the false claim of eigenphase 0
     base = method1(3, 4, 3)
     stray = ProductOperator(3, (RationalPhase(1, 9),) + (ZERO_PHASE,) * 3)
-    c = Construction.from_items(
+    c = from_items(
         3, 4, 1, base.phi_o, [*base.operators, (stray, ZERO_PHASE), base.target], f=3
     )
     cert = verify_construction(c, oracle=True)
@@ -814,16 +840,21 @@ def reference_irreducible(c):
     return tuple(flags)
 
 
-def with_extra_qudit(c, position, angles):
-    """c with one more qudit at ``position``, carrying angles[i] on item i."""
+def widened(c, position, angles):
+    """c's items with one more qudit at ``position``, carrying angles[i] on item i."""
 
     def widen(item, angle):
         op, exponent = item
         wide = op.angles[:position] + (angle,) + op.angles[position:]
         return ProductOperator(c.d, wide), exponent
 
-    items = [widen(item, a) for item, a in zip(c.all_items(), angles)]
-    return Construction.from_items(c.d, c.n + 1, c.method, c.phi_o, items, c.f, c.chain)
+    return [widen(item, a) for item, a in zip(c.all_items(), angles)]
+
+
+def with_extra_qudit(c, position, angles):
+    """c with one more qudit at ``position``, carrying angles[i] on item i."""
+    items = widened(c, position, angles)
+    return from_items(c.d, c.n + 1, c.method, c.phi_o, items, c.f, c.chain)
 
 
 def test_check_irreducible_flags_an_idle_qudit():
@@ -892,7 +923,8 @@ def test_check_irreducible_matches_reference_at_large_n():
 
 
 def with_items(c, items):
-    return Construction.from_items(c.d, c.n, c.method, c.phi_o, items, c.f, c.chain)
+    """c's cell, method and meta with the items, read from JSON."""
+    return from_items(c.d, c.n, c.method, c.phi_o, items, c.f, c.chain)
 
 
 def changed_at(item, qudit, angle):
@@ -991,7 +1023,7 @@ def test_check_irreducible_solves_once_per_qudit_orbit(monkeypatch):
     # __bool__, so every angle is truthy.  Row (1/4, 0, 1/4, 1/4, 0) has
     # total 3/4, so it is not an eigenoperator.
     items = [(ProductOperator(2, r), h if any(a != z for a in r) else z) for r in rows]
-    uneven = Construction.from_items(2, 5, 1, q, items, 2)
+    uneven = from_items(2, 5, 1, q, items, 2)
     expected = (True, True, True, False, True)
     solves.clear()
     assert check_irreducible(uneven) == reference_irreducible(uneven) == expected
@@ -1123,7 +1155,7 @@ def test_variation_coordinates_match_the_label_system_on_mutated_families():
     for supporting, target in sat:
         op = target[0]
         families.append(
-            Construction.from_items(op.d, op.n, 1, RationalPhase(1, op.d), [*supporting, target])
+            from_items(op.d, op.n, 1, RationalPhase(1, op.d), [*supporting, target])
         )
     statuses = Counter()
     for c in families:
@@ -1147,7 +1179,7 @@ def test_unsat_certification_builds_no_label_system(monkeypatch):
     assert time.perf_counter() - start < 2
     assert cert.certified and all(cert.irreducible) and cert.genuinely_d_dimensional
     supporting, target = method1_operator_set(3, 6, 3)
-    sat = Construction.from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], 3)
+    sat = from_items(3, 6, 1, RationalPhase(1, 9), [*supporting, target], 3)
     with pytest.raises(AssertionError, match="label system built"):
         verify_construction(sat, oracle=False)
 
@@ -1206,30 +1238,16 @@ def test_method3_large_dimension():
 
 def test_single_operator_construction_is_vacuous():
     x = ProductOperator(3, (ZERO_PHASE,) * 3)
-    vacuous = Construction.from_items(3, 3, 1, RationalPhase(1, 9), [(x, ZERO_PHASE)])
+    vacuous = from_items(3, 3, 1, RationalPhase(1, 9), [(x, ZERO_PHASE)])
     cert = verify_construction(vacuous)
     assert cert.hv_verdict.status == "SAT"  # nothing to contradict
     assert all(cert.irreducible)
     assert not cert.certified
 
 
-def test_construction_built_in_python_is_validated():
-    c = method1(3, 4, 3)
-    fields = dict(method=1, phi_o=c.phi_o, items=c.all_items())
-    with pytest.raises(ValueError, match="at least three qudits"):
-        Construction.from_items(d=3, n=2, **fields)
-    for n in (3, 5):
-        with pytest.raises(ValueError, match=f"operator has 4 factors but n = {n}"):
-            Construction.from_items(d=3, n=n, **fields)
-    with pytest.raises(ValueError, match="operator has dimension 3 but d = 6"):
-        Construction.from_items(d=6, n=4, **fields)
-    with pytest.raises(ValueError, match="at least its target"):
-        Construction.from_items(d=3, n=4, method=1, phi_o=c.phi_o, items=[])
-
-
 def test_construction_built_from_rows_is_validated():
-    # the constructor checks the cell and the rows as from_items does, so
-    # no malformed family reaches certification from either way in
+    # the constructor checks the cell and the rows, so no malformed family
+    # reaches certification from the rows, a method or JSON
     c = method1(3, 4, 3)  # D = 9
     fields = dict(method=1, phi_o=c.phi_o, common=c.common, weights=c.weights, f=3)
     assert Construction(d=3, n=4, rows=c.rows, **fields) == c
@@ -1258,12 +1276,8 @@ def test_construction_built_from_rows_is_validated():
 
 def test_off_grid_claim_is_rejected_by_every_check():
     # an eigenphase claim that is not a multiple of 1/d is malformed input:
-    # no family holding one is built, from operators or from JSON
+    # no family holding one is read from JSON
     c = method1(3, 4, 3)
-    op, _ = c.target
-    items = [*c.operators, (op, RationalPhase(1, 9))]
-    with pytest.raises(ValueError, match="not a d-th root of unity"):
-        Construction.from_items(3, 4, 1, c.phi_o, items)
     data = c.to_json_dict()
     data["target"]["exponent"] = "1/9"
     with pytest.raises(ValueError, match="not a d-th root of unity"):
@@ -1440,7 +1454,6 @@ def test_certificates_decide_unsat_by_their_methods_weights(monkeypatch):
     assert calls == []
     c = method3(97, 5)
     reordered = with_items(c, [*c.operators[::-1], c.target])
-    reordered = Construction.from_json_dict(reordered.to_json_dict())
     cert = verify_construction(reordered, oracle=False)
     assert cert.certified and all(cert.irreducible)
     assert len(calls) == 1 and calls[0][2][0].get(-2) == 1  # the tagged elimination
@@ -1497,7 +1510,7 @@ def test_reordered_method1_and_method2_families_keep_their_proofs(monkeypatch):
         rng.shuffle(shuffled)
         for order in (shuffled, shuffled[::-1], list(range(len(built)))[::-1]):
             items = [built[i] for i in order]
-            data = json.loads(json.dumps(with_items(c, items).to_json_dict()))
+            data = items_json(c.d, c.n, c.method, c.phi_o, items, c.f, c.chain)
             with monkeypatch.context() as patched:  # the hint waits for certification
                 for name in ("_method1_rows", "_method2_rows"):
                     patched.setattr(constructions, name, lambda *args: pytest.fail("hint built"))

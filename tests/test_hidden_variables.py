@@ -39,6 +39,7 @@ from ghzcert import (
 from ghzcert import hidden_variables
 from ghzcert.hidden_variables import DEFAULT_BRUTE_CAP
 from ghzcert.phases import as_turns
+from operator_families import encode
 
 
 def raw_system(d, rows, rhs):
@@ -791,7 +792,7 @@ def test_reduce_in_variation_coordinates_matches_forced_value():
             )
             for con in system.constraints
         ]
-        enc = hidden_variables._encode(d, items)
+        enc = encode(d, items)
         rows = hidden_variables._variation_rows(enc)
         basis = hidden_variables._howell_basis(d, len(enc.variations) + 1, rows)
         labels = list(enc.variations)
@@ -891,9 +892,10 @@ def test_lazy_demo_system_equals_the_eagerly_built_one():
 
 
 def test_invariance_demo_rows_are_the_encoding_of_its_operators():
-    # the rows the demo builds are _encode of its family built operator by
-    # operator: every partition of each small cell, at angles that are 0,
-    # their own negative (1/2), signed (-1/12) or past a whole turn (9/8)
+    # the rows the demo builds are the oracle's encoding of its family
+    # built operator by operator: every partition of each small cell, at
+    # angles that are 0, their own negative (1/2), signed (-1/12) or past
+    # a whole turn (9/8)
     cases = 0
     for d in range(2, 10):
         for n in range(3, 8):
@@ -903,7 +905,7 @@ def test_invariance_demo_rows_are_the_encoding_of_its_operators():
             angles += [Fraction(9, 8), Fraction(-1, 12)]
             for angle, partition in itertools.product(angles, partitions):
                 enc = invariance_demo(d, n, angle, partition)._encoding
-                expected = hidden_variables._encode(d, demo_family(d, n, angle, partition))
+                expected = encode(d, demo_family(d, n, angle, partition))
                 assert enc.common == expected.common
                 assert enc.rows == expected.rows
                 assert enc.totals == expected.totals
