@@ -23,6 +23,7 @@ irreducibility subsystems of ``constructions.check_irreducible``, the
 relations of ``invariance_demo`` and, with its rows tagged, the search
 for row weights that prove a construction UNSAT when its method's own
 weights do not.  The demo builds its family as rows, with no operator,
+factors only 3N-2 of its 1 + N(N-1) rows, which generate the others,
 and asks many relations of one basis, so it reduces that basis first
 (``_reduce_basis``).  An UNSAT verdict is decided only by
 ``_proves_unsat``, which checks the weights in one pass over the rows
@@ -746,15 +747,32 @@ def invariance_demo(
     denominators of phi and phi*n1/n2), with no operator built: X^N's
     empty row, then per ordered pair (``_pair_rows``) and, with a
     partition, the same at the scaled angle and the group row, all
-    claimed at eigenphase 0.  Every claim is checked exactly against its
-    row's total (ValueError if one is off), the variation rows
-    S + y(i, phi) + y(j, -phi) are factored once, that basis is reduced
-    (``_reduce_basis``), and a relation, the functional sum of
-    c*y(i, a), is reduced by it (``_reduce``).  The change of variables
-    is unimodular, so each value equals ``forced_value`` of the same sum
-    of variations on the label system ``report.system``.  The demo
-    builds that system, and its operators, only when it is first read,
-    from the report's own rows.  It has N labels on each operator, so a
+    claimed at eigenphase 0.  Every claim, on every row, is checked
+    exactly against its row's total (ValueError if one is off).
+
+    Only a generating set of the rows is factored.  Write P(i, j) for the
+    variation row S + y(i, phi) + y(j, -phi) = 0 of the ordered pair
+    (i, j), qudits from 0.  X^N's row, P(0, j) and P(i, 0) for i, j >= 1,
+    P(1, j) for j >= 2 and P(2, 1) are kept: 3N-2 rows of 1 + N(N-1).
+    Every other pair row is an integer combination of kept ones, on the
+    S column, on every variation and on the rhs:
+
+        P(i, j) = P(i, 0) + P(1, j) - P(1, 0)   for i, j >= 2, i != j,
+        P(i, 1) = P(i, 0) + P(2, 1) - P(2, 0)   for i >= 3.
+
+    This holds at any phi, also at phi = 1/2, where y(i, phi) and
+    y(i, -phi) are one variable.  With a partition the same pairs are
+    kept at the scaled angle, with the group row: 6N-4 rows of
+    2 + 2N(N-1).  So the kept rows span the family's module and force the
+    same values.  Each label is met first in a kept row, so the kept rows
+    number the variations as the whole family does.  They are factored
+    once, that basis is reduced (``_reduce_basis``), and a relation, the
+    functional sum of c*y(i, a), is reduced by it (``_reduce``).  The
+    change of variables is unimodular, so each value equals
+    ``forced_value`` of the same sum of variations on the label system
+    ``report.system``, which holds every row.  The demo builds that
+    system, and its operators, only when it is first read, from the
+    report's own rows.  It has N labels on each operator, so a
     demo over the construction JSON's limit of N times the operator
     count is refused before any row is built.
     """
@@ -788,7 +806,10 @@ def invariance_demo(
     enc = _encode_rows(common, rows)
     if not _claims_hold(d, enc):
         raise ValueError("a demo operator's claimed eigenphase is not its exact one")
-    basis = _howell_basis(d, len(enc.variations) + 1, _variation_rows(enc))
+    pairs = [i < 2 or j == 0 or (i, j) == (2, 1) for i, j in itertools.permutations(range(n), 2)]
+    keep = [True, *pairs] if partition is None else [True, *pairs, *pairs, True]
+    spanning = _encode_rows(common, list(itertools.compress(rows, keep)))
+    basis = _howell_basis(d, len(spanning.variations) + 1, _variation_rows(spanning))
     _reduce_basis(d, basis)
 
     def probe(description: str, *terms: tuple[int, int, int]) -> Relation:
@@ -801,7 +822,7 @@ def invariance_demo(
         v: dict[int, int] = {}  # the functional as a sparse row
         for label, c in functional.items():
             if c % d:
-                column = enc.variations.get(label)
+                column = spanning.variations.get(label)
                 if column is None:
                     return Relation(description, None)
                 v[column] = c % d

@@ -750,22 +750,23 @@ def test_invariance_demo_matches_forced_value_on_the_label_system():
     # every relation, decided in variation coordinates, against the label
     # system's forced_value: at angle 0, at 1/2 (where phi = -phi), at 2/3
     # with partition 1:2 at N = 3 (where lambda*phi = -phi), and at every
-    # partition of each small cell
+    # partition of each small cell; at N = 7 and 8 most pair rows are ones
+    # the demo's elimination skips
     lam_is_minus_phi = 0
-    for d in range(2, 10):
-        for n in range(3, 7):
-            partitions = [None] + [(k, n - k) for k in range(1, n) if n - k > k]
-            angles = [ZERO_PHASE, RationalPhase(1, 2), RationalPhase(2, 3)]
-            angles += [RationalPhase(1, 12), RationalPhase(5, 2 * d * n)]
-            for angle, partition in itertools.product(angles, partitions):
-                report = invariance_demo(d, n, angle, partition)
-                terms = demo_terms(report)
-                assert len(report.relations) == len(terms)
-                for relation, relation_terms in zip(report.relations, terms):
-                    functional = label_variations(relation_terms)
-                    assert relation.forced == forced_value(report.system, functional)
-                if partition is not None and terms[-1][1][2] == -angle:
-                    lam_is_minus_phi += 1
+    cells = itertools.product(range(2, 10), range(3, 7))
+    for d, n in itertools.chain(cells, itertools.product((4, 6, 9), (7, 8))):
+        partitions = [None] + [(k, n - k) for k in range(1, n) if n - k > k]
+        angles = [ZERO_PHASE, RationalPhase(1, 2), RationalPhase(2, 3)]
+        angles += [RationalPhase(1, 12), RationalPhase(5, 2 * d * n)]
+        for angle, partition in itertools.product(angles, partitions):
+            report = invariance_demo(d, n, angle, partition)
+            terms = demo_terms(report)
+            assert len(report.relations) == len(terms)
+            for relation, relation_terms in zip(report.relations, terms):
+                functional = label_variations(relation_terms)
+                assert relation.forced == forced_value(report.system, functional)
+            if partition is not None and terms[-1][1][2] == -angle:
+                lam_is_minus_phi += 1
     assert lam_is_minus_phi >= 8  # (2/3, N = 3, 1:2) for every d
 
 
@@ -843,6 +844,40 @@ def test_invariance_demo_builds_no_label_basis(monkeypatch):
         monkeypatch.setattr(hidden_variables, "_with_rotations", rotations)
         assert len(report.system.constraints) > n
         assert report.system is report.system  # built once, on first read
+
+
+def test_invariance_demo_eliminates_a_generating_set_of_its_rows(monkeypatch):
+    # X^N's row and the pair rows of (0, j), (i, 0), (1, j) for j >= 2 and
+    # (2, 1), at phi and, with a partition, at the scaled angle, then the
+    # group row: 3N-2 rows, or 6N-4, of the family's 1 + N(N-1), or twice
+    # that, handed to the elimination as the family numbers them
+    calls = []
+    real = hidden_variables._howell_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hidden_variables, "_howell_basis", counted)
+    cases = [
+        (12, 12, RationalPhase(5, 144), None, 34),
+        (8, 8, RationalPhase(7, 64), (3, 5), 44),
+    ]
+    for d, n, angle, partition, size in cases:
+        calls.clear()
+        report = invariance_demo(d, n, angle, partition)
+        assert report.all_forced
+        (_, width, rows), = calls
+        assert len(rows) == size
+        kept = {(0, j) for j in range(1, n)} | {(i, 0) for i in range(1, n)}
+        kept |= {(1, j) for j in range(2, n)} | {(2, 1)}
+        pairs = [pair in kept for pair in itertools.permutations(range(n), 2)]
+        keep = [True, *pairs] if partition is None else [True, *pairs, *pairs, True]
+        enc = report._encoding
+        family = hidden_variables._variation_rows(enc)
+        assert len(family) == len(keep) == len(report.system.constraints)
+        assert width == len(enc.variations) + 1
+        assert rows == [row for row, k in zip(family, keep) if k]
 
 
 def demo_family(d, n, angle, partition):
@@ -1000,12 +1035,13 @@ except ValueError as exc:
 """
 
 
-def test_invariance_demo_rejects_a_tampered_eigenphase():
-    # a check, not an assert: it still raises under python -O
+def assert_demo_rejected(script):
+    """The script's tampered demo raises the eigenphase check, with and
+    without python -O."""
     src = Path(__file__).resolve().parents[1] / "src"
     for flags in ([], ["-O"]):
         done = subprocess.run(
-            [sys.executable, *flags, "-c", TAMPERED_DEMO],
+            [sys.executable, *flags, "-c", script],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
@@ -1015,6 +1051,47 @@ def test_invariance_demo_rejects_a_tampered_eigenphase():
         assert done.returncode == 0 and done.stderr == ""
         debug = "False" if flags else "True"
         assert done.stdout == f"{debug} a demo operator's claimed eigenphase is not its exact one\n"
+
+
+def test_invariance_demo_rejects_a_tampered_eigenphase():
+    # a check, not an assert: it still raises under python -O
+    assert_demo_rejected(TAMPERED_DEMO)
+
+
+TAMPERED_SKIPPED_ROW = """
+from ghzcert import RationalPhase, hidden_variables
+
+real = hidden_variables._pair_rows
+
+
+def tampered(n, up, down):
+    # the last ordered pair, (N, N-1), loses its factor at -phi
+    *rest, (support, claim) = real(n, up, down)
+    return [*rest, (support[1:], claim)]
+
+
+hidden_variables._pair_rows = tampered
+try:
+    hidden_variables.invariance_demo(4, 5, RationalPhase(1, 12))
+except ValueError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_invariance_demo_checks_the_rows_it_does_not_eliminate(monkeypatch):
+    # the tampered row is one the elimination skips: with the claim check
+    # switched off the demo forces every relation, so only the check,
+    # which reads every row of the family, can reject it
+    real = hidden_variables._pair_rows
+
+    def tampered(n, up, down):
+        *rest, (support, claim) = real(n, up, down)
+        return [*rest, (support[1:], claim)]
+
+    monkeypatch.setattr(hidden_variables, "_pair_rows", tampered)
+    monkeypatch.setattr(hidden_variables, "_claims_hold", lambda d, enc: True)
+    assert invariance_demo(4, 5, RationalPhase(1, 12)).all_forced
+    assert_demo_rejected(TAMPERED_SKIPPED_ROW)
 
 
 TAMPERED_SOLVE = """
