@@ -24,8 +24,9 @@ relations of ``invariance_demo`` and, with its rows tagged, the search
 for row weights that prove a construction UNSAT when its method's own
 weights do not.  The demo builds its family as rows, with no operator,
 factors only 3N-2 of its 1 + N(N-1) rows, which generate the others,
-and asks many relations of one basis, so it reduces that basis first
-(``_reduce_basis``).  An UNSAT verdict is decided only by
+and decides its N(N-1) + N relations by 3N-2 reductions of that basis
+(3N-1 with a partition), each other relation being an integer sum of
+reduced ones.  An UNSAT verdict is decided only by
 ``_proves_unsat``, which checks the weights in one pass over the rows
 and reads no basis.  A system checks its own invariants when it is
 built (d >= 2, every index names a variable, no label listed twice), so
@@ -637,27 +638,6 @@ def _reduce(
     return -v.get(-1, 0) % d
 
 
-def _reduce_basis(d: int, basis: list[Optional[dict[int, int]]]) -> None:
-    """Reduce a Howell basis in place, for many ``_reduce`` queries.
-
-    Each pivot row, lowest first, has its entry v on every lower pivot
-    column k, highest first, cut below the pivot h_k by subtracting
-    (v // h_k) * basis[k]: on a unit pivot the entry goes.  Such a step
-    changes no column above k, so a row's pivot is kept, and the rows at
-    columns c and below still span the same module for every c, so the
-    Howell property and every forced value are unchanged.  A query then
-    meets fewer pivot columns in the rows it subtracts.
-    """
-    for c, row in enumerate(basis[:-1]):
-        if row is None:
-            continue
-        k = c
-        while (k := max([j for j in row if 0 <= j < k], default=-1)) >= 0:
-            pivot = basis[k]
-            if pivot is not None and (q := row[k] // pivot[k]):
-                _subtract(d, row, q, pivot)
-
-
 @dataclass(frozen=True)
 class Relation:
     """One linear relation the congruences force (or fail to force)."""
@@ -766,13 +746,28 @@ def invariance_demo(
     2 + 2N(N-1).  So the kept rows span the family's module and force the
     same values.  Each label is met first in a kept row, so the kept rows
     number the variations as the whole family does.  They are factored
-    once, that basis is reduced (``_reduce_basis``), and a relation, the
-    functional sum of c*y(i, a), is reduced by it (``_reduce``).  The
-    change of variables is unimodular, so each value equals
-    ``forced_value`` of the same sum of variations on the label system
-    ``report.system``, which holds every row.  The demo builds that
-    system, and its operators, only when it is first read, from the
-    report's own rows.  It has N labels on each operator, so a
+    once, and a relation, the functional sum of c*y(i, a), is reduced by
+    that basis (``_reduce``).
+
+    Only a generating set of the relations is reduced, on the same kept
+    pairs: with F(i, j) = dX_i(phi) + dX_j(-phi), the 3N-3 relations
+    F(0, j), F(i, 0), F(1, j) for j >= 2 and F(2, 1), then oddness and,
+    with a partition, scaling.  The others are exact integer sums of
+    these as functionals, term by term, at any phi (1/2 and 0 too):
+
+        F(i, j) = F(i, 0) + F(1, j) - F(1, 0)       for i, j >= 2, i != j,
+        F(i, 1) = F(i, 0) + F(2, 1) - F(2, 0)       for i >= 3,
+        dX_i(phi) - dX_0(phi) = F(i, 1) - F(0, 1)   for i >= 2,
+        dX_1(phi) - dX_0(phi) = F(1, 2) - F(0, 2).
+
+    A sum of forced functionals is forced, at the same sum of values mod
+    d, so such a relation takes that sum.  When a part it is summed from
+    is unforced, the relation is reduced itself: nothing is inferred
+    from an unforced part.  The change of variables is unimodular, so
+    each value equals ``forced_value`` of the same sum of variations on
+    the label system ``report.system``, which holds every row.  The demo
+    builds that system, and its operators, only when it is first read,
+    from the report's own rows.  It has N labels on each operator, so a
     demo over the construction JSON's limit of N times the operator
     count is refused before any row is built.
     """
@@ -810,9 +805,8 @@ def invariance_demo(
     keep = [True, *pairs] if partition is None else [True, *pairs, *pairs, True]
     spanning = _encode_rows(common, list(itertools.compress(rows, keep)))
     basis = _howell_basis(d, len(spanning.variations) + 1, _variation_rows(spanning))
-    _reduce_basis(d, basis)
 
-    def probe(description: str, *terms: tuple[int, int, int]) -> Relation:
+    def probe(*terms: tuple[int, int, int]) -> Optional[int]:
         # a term (c, i, e) is c*dX_i(e/D) on qudit position i (from 0), where
         # dX_i(e/D) is the variation y(i, e/D), and the zero functional at e = 0
         functional: dict[tuple[int, int], int] = {}
@@ -824,28 +818,42 @@ def invariance_demo(
             if c % d:
                 column = spanning.variations.get(label)
                 if column is None:
-                    return Relation(description, None)
+                    return None
                 v[column] = c % d
-        return Relation(description, _reduce(d, basis, v))
+        return _reduce(d, basis, v)
+
+    def derive(parts: tuple[Optional[int], ...], *terms: tuple[int, int, int]) -> Optional[int]:
+        # the terms' functional is the sum of the parts' functionals, the
+        # last one subtracted: so their forced values give its value, and
+        # only a generator (no parts) or an unforced part sends it to its
+        # own reduction
+        if not parts or None in parts:
+            return probe(*terms)
+        *added, less = parts
+        return (sum(added) - less) % d
+
+    forced: dict[tuple[int, int], Optional[int]] = {}  # F(i, j), per ordered pair
+    for (i, j), kept in zip(itertools.permutations(range(n), 2), pairs):
+        if kept:
+            parts = ()
+        elif j >= 2:
+            parts = (forced[i, 0], forced[1, j], forced[1, 0])
+        else:  # i >= 3, j = 1
+            parts = (forced[i, 0], forced[2, 1], forced[2, 0])
+        forced[i, j] = derive(parts, (1, i, up), (1, j, down))
 
     plus, minus = str(phi), str(neg_phi)
-    relations = [
-        probe(f"dX_{i + 1}({plus}) + dX_{j + 1}({minus})", (1, i, up), (1, j, down))
-        for i, j in itertools.permutations(range(n), 2)
-    ]
-    relations += [
-        probe(f"dX_{i + 1}({plus}) - dX_1({plus})", (1, i, up), (-1, 0, up))
-        for i in range(1, n)
-    ]
-    relations.append(probe(f"dX_1({plus}) + dX_1({minus})", (1, 0, up), (1, 0, down)))
+    halves = [f"dX_{i + 1}({plus}) + " for i in range(n)]
+    downs = [f"dX_{j + 1}({minus})" for j in range(n)]
+    relations = [Relation(halves[i] + downs[j], v) for (i, j), v in forced.items()]
+    for i in range(1, n):
+        parts = (forced[i, 1], forced[0, 1]) if i >= 2 else (forced[1, 2], forced[0, 2])
+        uniform = derive(parts, (1, i, up), (-1, 0, up))
+        relations.append(Relation(f"dX_{i + 1}({plus}) - dX_1({plus})", uniform))
+    relations.append(Relation(halves[0] + downs[0], probe((1, 0, up), (1, 0, down))))
     if partition is not None:
-        relations.append(
-            probe(
-                f"{n1}*dX_1({plus}) - {n2}*dX_1({lam_phi})",
-                (n1, 0, up),
-                (-n2, 0, lam_up),
-            )
-        )
+        scaling = probe((n1, 0, up), (-n2, 0, lam_up))
+        relations.append(Relation(f"{n1}*dX_1({plus}) - {n2}*dX_1({lam_phi})", scaling))
 
     return InvarianceReport(d, n, phi, tuple(relations), partition, enc)
 

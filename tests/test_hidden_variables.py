@@ -949,32 +949,39 @@ def test_invariance_demo_rows_are_the_encoding_of_its_operators():
     assert cases == 784
 
 
-def test_reduced_basis_answers_as_the_plain_basis():
-    # _reduce_basis keeps every pivot and every forced value, where pivots
-    # need not be units: functionals that are combinations of the rows
-    # (forced) or random (mostly not) reduce to the same value against the
-    # reduced basis as against the plain one, on systems solved by a
-    # random point and on demo families in variation coordinates
+def solutions(d, n, rows):
+    """Every solution in Z_d^n of sparse rows {column: coeff}, rhs at -1."""
+    points = np.indices((d,) * n).reshape(n, -1).T
+    ok = np.ones(len(points), dtype=bool)
+    for row in rows:
+        lhs = sum(c * points[:, j] for j, c in row.items() if j >= 0)
+        ok &= lhs % d == row.get(-1, 0)
+    return points[ok]
+
+
+def test_reduce_answers_on_bases_with_non_unit_pivots():
+    # _reduce where pivots need not be units: combinations of the rows are
+    # forced at their combined right-hand side; a forced value is the
+    # functional at a known solution (the random point, or 0 on a demo
+    # family, whose rows all claim 0); and where Z_d^n is small, every
+    # solution is enumerated and the functional is forced iff it takes one
+    # value on all of them.  Random functionals are mostly free.
     rng = random.Random(30)
     outcomes = Counter()
 
-    def check(d, n, rows, functionals):
-        plain = hidden_variables._howell_basis(d, n, rows)
-        reduced = hidden_variables._howell_basis(d, n, rows)
-        hidden_variables._reduce_basis(d, reduced)
-        assert [row is None for row in reduced] == [row is None for row in plain]
-        outcomes["reduced"] += reduced != plain
-        for c, row in enumerate(reduced[:-1]):
-            if row is not None:
-                assert row[c] == plain[c][c] and d % row[c] == 0
-                for k, v in row.items():
-                    if 0 <= k < c and reduced[k] is not None:
-                        assert v < reduced[k][k]
+    def check(d, n, rows, functionals, point):
+        basis = hidden_variables._howell_basis(d, n, rows)
+        every = solutions(d, n, rows) if d**n <= 4096 else None
         for v, expected in functionals:
-            value = hidden_variables._reduce(d, reduced, dict(v))
-            assert value == hidden_variables._reduce(d, plain, dict(v))
+            value = hidden_variables._reduce(d, basis, dict(v))
             if expected is not None:
                 assert value == expected
+            if value is not None:
+                assert value == sum(c * point[j] for j, c in v.items()) % d
+            if every is not None:
+                taken = np.unique(sum(c * every[:, j] for j, c in v.items()) % d)
+                assert value == (int(taken[0]) if len(taken) == 1 else None)
+                outcomes["enumerated"] += 1
             outcomes[d, value is None] += 1
 
     for d in (4, 6, 8, 9, 12):
@@ -999,7 +1006,7 @@ def test_reduced_basis_answers_as_the_plain_basis():
                 functionals.append((forced, rhs))
                 free = {j: rng.randrange(1, d) for j in rng.sample(range(n), rng.randint(1, n))}
                 functionals.append((free, None))
-            check(d, n, rows, functionals)
+            check(d, n, rows, functionals, x)
         demos = [(4, RationalPhase(1, 12), None), (5, RationalPhase(1, 2 * d), (2, 3))]
         for n, angle, partition in demos:
             enc = invariance_demo(d, n, angle, partition)._encoding
@@ -1008,10 +1015,106 @@ def test_reduced_basis_answers_as_the_plain_basis():
             for _ in range(20):
                 columns = rng.sample(range(width), rng.randint(1, 3))
                 functionals.append(({j: rng.randrange(1, d) for j in columns}, None))
-            check(d, width, hidden_variables._variation_rows(enc), functionals)
+            check(d, width, hidden_variables._variation_rows(enc), functionals, [0] * width)
     for d in (4, 6, 8, 9, 12):
         assert outcomes[d, True] > 20 and outcomes[d, False] > 20
-    assert outcomes["reduced"] > 50  # of 135 bases
+    assert outcomes["enumerated"] > 300
+
+
+def demo_rows(report):
+    """Each relation of a demo as the sparse row that _reduce is given."""
+    d, enc = report.d, report._encoding
+    rows = []
+    for terms in demo_terms(report):
+        row = Counter()
+        for c, i, a in terms:
+            if e := a.num * (enc.common // a.den):
+                row[enc.variations[i, e]] += c
+        rows.append({k: c % d for k, c in row.items() if c % d})
+    return rows
+
+
+DEMO_QUERIES = [
+    (12, 12, RationalPhase(5, 144), None, 34),
+    (8, 8, RationalPhase(7, 64), (3, 5), 23),
+]
+
+
+def test_invariance_demo_reduces_a_generating_set_of_its_relations(monkeypatch):
+    # F(0, j), F(i, 0), F(1, j) for j >= 2 and F(2, 1), then oddness and
+    # the scaling relation: 3N-2 reductions, or 3N-1, of N(N-1) + N or
+    # N(N-1) + N + 1 relations, in the order of the relations
+    calls = []
+    real = hidden_variables._reduce
+
+    def counted(d, basis, v):
+        calls.append(dict(v))
+        return real(d, basis, v)
+
+    monkeypatch.setattr(hidden_variables, "_reduce", counted)
+    for d, n, angle, partition, size in DEMO_QUERIES:
+        calls.clear()
+        report = invariance_demo(d, n, angle, partition)
+        assert report.all_forced
+        assert len(calls) == size == 3 * n - 2 + (partition is not None)
+        pairs = list(itertools.permutations(range(n), 2))
+        generators = [i < 2 or j == 0 or (i, j) == (2, 1) for i, j in pairs]
+        generators += [False] * (n - 1) + [True] * (1 + (partition is not None))
+        assert calls == list(itertools.compress(demo_rows(report), generators))
+
+
+def test_invariance_demo_sums_its_relations_as_functionals(monkeypatch):
+    # with _reduce replaced by a random linear map L of the row, a relation
+    # that is not reduced must still read L of its own row: its value is
+    # summed from reduced ones only by identities that hold term by term,
+    # at angle 0, at 1/2 (where phi = -phi) and with a partition
+    rng = random.Random(34)
+    cases = 0
+    for d, n in itertools.product((3, 4, 6, 7), range(3, 7)):
+        partitions = [None] + [(k, n - k) for k in range(1, n) if n - k > k]
+        angles = [ZERO_PHASE, RationalPhase(1, 2), RationalPhase(1, 12), RationalPhase(5, 2 * d)]
+        for angle, partition in itertools.product(angles, partitions):
+            weights = [rng.randrange(d) for _ in range(4 * n + 2)]
+
+            def linear(d, basis, v):
+                return sum(weights[k] * c for k, c in v.items()) % d
+
+            monkeypatch.setattr(hidden_variables, "_reduce", linear)
+            report = invariance_demo(d, n, angle, partition)
+            assert [r.forced for r in report.relations] == [
+                linear(d, None, row) for row in demo_rows(report)
+            ]
+            cases += 1
+    assert cases == 160
+
+
+def test_invariance_demo_reduces_a_relation_whose_part_is_unforced(monkeypatch):
+    # with F(1, 0) reported unforced, that relation reads None, and each
+    # relation summed from it, F(i, j) for i, j >= 2, is reduced by its own
+    # call and keeps its value; every other relation is as before
+    real = hidden_variables._reduce
+    for d, n, angle, partition, size in DEMO_QUERIES:
+        before = invariance_demo(d, n, angle, partition)
+        rows = demo_rows(before)
+        pairs = list(itertools.permutations(range(n), 2))
+        target = rows[pairs.index((1, 0))]
+        through = [k for k, (i, j) in enumerate(pairs) if i >= 2 and j >= 2]
+        assert len(through) == (n - 2) * (n - 3)
+        calls = []
+
+        def unforced(d, basis, v):
+            calls.append(dict(v))
+            return None if v == target else real(d, basis, v)
+
+        monkeypatch.setattr(hidden_variables, "_reduce", unforced)
+        report = invariance_demo(d, n, angle, partition)
+        monkeypatch.setattr(hidden_variables, "_reduce", real)
+        assert len(calls) == size + len(through)
+        assert all(calls.count(rows[k]) == 1 for k in through)
+        assert len(report.relations) == len(before.relations)
+        for k, (relation, plain) in enumerate(zip(report.relations, before.relations)):
+            assert relation.description == plain.description
+            assert relation.forced == (None if k == pairs.index((1, 0)) else plain.forced)
 
 
 TAMPERED_DEMO = """
