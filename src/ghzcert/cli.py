@@ -48,12 +48,14 @@ def _indented(value: object, out: list[str], pieces: list[str], newline: str) ->
     ``json.dumps`` with an indent runs the pure-Python encoder; this
     writes the same text with the C string escaper.  Strings, ints,
     booleans, None and lists and objects of them are written directly,
-    and a ``Construction`` by its own writer, one fragment per operator;
-    any other value (a float, a tuple, an object with non-string keys)
-    goes to ``json.dumps``, whose lines are re-indented to this depth.
-    Once out holds ``_CHUNK`` fragments they are joined onto pieces and
-    out is emptied, so the fragments cost memory of the order of the
-    text they spell, not of one object per fragment.
+    and a value whose type has ``_json_fragments(newline)`` by that
+    writer: a ``Construction``, one fragment per operator, or an
+    ``InvarianceReport``, one per relation.  Any other value (a float, a
+    tuple, an object with non-string keys) goes to ``json.dumps``, whose
+    lines are re-indented to this depth.  Once out holds ``_CHUNK``
+    fragments they are joined onto pieces and out is emptied, also
+    between a writer's fragments, so the fragments cost memory of the
+    order of the text they spell, not of one object per fragment.
     """
     if len(out) >= _CHUNK:
         pieces.append("".join(out))
@@ -90,7 +92,7 @@ def _indented(value: object, out: list[str], pieces: list[str], newline: str) ->
             out.append((separator if i else inner) + _quote(key) + ": ")
             _indented(item, out, pieces, inner)
         out.append(newline + "}")
-    elif kind is Construction:
+    elif hasattr(kind, "_json_fragments"):
         for fragment in value._json_fragments(newline):
             if len(out) >= _CHUNK:
                 pieces.append("".join(out))
@@ -109,7 +111,7 @@ def _json_pieces(payload: object) -> list[str]:
     return pieces
 
 
-def _emit(payload: dict | list | Construction, output: str | None) -> None:
+def _emit(payload: object, output: str | None) -> None:
     """Print the payload as indented JSON, after writing it to output.
 
     The text is written piece by piece, so it is held once, as its
@@ -228,7 +230,7 @@ def _cmd_invariance_demo(args: argparse.Namespace) -> int:
                 f"--partition must be N1:N2, two qudit counts, got {args.partition!r}"
             ) from None
     report = invariance_demo(args.d, args.n, angle, partition)
-    _emit(report.to_json_dict(), None)
+    _emit(report, None)
     return 0 if report.all_forced else 1
 
 

@@ -36,12 +36,13 @@ the JSON reader only parses.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,6 +83,7 @@ Support = tuple[tuple[int, int], ...]  # (qudit, exponent over D) per rotated fa
 Row = tuple[Support, int]  # an operator's support and its claimed eigenphase nu/d
 
 _exponent = itemgetter(1)  # of a (qudit, exponent) pair
+_quote = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -658,7 +660,9 @@ class InvarianceReport:
     ``_encoding`` that decided the relations.  ``system`` is
     ``system_from_operators`` of those rows' operator view
     (``_operator_items``): no answer reads it, so a demo builds its
-    operators and label system only if asked.
+    operators and label system only if asked.  The report writes its own
+    JSON text (``_json_fragments``), one fragment per relation, and
+    ``to_json_dict`` parses that text, so the payload has one writer.
     """
 
     d: int
@@ -679,24 +683,38 @@ class InvarianceReport:
         return all(r.holds for r in self.relations)
 
     def to_json_dict(self) -> dict:
-        payload = {
-            "d": self.d,
-            "n": self.n,
-            "angle": str(self.angle),
-            "relations": [
-                {
-                    "description": r.description,
-                    "forced": r.forced,
-                    "expected": 0,
-                    "holds": r.holds,
-                }
-                for r in self.relations
-            ],
-            "all_forced": self.all_forced,
-        }
+        return json.loads("".join(self._json_fragments("\n")))
+
+    def _json_fragments(self, newline: str) -> Iterator[str]:
+        """The report's JSON text as ``json.dumps(indent=2)`` writes it,
+        nested at newline: a head, one fragment per relation, and a tail
+        with ``all_forced`` and the partition, if there is one.
+        """
+        i1 = newline + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        yield (
+            f'{{{i1}"d": {self.d},{i1}"n": {self.n},{i1}"angle": "{self.angle}",'
+            f'{i1}"relations": '
+        )
+        separator = "["
+        all_forced = True
+        for r in self.relations:
+            forced = "null" if r.forced is None else r.forced
+            holds = r.holds
+            all_forced = all_forced and holds
+            yield (
+                f'{separator}{i2}{{{i3}"description": {_quote(r.description)},'
+                f'{i3}"forced": {forced},{i3}"expected": 0,'
+                f'{i3}"holds": {"true" if holds else "false"}{i2}}}'
+            )
+            separator = ","
+        tail = f"{i1}]" if self.relations else "[]"
+        tail += f',{i1}"all_forced": {"true" if all_forced else "false"}'
         if self.partition is not None:
-            payload["partition"] = list(self.partition)
-        return payload
+            n1, n2 = self.partition
+            tail += f',{i1}"partition": [{i2}{n1},{i2}{n2}{i1}]'
+        yield tail + newline + "}"
 
 
 def invariance_demo(

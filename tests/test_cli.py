@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,16 +11,20 @@ import sys
 import time
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ghzcert import (
     Construction,
+    InvarianceReport,
     RationalPhase,
+    Relation,
     brute_force_solve,
     classify,
     classify_plane,
+    invariance_demo,
     method1,
     method1_operator_set,
     method2,
@@ -267,16 +272,27 @@ def test_emit_writes_pieces_that_spell_json_dumps(tmp_path, capsys, monkeypatch)
     # with a few fragments per piece, every piece boundary falls inside
     # nested lists and objects, and file and stdout still read exactly
     # json.dumps(indent=2) plus a newline; so do constructions, written
-    # from their rows at the top and nested in a certificate
+    # from their rows at the top and nested in a certificate, and demo
+    # reports, written from their relations at the top and nested in a
+    # dict, with and without a partition and with unforced relations
     blocks, chain = method1(12, 5, 2), method3(31, 5)
     assert blocks.f == 2 and chain.chain
     certificate = verify_construction(chain, oracle=False)
+    plain = invariance_demo(3, 3, RationalPhase(1, 12))
+    split = invariance_demo(2, 5, RationalPhase(1, 8), (2, 3))
+    unforced = dataclasses.replace(
+        split, relations=(Relation("a\u00e9", None), Relation("b", 3), *split.relations)
+    )
+    assert plain.partition is None and not unforced.all_forced
     payloads = [
         ({"d": 7, "points": ["0/1", "1/7"], "rows": [[1, [2, {"k": None}]], {}, []]}, None),
         (blocks, blocks.to_json_dict()),
         (chain, chain.to_json_dict()),
         (certificate._fields(), certificate.to_json_dict()),
     ]
+    for report in (plain, split, unforced):
+        payloads.append((report, _demo_dict(report)))
+        payloads.append(({"k": [1], "report": report}, {"k": [1], "report": _demo_dict(report)}))
     for chunk in (1, 2, 3, 5, 2**14):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         for i, (payload, written) in enumerate(payloads):
@@ -785,6 +801,75 @@ def test_invariance_demo_command(capsys):
         "--d", "2", "--n", "3", "--angle", "1/8", "--partition", "",
     )
     assert code == 2 and out == "" and "error" in err
+
+
+def _demo_sweep():
+    """(argv, report) for every demo with d 2..8, N 3..8, the angles 1/12
+    and 5/96, and no partition or every valid N1:N2, in that order."""
+    for d, n, angle in itertools.product(range(2, 9), range(3, 9), ("1/12", "5/96")):
+        for partition in [None] + [(n1, n - n1) for n1 in range(1, (n + 1) // 2)]:
+            argv = ["invariance-demo", "--d", str(d), "--n", str(n), "--angle", angle]
+            if partition is not None:
+                argv += ["--partition", f"{partition[0]}:{partition[1]}"]
+            yield argv, invariance_demo(d, n, RationalPhase.parse(angle), partition)
+
+
+def _demo_dict(report):
+    """The report's payload, built here from its fields."""
+    payload = {
+        "d": report.d,
+        "n": report.n,
+        "angle": str(report.angle),
+        "relations": [
+            {"description": r.description, "forced": r.forced, "expected": 0, "holds": r.holds}
+            for r in report.relations
+        ],
+        "all_forced": report.all_forced,
+    }
+    if report.partition is not None:
+        payload["partition"] = list(report.partition)
+    return payload
+
+
+_DEMO_DIGEST = (  # recorded when the command still wrote the report's dict
+    "a23b2942dda20a5314046faed5c7b48a9e62f7873b39c709dcb75a4fbc4a2c1b"
+)
+
+
+def _demo_sweep_digest(capsys):
+    # one sha256 over the stdout of every demo in the sweep, each checked
+    # against json.dumps(indent=2) of the dict built from its fields
+    digest = hashlib.sha256()
+    runs = 0
+    for argv, report in _demo_sweep():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0 if report.all_forced else 1, "")
+        assert out == json.dumps(_demo_dict(report), indent=2) + "\n"
+        digest.update(out.encode())
+        runs += 1
+    assert runs == 252
+    return digest.hexdigest()
+
+
+def test_invariance_demo_keeps_its_recorded_text(capsys):
+    assert _demo_sweep_digest(capsys) == _DEMO_DIGEST
+
+
+def test_invariance_demo_builds_no_relation_dicts(capsys):
+    # the command writes the report's own text: with to_json_dict broken it
+    # still exits 0 on a forced demo and writes the recorded text
+    def refuse(self):
+        raise AssertionError("the command built the report's dict")
+
+    with mock.patch.object(InvarianceReport, "to_json_dict", refuse):
+        code, out, err = run(capsys, "invariance-demo", "--d", "3", "--n", "3", "--angle", "1/12")
+        assert (code, err) == (0, "") and json.loads(out)["all_forced"] is True
+        assert _demo_sweep_digest(capsys) == _DEMO_DIGEST
+
+
+def test_invariance_report_dict_is_its_fields():
+    for _, report in _demo_sweep():
+        assert report.to_json_dict() == _demo_dict(report)
 
 
 def test_invariance_demo_names_the_partition_format(capsys):
